@@ -4,14 +4,15 @@ The structure constants (identification of M, two_rho_c, root data, the
 restricted Weyl action on the M-dual) are shipped as data, validated
 eagerly on construction.  External definitions use the same JSON schema
 that ``serialize`` emits; everything in the format is exact (integers and
-"p/q" rational strings, never floats).
+"p/q" rational strings; floats are refused).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,14 @@ class DiscreteSeriesDatum:
 
 @dataclass(frozen=True)
 class GroupDatum:
-    """Everything needed to compute with one rank-one group."""
+    """Everything needed to compute with one rank-one group.
+
+    ``gram_scale`` (D, the lcm of the Gram denominators) and ``int_gram``
+    (the integer matrix D * gram) are derived from ``gram`` on
+    construction and take no part in equality or hashing.  Norms and
+    pairings are computed on ``int_gram``; scaling by D > 0 keeps every
+    sign and order.
+    """
 
     name: str
     k: CompactGroup
@@ -56,6 +64,17 @@ class GroupDatum:
     equal_rank: bool
     ds: DiscreteSeriesDatum | None
     a_dim: int = 1
+    gram_scale: int = field(init=False, repr=False, compare=False)
+    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = math.lcm(*(Fraction(v).denominator for row in self.gram for v in row))
+        object.__setattr__(self, "gram_scale", scale)
+        object.__setattr__(
+            self,
+            "int_gram",
+            tuple(tuple(int(v * scale) for v in row) for row in self.gram),
+        )
 
 
 def weyl_image(datum: GroupDatum, sigma) -> tuple[int, ...]:
@@ -308,39 +327,58 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _int_vector(value, field: str) -> tuple[int, ...]:
+def _list_field(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise CatalogError(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _str_field(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise CatalogError(f"{key}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _int_vector(value, key: str) -> tuple[int, ...]:
+    for v in _list_field(value, key):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise CatalogError(f"{key}: {v!r} is not an integer")
+    return tuple(value)
+
+
+def _gram_entry(value) -> Fraction:
+    if isinstance(value, float):
+        raise CatalogError(
+            f"gram: float entry {value!r} refused; write it as an integer "
+            "or a 'p/q' string"
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise CatalogError("gram: entries must be rationals like '3' or '1/2'")
     try:
-        out = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise CatalogError(f"{field}: expected a list of integers") from None
-    for given, got in zip(value, out):
-        if given != got:
-            raise CatalogError(f"{field}: {given!r} is not an integer")
-    return out
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError("gram: entries must be rationals like '3' or '1/2'") from None
+
+
+def _compact_group(doc: dict, key: str) -> CompactGroup:
+    atoms = tuple(_list_field(_require(doc, key), key))
+    try:
+        return CompactGroup(atoms)
+    except ValueError as exc:
+        raise CatalogError(f"{key}: {exc}") from None
 
 
 def _from_document(doc) -> GroupDatum:
     if not isinstance(doc, dict):
         raise CatalogError("document: expected a JSON object")
-    name = _require(doc, "name")
-    if not isinstance(name, str):
-        raise CatalogError("name: expected a string")
-    try:
-        k = CompactGroup(tuple(_require(doc, "k_atoms")))
-    except ValueError as exc:
-        raise CatalogError(f"k_atoms: {exc}") from None
-    try:
-        m = CompactGroup(tuple(_require(doc, "m_atoms")))
-    except ValueError as exc:
-        raise CatalogError(f"m_atoms: {exc}") from None
-    gram_flat = _require(doc, "gram")
+    name = _str_field(_require(doc, "name"), "name")
+    k = _compact_group(doc, "k_atoms")
+    m = _compact_group(doc, "m_atoms")
+    gram_flat = _list_field(_require(doc, "gram"), "gram")
     dim = k.lattice_dim
     if len(gram_flat) != dim * dim:
         raise CatalogError(f"gram: expected {dim * dim} row-major entries")
-    try:
-        values = [Fraction(str(v)) for v in gram_flat]
-    except (ValueError, ZeroDivisionError):
-        raise CatalogError("gram: entries must be rationals like '3' or '1/2'") from None
+    values = [_gram_entry(v) for v in gram_flat]
     gram = tuple(tuple(values[i * dim : (i + 1) * dim]) for i in range(dim))
     two_rho_c = _int_vector(_require(doc, "two_rho_c"), "two_rho_c")
     equal_rank = _require(doc, "equal_rank")
@@ -352,15 +390,21 @@ def _from_document(doc) -> GroupDatum:
         if not isinstance(ds_doc, dict):
             raise CatalogError("ds: expected an object or null")
         compact = tuple(
-            _int_vector(r, "ds.compact_roots") for r in _require(ds_doc, "compact_roots")
+            _int_vector(r, "ds.compact_roots")
+            for r in _list_field(_require(ds_doc, "compact_roots"), "ds.compact_roots")
         )
         noncompact = tuple(
             _int_vector(r, "ds.noncompact_roots")
-            for r in _require(ds_doc, "noncompact_roots")
+            for r in _list_field(
+                _require(ds_doc, "noncompact_roots"), "ds.noncompact_roots"
+            )
         )
         wk = tuple(
-            tuple(_int_vector(row, "ds.wk_elements") for row in w)
-            for w in _require(ds_doc, "wk_elements")
+            tuple(
+                _int_vector(row, "ds.wk_elements")
+                for row in _list_field(w, "ds.wk_elements")
+            )
+            for w in _list_field(_require(ds_doc, "wk_elements"), "ds.wk_elements")
         )
         for w in wk:
             if len(w) != dim or any(len(row) != dim for row in w):
@@ -370,10 +414,10 @@ def _from_document(doc) -> GroupDatum:
         name=name,
         k=k,
         m=m,
-        branching_rule=_require(doc, "branching_rule"),
+        branching_rule=_str_field(_require(doc, "branching_rule"), "branching_rule"),
         gram=gram,
         two_rho_c=two_rho_c,
-        weyl_on_mhat=_require(doc, "weyl_on_mhat"),
+        weyl_on_mhat=_str_field(_require(doc, "weyl_on_mhat"), "weyl_on_mhat"),
         equal_rank=equal_rank,
         ds=ds,
     )
@@ -386,15 +430,19 @@ def load(source) -> GroupDatum:
     ``source`` may be a path, or the JSON text itself (detected by a
     leading brace).  All structural invariants are checked eagerly.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
-    elif isinstance(source, str):
-        path = Path(source)
-        if not path.exists():
-            raise CatalogError(f"group file {source!r} does not exist")
-        text = path.read_text()
+    elif isinstance(source, (str, Path)):
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError:
+            raise CatalogError(f"group file {str(source)!r} does not exist") from None
+        except OSError as exc:
+            raise CatalogError(
+                f"group file {str(source)!r} cannot be read: {exc.strerror or exc}"
+            ) from None
+        except UnicodeDecodeError:
+            raise CatalogError(f"group file {str(source)!r} is not UTF-8 text") from None
     else:
         raise CatalogError("load expects a path or JSON text")
     try:

@@ -37,6 +37,7 @@ from .weights import (
     hom_invariant_dim,
     invert_rational_matrix,
     labels_in_box,
+    scaled_norm,
     vogan_norm,
 )
 
@@ -242,7 +243,7 @@ def triangularity_check(datum: GroupDatum, bound) -> VerificationReport:
     """
     matrix = mult_matrix(datum, bound)
     name = "triangularity"
-    norms = [vogan_norm(datum, tau) for tau in matrix.rows]
+    norms = [scaled_norm(datum, tau) for tau in matrix.rows]
     row_index = {tau: i for i, tau in enumerate(matrix.rows)}
     for j, rep in enumerate(matrix.cols):
         pivot = row_index.get(rep.min_ktype)
@@ -463,7 +464,7 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
             },
         )
     window = enumerate_ktypes(datum, bound)
-    norms = {tau: vogan_norm(datum, tau) for tau in window}
+    norms = {tau: scaled_norm(datum, tau) for tau in window}
     series = ds_enumerate(datum, bound)
     for rep in series:
         if blattner_mult(datum, rep, rep.min_ktype) != 1:
@@ -477,7 +478,7 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
             )
         low = norms.get(rep.min_ktype)
         if low is None:
-            low = vogan_norm(datum, rep.min_ktype)
+            low = scaled_norm(datum, rep.min_ktype)
         for tau in window:
             if norms[tau] < low and blattner_mult(datum, rep, tau) != 0:
                 return VerificationReport(

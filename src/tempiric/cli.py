@@ -416,8 +416,15 @@ def main(argv=None) -> int:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(
+                f"error: cannot write {args.out!r}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -22,11 +22,12 @@ from .catalog import GroupDatum, apply_matrix, signed_perm_det, weyl_image
 from .weights import (
     FormalSum,
     enumerate_ktypes,
-    gram_pairing,
     label_lattice_coords,
     lattice_coords_to_label,
+    scaled_bound,
+    scaled_norm,
+    scaled_pairing,
     validate_label,
-    vogan_norm,
     _coordinate_caps,
 )
 
@@ -135,7 +136,7 @@ def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, .
         best_norm = None
         minima = []
         for tau in enumerate_ktypes(datum, bound):
-            norm = vogan_norm(datum, tau)
+            norm = scaled_norm(datum, tau)
             if best_norm is not None and norm > best_norm:
                 break
             if induced_ktype_mult(datum, cls, tau) > 0:
@@ -181,7 +182,7 @@ def is_regular(datum: GroupDatum, lam) -> bool:
     """No compact or noncompact root vanishes on the parameter."""
     ds = _require_ds(datum)
     roots = list(ds.compact_pos_roots) + list(ds.noncompact_roots)
-    return all(gram_pairing(datum.gram, alpha, lam) != 0 for alpha in roots)
+    return all(scaled_pairing(datum, alpha, lam) != 0 for alpha in roots)
 
 
 def positive_noncompact_roots(datum: GroupDatum, lam) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +192,7 @@ def positive_noncompact_roots(datum: GroupDatum, lam) -> tuple[tuple[int, ...], 
         sorted(
             beta
             for beta in ds.noncompact_roots
-            if gram_pairing(datum.gram, beta, lam) > 0
+            if scaled_pairing(datum, beta, lam) > 0
         )
     )
     if 2 * len(pos) != len(ds.noncompact_roots):
@@ -243,6 +244,7 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
         return []
     dim = datum.k.lattice_dim
     caps = _coordinate_caps(datum.gram, bound)
+    limit = scaled_bound(datum, bound)
     # box wide enough that any parameter mapping into the window lies inside:
     # |Lambda_i| <= cap_i + |2rho_c_i| and the chamber shift is bounded by
     # half the total coordinate mass of the noncompact roots.
@@ -261,8 +263,8 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
         if lam != _canonical_orbit_rep(datum, lam):
             continue
         lowest = blattner_parameter(datum, lam)
-        norm = vogan_norm(datum, lowest)
-        if norm > bound:
+        norm = scaled_norm(datum, lowest)
+        if norm > limit:
             continue
         rep = TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam)
         if lowest in found:
@@ -291,7 +293,7 @@ def _count_expressions(roots, target, pairings, budget) -> int:
     """
     memo = _EXPRESSION_COUNTS.setdefault(roots, {})
 
-    def rec(idx: int, vec, value: Fraction) -> int:
+    def rec(idx: int, vec, value: int) -> int:
         if value < 0:
             return 0
         if idx == len(roots):
@@ -320,13 +322,14 @@ def _count_expressions(roots, target, pairings, budget) -> int:
 @lru_cache(maxsize=None)
 def _chamber_data(datum: GroupDatum, lam):
     # Per-parameter data reused across every K-type: doubled positive
-    # noncompact roots, the bounding functional G.lambda evaluated on them,
-    # the shifted base point, and the Weyl determinants.
+    # noncompact roots, the bounding functional (D G).lambda evaluated on
+    # them, the shifted base point, and the Weyl determinants.  The
+    # functional is integral and positive on the chamber's roots.
     pos = positive_noncompact_roots(datum, lam)
     dim = datum.k.lattice_dim
     doubled_roots = tuple(tuple(2 * c for c in beta) for beta in pos)
     functional = tuple(
-        sum(datum.gram[i][j] * lam[j] for j in range(dim)) for i in range(dim)
+        sum(g * l for g, l in zip(row, lam)) for row in datum.int_gram
     )
     pairings = tuple(
         sum(b * f for b, f in zip(beta, functional)) for beta in doubled_roots
@@ -383,5 +386,5 @@ def tempiric_window(datum: GroupDatum, bound):
         reps.extend(constituents(datum, cls))
     if datum.equal_rank:
         reps.extend(ds_enumerate(datum, bound))
-    reps.sort(key=lambda r: (vogan_norm(datum, r.min_ktype),) + r.sort_key())
+    reps.sort(key=lambda r: (scaled_norm(datum, r.min_ktype),) + r.sort_key())
     return rows, reps

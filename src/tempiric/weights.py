@@ -8,8 +8,11 @@ nonnegative highest weight for ``SU2`` (dimension a+1) or ``SO3``
 (dimension 2j+1).
 
 Everything is a pure function of immutable data, computed in exact
-integer and rational arithmetic.  Results never depend on caching or
-call order, so concurrent use needs no coordination.
+arithmetic.  Vogan norms and Gram pairings are integers on the group's
+integer Gram matrix ``D * gram`` (``GroupDatum.int_gram``); a norm
+becomes a ``Fraction`` only at the API boundary, in ``vogan_norm``.
+Results never depend on caching or call order, so concurrent use needs
+no coordination.
 """
 
 from __future__ import annotations
@@ -237,10 +240,6 @@ def hom_invariant_dim(group: CompactGroup, v1: FormalSum, v2: FormalSum) -> int:
     return sum(m * v2[tau] for tau, m in v1.items())
 
 
-def dim_of_sum(group: CompactGroup, v: FormalSum) -> int:
-    return sum(m * weyl_dim(group, tau) for tau, m in v.items())
-
-
 def label_lattice_coords(group: CompactGroup, tau) -> tuple[int, ...]:
     """Highest weight of ``tau`` in the group's lattice coordinates."""
     tau = validate_label(group, tau)
@@ -268,17 +267,26 @@ def lattice_coords_to_label(group: CompactGroup, coords) -> tuple[int, ...]:
     return validate_label(group, label)
 
 
-def gram_pairing(gram, x, y) -> Fraction:
-    """Bilinear form <x, y> for a rational Gram matrix."""
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = gram[i]
-        for j, yj in enumerate(y):
-            if yj:
-                total += Fraction(xi) * row[j] * yj
-    return total
+def scaled_pairing(datum, x, y) -> int:
+    """D * <x, y>: the bilinear form on the datum's integer Gram matrix."""
+    return sum(
+        xi * sum(g * yj for g, yj in zip(row, y))
+        for xi, row in zip(x, datum.int_gram)
+        if xi
+    )
+
+
+def scaled_norm(datum, tau) -> int:
+    """D * (Vogan norm of ``tau``), an integer; see ``vogan_norm``."""
+    mu = label_lattice_coords(datum.k, tau)
+    x = tuple(m + r for m, r in zip(mu, datum.two_rho_c))
+    return scaled_pairing(datum, x, x)
+
+
+def scaled_bound(datum, bound) -> int:
+    """floor(D * bound): an integer n satisfies n <= D * bound iff n <= this."""
+    bound = Fraction(bound)
+    return bound.numerator * datum.gram_scale // bound.denominator
 
 
 def vogan_norm(datum, tau) -> Fraction:
@@ -287,9 +295,7 @@ def vogan_norm(datum, tau) -> Fraction:
     The quadratic form is the catalog's Gram matrix; the shift is the
     catalog's ``two_rho_c`` vector.
     """
-    mu = label_lattice_coords(datum.k, tau)
-    x = tuple(m + r for m, r in zip(mu, datum.two_rho_c))
-    return gram_pairing(datum.gram, x, x)
+    return Fraction(scaled_norm(datum, tau), datum.gram_scale)
 
 
 def invert_rational_matrix(rows):
@@ -345,9 +351,11 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     if bound < 0:
         return []
     caps = _coordinate_caps(datum.gram, bound)
+    limit = scaled_bound(datum, bound)
     axes = []
+    lattice = []
     lattice_index = 0
-    for kind in group.atoms:
+    for position, kind in enumerate(group.atoms):
         if kind == CYCLIC2:
             axes.append((0, 1))
             continue
@@ -357,11 +365,13 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
         if kind in (SU2, SO3):
             lo = max(lo, 0)
         axes.append(tuple(range(lo, hi + 1)))
+        lattice.append((position, shift))
         lattice_index += 1
     window = []
     for label in itertools.product(*axes):
-        norm = vogan_norm(datum, label)
-        if norm <= bound:
+        x = tuple(label[p] + shift for p, shift in lattice)
+        norm = scaled_pairing(datum, x, x)
+        if norm <= limit:
             window.append((norm, label))
     window.sort()
     return [label for _, label in window]

@@ -119,3 +119,40 @@ def test_nonsquare_gram_rejected(sp11):
     doc["gram"] = ["1", "0", "1"]
     with pytest.raises(CatalogError, match="gram"):
         load(json.dumps(doc))
+
+
+def test_load_type_checks_fields():
+    cases = [
+        ({"gram": 5}, "gram: expected a list"),
+        ({"gram": [0.5]}, "gram: float entry 0.5 refused"),
+        ({"gram": [True]}, "gram: entries must be rationals"),
+        ({"k_atoms": "Torus1"}, "k_atoms: expected a list"),
+        ({"m_atoms": "Cyclic2"}, "m_atoms: expected a list"),
+        ({"two_rho_c": [0.0]}, "two_rho_c: 0.0 is not an integer"),
+        ({"branching_rule": ["parity"]}, "branching_rule: expected a string"),
+        ({"name": 3}, "name: expected a string"),
+    ]
+    for override, message in cases:
+        with pytest.raises(CatalogError, match=message):
+            load(_doc(**override))
+    base = json.loads(_doc())
+    base["ds"]["wk_elements"] = 1
+    with pytest.raises(CatalogError, match="ds.wk_elements: expected a list"):
+        load(json.dumps(base))
+
+
+def test_load_accepts_integer_and_fraction_gram_entries(sl2r, sp11):
+    assert load(_doc(gram=[1])) == sl2r
+    doc = serialize(sp11)
+    doc["gram"] = ["1/2", 0, 0, "1/2"]
+    half = load(json.dumps(doc))
+    assert half.gram_scale == 2 and half.int_gram == ((1, 0), (0, 1))
+
+
+def test_load_unreadable_path(tmp_path):
+    with pytest.raises(CatalogError, match="cannot be read"):
+        load(str(tmp_path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(CatalogError, match="not UTF-8"):
+        load(binary)

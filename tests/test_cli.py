@@ -205,3 +205,26 @@ def test_out_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0] == "label,norm,dim"
+
+
+def test_unreadable_group_file_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "catalog", "--group-file", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: group file") and "cannot be read" in err
+
+
+def test_float_gram_exits_2(capsys, tmp_path):
+    doc = serialize(builtin("SL2R"))
+    doc["gram"] = [0.5]
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "ktypes", "--group-file", str(path), "--bound", "4")
+    assert code == 2 and err.startswith("error: gram: float entry")
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "ktypes", "--group", "SO31", "--bound", "4", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")

@@ -1,0 +1,126 @@
+"""Integer Vogan norms on rational Gram matrices.
+
+Scaling a group's Gram matrix by c > 0 scales every Vogan norm by c, so
+every window computed at bound c * B must equal the window of the
+unscaled group at bound B.  The brute-force oracles work on the
+``Fraction`` Gram matrix and share no code with the integer hot path.
+"""
+
+import json
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tempiric.catalog import BUILTIN_NAMES, builtin, load, serialize
+from tempiric.cktheory import mult_matrix
+from tempiric.tempered import blattner_mult, ds_enumerate, tempiric_window
+from tempiric.weights import enumerate_ktypes, vogan_norm
+
+import oracles
+
+SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(3))
+
+
+def _with_gram(datum, gram):
+    doc = serialize(datum)
+    doc["gram"] = [str(v) for row in gram for v in row]
+    return load(json.dumps(doc))
+
+
+def scaled(datum, c):
+    return _with_gram(datum, [[c * v for v in row] for row in datum.gram])
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_integer_gram_clears_denominators(name, c):
+    datum = scaled(builtin(name), c)
+    denominators = [v.denominator for row in datum.gram for v in row]
+    assert datum.gram_scale == lcm(*denominators)
+    for row, int_row in zip(datum.gram, datum.int_gram):
+        for v, n in zip(row, int_row):
+            assert type(n) is int and Fraction(n, datum.gram_scale) == v
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_vogan_norm_scales(name, c):
+    datum = builtin(name)
+    rescaled = scaled(datum, c)
+    for tau in enumerate_ktypes(datum, 60):
+        norm = vogan_norm(rescaled, tau)
+        assert isinstance(norm, Fraction)
+        assert norm == c * vogan_norm(datum, tau)
+        assert norm == oracles.norm_oracle(rescaled, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES),
+    c=st.sampled_from(SCALES),
+    bound=st.fractions(min_value=0, max_value=120, max_denominator=7),
+)
+def test_enumerate_ktypes_scales(name, c, bound):
+    datum = builtin(name)
+    assert enumerate_ktypes(scaled(datum, c), c * bound) == enumerate_ktypes(datum, bound)
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_window_and_matrix_scale(name, c):
+    datum = builtin(name)
+    rescaled = scaled(datum, c)
+    for bound in (Fraction(40), Fraction(101, 3)):
+        assert tempiric_window(rescaled, c * bound) == tempiric_window(datum, bound)
+        assert mult_matrix(rescaled, c * bound) == mult_matrix(datum, bound)
+
+
+def test_bound_at_and_between_norms(sp11):
+    half = scaled(sp11, Fraction(1, 2))
+    assert half.gram_scale == 2
+    tau = (1, 1)
+    norm = vogan_norm(half, tau)
+    assert norm == 9
+    # the bound equals the norm exactly
+    assert tau in enumerate_ktypes(half, norm)
+    # D * bound = 17 + 1/3 and 18 + 1/3: not integers
+    assert tau not in enumerate_ktypes(half, norm - Fraction(1, 3))
+    assert tau in enumerate_ktypes(half, norm + Fraction(1, 6))
+    top = ds_enumerate(half, 30)[-1]
+    top_norm = vogan_norm(half, top.min_ktype)
+    assert top in ds_enumerate(half, top_norm)
+    assert top not in ds_enumerate(half, top_norm - Fraction(1, 5))
+
+
+def test_half_gram_blattner_matches_oracle(sp11):
+    half = scaled(sp11, Fraction(1, 2))
+    window = enumerate_ktypes(half, 20)
+    for rep in ds_enumerate(half, 20):
+        for tau in window:
+            assert blattner_mult(half, rep, tau) == oracles.blattner_by_enumeration(
+                half, rep.hc_param, tau
+            )
+    for tau in window:
+        assert vogan_norm(half, tau) == oracles.norm_oracle(half, tau)
+
+
+_ENTRY = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_ENTRY, d=_ENTRY, t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
+       bound=st.fractions(min_value=0, max_value=30, max_denominator=5))
+def test_enumerate_ktypes_off_diagonal_gram(sp11, a, d, t, bound):
+    # |b| <= min(a, d) / 2 keeps the smallest eigenvalue at least 1/4, so
+    # every K-type of norm <= 30 has coordinates below 12.
+    b = t * min(a, d) / 2
+    datum = _with_gram(sp11, [[a, b], [b, d]])
+    expected = sorted(
+        (oracles.norm_oracle(datum, tau), tau)
+        for tau in oracles.all_klabels_up_to(datum, 12)
+        if oracles.norm_oracle(datum, tau) <= bound
+    )
+    assert enumerate_ktypes(datum, bound) == [tau for _, tau in expected]
