@@ -30,28 +30,34 @@ BRANCHING_RULES = {
 }
 
 
-def restrict_decompose(datum, tau) -> FormalSum:
-    """Decomposition of tau restricted to M, as a formal sum of M-labels."""
+def _restricted_labels(datum, tau):
+    # The M-labels of tau's restriction, each with multiplicity one.
     tau = validate_label(datum.k, tau)
     rule = datum.branching_rule
     if rule == PARITY:
         (n,) = tau
-        return FormalSum({(n % 2,): 1})
+        return ((n % 2,),)
     if rule == TORUS_RESTRICTION:
         (j,) = tau
-        return FormalSum({(n,): 1 for n in range(-j, j + 1)})
+        return [(n,) for n in range(-j, j + 1)]
     if rule == CLEBSCH_DIAGONAL:
         a, b = tau
-        return FormalSum({(c,): 1 for c in range(abs(a - b), a + b + 1, 2)})
+        return [(c,) for c in range(abs(a - b), a + b + 1, 2)]
     raise ValueError(f"no branching rule {rule!r} for this group pair")
+
+
+def restrict_decompose(datum, tau) -> FormalSum:
+    """Decomposition of tau restricted to M, as a formal sum of M-labels."""
+    return FormalSum({sigma: 1 for sigma in _restricted_labels(datum, tau)})
 
 
 def restrict_sum(datum, v: FormalSum) -> FormalSum:
     """Restriction of a formal sum of K-labels to M, multiplicities combined."""
-    out = FormalSum()
+    acc: dict = {}
     for tau, mult in v.items():
-        out = out + mult * restrict_decompose(datum, tau)
-    return out
+        for sigma in _restricted_labels(datum, tau):
+            acc[sigma] = acc.get(sigma, 0) + mult
+    return FormalSum(acc)
 
 
 def mult_space_dim(datum, sigma, v: FormalSum) -> int:

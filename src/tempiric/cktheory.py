@@ -33,9 +33,9 @@ from .weights import (
     CYCLIC2,
     TORUS1,
     FormalSum,
+    dual_label,
     enumerate_ktypes,
     hom_invariant_dim,
-    invert_rational_matrix,
     labels_in_box,
     scaled_norm,
     vogan_norm,
@@ -301,13 +301,34 @@ def composite_map(datum: GroupDatum, tau, bound) -> FormalSum:
     )
 
 
+def _sparse_product_is_identity(a_rows, b_rows) -> bool:
+    # Row i of A.B accumulates a * (row t of B) over the nonzeros a = A[i][t];
+    # an entry that no nonzero product reaches is exactly 0.
+    for i, a_row in enumerate(a_rows):
+        acc: dict = {}
+        for t, a in a_row.items():
+            for j, b in b_rows[t].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if {j: v for j, v in acc.items() if v} != {i: 1}:
+            return False
+    return True
+
+
 def invert_window(matrix: MultMatrix):
     """Exact integer inverse of a fully resolved window matrix.
 
-    Refuses when any column is aggregate-only, naming the culprits.  A
-    singular or non-integer outcome would contradict the certified
-    triangularity and raises as an internal error.  Both products with
-    the inverse are verified to be the identity, exactly.
+    Refuses when any column is aggregate-only, naming the culprits.  The
+    inverse comes from one exact Gauss-Jordan elimination on sparse rows
+    of [A | I] (a dict per row, column -> nonzero value), with a pivot
+    search over the rows not yet used.  Rows ordered by (norm, label)
+    make A block lower-triangular with blocks of equal norm, so fill-in
+    stays at the sparsity of the inverse; nothing relies on that order.
+    Entries stay ``int`` until a non-unit pivot divides them into
+    ``Fraction``.  A missing pivot or a non-integral inverse entry would
+    contradict the certified triangularity and raises as an internal
+    error.  Both products A.A^-1 and A^-1.A are then computed exactly
+    over their nonzeros, and every row of each is compared with the
+    identity row.  Returns the inverse as a dense list of integer rows.
     """
     aggregate = [
         matrix.cols[j].describe()
@@ -321,31 +342,52 @@ def invert_window(matrix: MultMatrix):
         raise InternalInconsistencyError(
             f"window is not square: {n} K-types, {len(matrix.cols)} representatives"
         )
-    dense = [[Fraction(v) for v in row] for row in matrix.dense()]
-    try:
-        inverse = invert_rational_matrix(dense)
-    except ZeroDivisionError:
-        raise InternalInconsistencyError(
-            "window matrix is singular despite certified triangularity"
-        ) from None
-    out = []
-    for row in inverse:
-        int_row = []
-        for v in row:
+    forward: list[dict] = [{} for _ in range(n)]
+    for (i, j), v in matrix.entries.items():
+        if v:
+            forward[i][j] = v
+    # Columns n.. of each augmented row hold the identity block.
+    aug = [{**row, n + i: 1} for i, row in enumerate(forward)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if col in aug[r]), None)
+        if pivot is None:
+            raise InternalInconsistencyError(
+                "window matrix is singular despite certified triangularity"
+            )
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pivot_row = aug[col]
+        scale = pivot_row[col]
+        if scale != 1:
+            inv_scale = 1 / Fraction(scale)
+            pivot_row = aug[col] = {k: v * inv_scale for k, v in pivot_row.items()}
+        for r, row in enumerate(aug):
+            factor = row.get(col)
+            if r == col or not factor:
+                continue
+            for k, v in pivot_row.items():
+                value = row.get(k, 0) - factor * v
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
+    inverse: list[dict] = []
+    for row in aug:
+        int_row = {}
+        for k, v in row.items():
+            if k < n:
+                continue
             if v.denominator != 1:
                 raise InternalInconsistencyError(
                     "window inverse is not integral despite unit diagonal"
                 )
-            int_row.append(int(v))
-        out.append(int_row)
-    forward = matrix.dense()
-    for a, b in ((forward, out), (out, forward)):
-        for i in range(n):
-            for j in range(n):
-                total = sum(a[i][t] * b[t][j] for t in range(n))
-                if total != int(i == j):
-                    raise InternalInconsistencyError("inverse verification failed")
-    return out
+            int_row[k - n] = int(v)
+        inverse.append(int_row)
+    if not (
+        _sparse_product_is_identity(forward, inverse)
+        and _sparse_product_is_identity(inverse, forward)
+    ):
+        raise InternalInconsistencyError("inverse verification failed")
+    return [[row.get(j, 0) for j in range(n)] for row in inverse]
 
 
 def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) -> VerificationReport:
@@ -412,7 +454,9 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
     Sweeps every M-label within a coordinate box extending well past the
-    support and confirms no multiplicity space survives outside it.
+    support and confirms no multiplicity space survives outside it.  The
+    dimensions are read from one restriction of v, so the sweep costs one
+    lookup per label.
     """
     support = support_sigmas(datum, v)
     cap = 8
@@ -420,10 +464,11 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
         cap = max(cap, max((abs(c) for c in sigma), default=0) + 8)
     for tau in v:
         cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
+    restricted = restrict_sum(datum, v)
     stray = []
     for sigma in labels_in_box(datum.m, cap):
         inside = sigma in support
-        positive = mult_space_dim(datum, sigma, v) > 0
+        positive = restricted[dual_label(datum.m, sigma)] > 0
         if positive != inside:
             stray.append(sigma)
     passed = not stray

@@ -19,7 +19,7 @@ from . import cktheory, figures
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
 from .cktheory import DEFAULT_SEED, UnresolvedColumnsError, WindowError
 from .tempered import InternalInconsistencyError, format_label, tempiric_window
-from .weights import enumerate_ktypes, vogan_norm, weyl_dim
+from .weights import WindowTooLargeError, enumerate_ktypes, vogan_norm, weyl_dim
 from .branching import restrict_decompose
 
 VERIFY_PAIRS = 200
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = _COMMANDS[args.command](args)
-    except (UsageError, CatalogError, WindowError) as exc:
+    except (UsageError, CatalogError, WindowError, WindowTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

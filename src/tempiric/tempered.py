@@ -24,6 +24,7 @@ from .weights import (
     enumerate_ktypes,
     label_lattice_coords,
     lattice_coords_to_label,
+    require_box_within_limit,
     scaled_bound,
     scaled_norm,
     scaled_pairing,
@@ -236,7 +237,8 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     """Discrete series with lowest K-type norm <= bound, one per Weyl orbit.
 
     Deterministic order: by (norm of lowest K-type, lowest K-type,
-    parameter).
+    parameter).  Raises ``WindowTooLargeError`` before scanning when the
+    parameter box exceeds ``MAX_BOX_LABELS``.
     """
     ds = _require_ds(datum)
     bound = Fraction(bound)
@@ -255,9 +257,11 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     radii = [
         caps[i] + 2 * abs(datum.two_rho_c[i]) + half_shift[i] for i in range(dim)
     ]
+    box = [range(-r, r + 1) for r in radii]
+    require_box_within_limit(box, bound)
     found: dict[tuple[int, ...], TempiricRep] = {}
     order = []
-    for lam in itertools.product(*(range(-r, r + 1) for r in radii)):
+    for lam in itertools.product(*box):
         if not is_regular(datum, lam):
             continue
         if lam != _canonical_orbit_rep(datum, lam):

@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 TORUS1 = "Torus1"
 CYCLIC2 = "Cyclic2"
@@ -322,6 +322,28 @@ def invert_rational_matrix(rows):
     return [row[n:] for row in aug]
 
 
+# Largest label box a window enumeration may scan; a larger request is
+# refused before any label is generated.  Among the built-ins, a window at
+# the minimal-K-type sweep ceiling (norm 40,000) scans at most 170,569
+# labels (the Sp11 discrete-series parameter box), while Sp11 at bound 10^8
+# would scan about 10^8 K-type labels.
+MAX_BOX_LABELS = 10**6
+
+
+class WindowTooLargeError(ValueError):
+    """A window's label box exceeds ``MAX_BOX_LABELS``."""
+
+
+def require_box_within_limit(axes, bound) -> None:
+    """Refuse a label box, given as one range per coordinate, over the limit."""
+    size = prod(len(axis) for axis in axes)
+    if size > MAX_BOX_LABELS:
+        raise WindowTooLargeError(
+            f"bound {bound} needs a box of {size} labels, "
+            f"above the limit of {MAX_BOX_LABELS}"
+        )
+
+
 def _floor_sqrt(value: Fraction) -> int:
     # Largest integer t >= 0 with t*t <= value.
     if value < 0:
@@ -344,7 +366,9 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     """All K-types of ``datum`` with Vogan norm <= bound.
 
     Sorted by (norm, lexicographic label); deterministic and duplicate
-    free.  A negative bound yields the empty window.
+    free.  A negative bound yields the empty window.  Raises
+    ``WindowTooLargeError`` before enumerating when the label box the
+    coordinate caps allow exceeds ``MAX_BOX_LABELS``.
     """
     bound = Fraction(bound)
     group = datum.k
@@ -364,9 +388,10 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
         lo, hi = -cap - shift, cap - shift
         if kind in (SU2, SO3):
             lo = max(lo, 0)
-        axes.append(tuple(range(lo, hi + 1)))
+        axes.append(range(lo, hi + 1))
         lattice.append((position, shift))
         lattice_index += 1
+    require_box_within_limit(axes, bound)
     window = []
     for label in itertools.product(*axes):
         x = tuple(label[p] + shift for p, shift in lattice)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tempiric
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 
@@ -228,3 +233,19 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write")
+
+
+def test_oversize_window_exits_2_quickly():
+    # Sp11 at bound 10^8 has a box of about 10^8 K-type labels; it must be
+    # refused before enumeration, not run for hours.
+    env = dict(os.environ, PYTHONPATH=str(Path(tempiric.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tempiric.cli",
+         "ktypes", "--group", "Sp11", "--bound", "1e8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: bound 100000000 needs a box of")

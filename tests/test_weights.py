@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from tempiric import tempered, weights
+from tempiric.tempered import SWEEP_CEILING, ds_enumerate
 from tempiric.weights import (
     SO3,
     SU2,
@@ -11,6 +13,7 @@ from tempiric.weights import (
     CYCLIC2,
     CompactGroup,
     FormalSum,
+    WindowTooLargeError,
     dual_label,
     enumerate_ktypes,
     hom_invariant_dim,
@@ -175,3 +178,36 @@ def test_label_validation(sp11):
         weyl_dim(sp11.k, (-1, 0))
     with pytest.raises(ValueError):
         weyl_dim(C2, (2,))
+
+
+def test_oversize_windows_refused_before_enumeration(sl2r, sp11):
+    with pytest.raises(WindowTooLargeError, match="needs a box of"):
+        enumerate_ktypes(sp11, 10**8)
+    with pytest.raises(WindowTooLargeError, match="needs a box of"):
+        ds_enumerate(sp11, 10**8)
+    with pytest.raises(WindowTooLargeError):
+        enumerate_ktypes(sl2r, 10**14)
+
+
+class _BoxChecked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["sl2r", "so31", "sp11"])
+def test_sweep_ceiling_box_within_limit(request, monkeypatch, name):
+    # A window at the minimal-K-type sweep ceiling passes the box check;
+    # each routine stops right after it instead of scanning the box.
+    datum = request.getfixturevalue(name)
+    check = weights.require_box_within_limit
+
+    def check_then_stop(axes, bound):
+        check(axes, bound)
+        raise _BoxChecked
+
+    monkeypatch.setattr(weights, "require_box_within_limit", check_then_stop)
+    monkeypatch.setattr(tempered, "require_box_within_limit", check_then_stop)
+    with pytest.raises(_BoxChecked):
+        enumerate_ktypes(datum, SWEEP_CEILING)
+    if datum.equal_rank:
+        with pytest.raises(_BoxChecked):
+            ds_enumerate(datum, SWEEP_CEILING)
