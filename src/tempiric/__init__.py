@@ -38,6 +38,7 @@ from .tempered import (
     InternalInconsistencyError,
     PrincipalClass,
     TempiricRep,
+    blattner_column,
     blattner_mult,
     constituents,
     ds_enumerate,

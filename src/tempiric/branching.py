@@ -75,7 +75,14 @@ def support_sigmas(datum, v: FormalSum) -> tuple[tuple[int, ...], ...]:
 
     Returned sorted for determinism.
     """
-    restricted = restrict_sum(datum, v)
+    return restricted_support(datum, restrict_sum(datum, v))
+
+
+def restricted_support(datum, restricted: FormalSum) -> tuple[tuple[int, ...], ...]:
+    """``support_sigmas`` read off a restriction already computed.
+
+    The M-types whose duals occur with positive multiplicity, sorted.
+    """
     sigmas = {
         dual_label(datum.m, w) for w, mult in restricted.items() if mult > 0
     }

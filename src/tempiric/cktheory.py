@@ -16,17 +16,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .branching import mult_space_dim, restrict_sum, support_sigmas
+from .branching import restrict_sum, restricted_support
 from .catalog import GroupDatum
 from .tempered import (
     InternalInconsistencyError,
     PrincipalClass,
     TempiricRep,
+    blattner_column,
     blattner_mult,
     ds_enumerate,
     format_label,
-    induced_ktype_mult,
     make_principal_class,
+    partner_minimum,
     tempiric_window,
 )
 from .weights import (
@@ -37,6 +38,7 @@ from .weights import (
     enumerate_ktypes,
     hom_invariant_dim,
     labels_in_box,
+    require_entries_within_limit,
     scaled_norm,
     vogan_norm,
 )
@@ -107,60 +109,56 @@ def _split_resolvable(datum: GroupDatum) -> bool:
     return datum.k.atoms == (TORUS1,)
 
 
-def _partner_minimum(rep: TempiricRep, reps) -> tuple:
-    for other in reps:
-        if (
-            other.kind == "ps"
-            and other.ps_class == rep.ps_class
-            and other.min_ktype != rep.min_ktype
-        ):
-            return other.min_ktype
-    raise InternalInconsistencyError(
-        f"split constituent {rep.describe()} has no partner in the window"
-    )
-
-
 def mult_matrix(datum: GroupDatum, bound) -> MultMatrix:
-    """Multiplicity matrix of the window at the given norm bound."""
+    """Multiplicity matrix of the window at the given norm bound.
+
+    Built one column at a time, and every (row, column) entry is
+    evaluated: discrete-series columns by ``blattner_column`` over the
+    rows, principal-series columns from one restriction of each row,
+    read at the dual of the class representative (which is
+    ``induced_ktype_mult``).  Raises ``WindowTooLargeError`` before
+    evaluating any entry when rows x columns exceeds
+    ``MAX_WINDOW_ENTRIES``.
+    """
     rows, reps = tempiric_window(datum, bound)
-    row_index = {tau: i for i, tau in enumerate(rows)}
+    require_entries_within_limit(len(rows), len(reps), bound)
+    restrictions = [restrict_sum(datum, FormalSum.single(tau)) for tau in rows]
     entries: dict = {}
     resolution = []
     for j, rep in enumerate(reps):
         if rep.kind == "ds":
             resolution.append(EXACT)
-            for tau, i in row_index.items():
-                v = blattner_mult(datum, rep, tau)
+            for i, v in enumerate(blattner_column(datum, rep, rows)):
                 if v:
                     entries[(i, j)] = v
             continue
-        cls = rep.ps_class
+        sdual = dual_label(datum.m, rep.ps_class.representative)
         if not rep.split:
             resolution.append(EXACT)
-            for tau, i in row_index.items():
-                v = induced_ktype_mult(datum, cls, tau)
+            for i, restricted in enumerate(restrictions):
+                v = restricted[sdual]
                 if v:
                     entries[(i, j)] = v
             continue
         if _split_resolvable(datum):
             resolution.append(EXACT)
             sign = 1 if rep.min_ktype[0] > 0 else -1
-            for tau, i in row_index.items():
+            for i, (tau, restricted) in enumerate(zip(rows, restrictions)):
                 if tau[0] * sign <= 0:
                     continue
-                v = induced_ktype_mult(datum, cls, tau)
+                v = restricted[sdual]
                 if v:
                     entries[(i, j)] = v
             continue
         resolution.append(AGGREGATE_ONLY)
-        partner = _partner_minimum(rep, reps)
-        for tau, i in row_index.items():
+        partner = partner_minimum(rep, reps)
+        for i, (tau, restricted) in enumerate(zip(rows, restrictions)):
             if tau == rep.min_ktype:
                 entries[(i, j)] = 1
             elif tau == partner:
                 continue
             else:
-                v = induced_ktype_mult(datum, cls, tau)
+                v = restricted[sdual]
                 if v:
                     entries[(i, j)] = v
     return MultMatrix(
@@ -171,14 +169,13 @@ def mult_matrix(datum: GroupDatum, bound) -> MultMatrix:
     )
 
 
-def vogan_bijection_check(datum: GroupDatum, bound) -> VerificationReport:
+def vogan_bijection_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationReport:
     """Minimal K-types biject window representatives with window K-types.
 
     Passes when the assignment representative -> minimal K-type is
     injective, covers the whole K-type window, and each minimum occurs
-    with multiplicity exactly one.
+    with multiplicity exactly one in ``matrix`` (from ``mult_matrix``).
     """
-    matrix = mult_matrix(datum, bound)
     name = "vogan_bijection"
     seen: dict[tuple, TempiricRep] = {}
     for rep in matrix.cols:
@@ -234,14 +231,14 @@ def vogan_bijection_check(datum: GroupDatum, bound) -> VerificationReport:
     )
 
 
-def triangularity_check(datum: GroupDatum, bound) -> VerificationReport:
+def triangularity_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationReport:
     """Unit entries at minima and vanishing strictly below them in norm.
 
-    Aggregate entries of unresolved split columns are held to the same
-    vanishing requirement, which is stronger than resolving them would
-    demand.
+    Reads every entry of ``matrix`` (from ``mult_matrix``), zeros
+    included.  Aggregate entries of unresolved split columns are held to
+    the same vanishing requirement, which is stronger than resolving them
+    would demand.
     """
-    matrix = mult_matrix(datum, bound)
     name = "triangularity"
     norms = [scaled_norm(datum, tau) for tau in matrix.rows]
     row_index = {tau: i for i, tau in enumerate(matrix.rows)}
@@ -395,16 +392,17 @@ def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) ->
 
     Left side: invariant Hom dimension of the two restrictions over M.
     Right side: sum over M-types of the product of multiplicity-space
-    dimensions.  The two are computed by independent routes and must
-    agree exactly.
+    dimensions, each read off the restriction at the dual M-type (the
+    definition of ``mult_space_dim``).  The two are computed by
+    independent routes from one restriction of each sum and must agree
+    exactly.
     """
     r1 = restrict_sum(datum, v1)
     r2 = restrict_sum(datum, v2)
     lhs = hom_invariant_dim(datum.m, r1, r2)
-    sigmas = set(support_sigmas(datum, v1)) | set(support_sigmas(datum, v2))
+    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
     rhs = sum(
-        mult_space_dim(datum, s, v1) * mult_space_dim(datum, s, v2)
-        for s in sigmas
+        r1[dual_label(datum.m, s)] * r2[dual_label(datum.m, s)] for s in sigmas
     )
     passed = lhs == rhs
     payload = {"lhs": lhs, "rhs": rhs}
@@ -429,11 +427,14 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     when the stabilizer has order two, two when the orbit has two
     members.  Blocks are listed for every orbit meeting the support of
     either argument; when the M-dual is finite all orbits are listed.
+    Each argument is restricted once.
     """
     blocks = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
-    sigmas = set(support_sigmas(datum, v1)) | set(support_sigmas(datum, v2))
+    r1 = restrict_sum(datum, v1)
+    r2 = restrict_sum(datum, v2)
+    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
     if all(kind == CYCLIC2 for kind in datum.m.atoms):
         sigmas |= set(labels_in_box(datum.m, 0))
     orbits: dict[tuple, PrincipalClass] = {}
@@ -443,7 +444,7 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     for orbit in sorted(orbits, key=lambda o: o[-1]):
         cls = orbits[orbit]
         d = sum(
-            mult_space_dim(datum, s, v1) * mult_space_dim(datum, s, v2)
+            r1[dual_label(datum.m, s)] * r2[dual_label(datum.m, s)]
             for s in cls.orbit
         )
         blocks.append((cls, d))
@@ -458,13 +459,13 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
     dimensions are read from one restriction of v, so the sweep costs one
     lookup per label.
     """
-    support = support_sigmas(datum, v)
+    restricted = restrict_sum(datum, v)
+    support = restricted_support(datum, restricted)
     cap = 8
     for sigma in support:
         cap = max(cap, max((abs(c) for c in sigma), default=0) + 8)
     for tau in v:
         cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
-    restricted = restrict_sum(datum, v)
     stray = []
     for sigma in labels_in_box(datum.m, cap):
         inside = sigma in support
@@ -488,8 +489,11 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
 
     Recomputes two_rho_c from the positive compact roots, then checks
     that every enumerated series has multiplicity one at its lowest
-    K-type and zero at every window K-type of strictly smaller norm.
-    Vacuous for unequal-rank groups.
+    K-type and zero at every window K-type of strictly smaller norm
+    (one ``blattner_column`` per series, stopping at the first nonzero).
+    Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
+    before evaluating any multiplicity when series x window K-types
+    exceeds ``MAX_WINDOW_ENTRIES``.
     """
     name = "blattner_consistency"
     if not datum.equal_rank:
@@ -511,6 +515,7 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
     window = enumerate_ktypes(datum, bound)
     norms = {tau: scaled_norm(datum, tau) for tau in window}
     series = ds_enumerate(datum, bound)
+    require_entries_within_limit(len(series), len(window), bound)
     for rep in series:
         if blattner_mult(datum, rep, rep.min_ktype) != 1:
             return VerificationReport(
@@ -524,8 +529,9 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
         low = norms.get(rep.min_ktype)
         if low is None:
             low = scaled_norm(datum, rep.min_ktype)
-        for tau in window:
-            if norms[tau] < low and blattner_mult(datum, rep, tau) != 0:
+        lower = [tau for tau in window if norms[tau] < low]
+        for tau, mult in zip(lower, blattner_column(datum, rep, lower)):
+            if mult != 0:
                 return VerificationReport(
                     name,
                     False,
@@ -562,7 +568,7 @@ def ktheory_summary(datum: GroupDatum, bound) -> dict:
     fact about this category; nothing here computes it.
     """
     matrix = mult_matrix(datum, bound)
-    triangular = triangularity_check(datum, bound).passed
+    triangular = triangularity_check(datum, matrix).passed
     refused: list[str] = []
     status = "inverted"
     try:

@@ -10,12 +10,16 @@ headers say so.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .catalog import GroupDatum
-from .tempered import InternalInconsistencyError, format_label, tempiric_window
-from .weights import CYCLIC2, TORUS1, vogan_norm
+from .tempered import (
+    InternalInconsistencyError,
+    format_label,
+    partner_minimum,
+    tempiric_window,
+)
+from .weights import CYCLIC2, labels_in_box, vogan_norm
 
 CIRCLE = "circle"
 SQUARE = "square"
@@ -39,18 +43,6 @@ class DiagramSpec:
         return out
 
 
-def _grid_nodes(datum: GroupDatum, grid_bound: int):
-    axes = []
-    for kind in datum.k.atoms:
-        if kind == CYCLIC2:
-            raise ValueError("diagram grids are not defined for parity atoms")
-        if kind == TORUS1:
-            axes.append(range(-grid_bound, grid_bound + 1))
-        else:
-            axes.append(range(0, grid_bound + 1))
-    return [tuple(node) for node in itertools.product(*axes)]
-
-
 def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
     """Marker assignment for every K-type on the coordinate grid.
 
@@ -64,7 +56,10 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
         )
     if grid_bound < 0:
         raise ValueError("grid bound must be nonnegative")
-    nodes = _grid_nodes(datum, grid_bound)
+    if CYCLIC2 in datum.k.atoms:
+        raise ValueError("diagram grids are not defined for parity atoms")
+    nodes = list(labels_in_box(datum.k, grid_bound))
+    on_grid = set(nodes)
     bound = max(vogan_norm(datum, node) for node in nodes)
     _, reps = tempiric_window(datum, bound)
     by_min = {rep.min_ktype: rep for rep in reps}
@@ -80,14 +75,8 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
             markers[node] = CIRCLE
         elif rep.split:
             markers[node] = SQUARE
-            partner = next(
-                other.min_ktype
-                for other in reps
-                if other.kind == "ps"
-                and other.ps_class == rep.ps_class
-                and other.min_ktype != node
-            )
-            if partner not in by_min or partner not in set(nodes):
+            partner = partner_minimum(rep, reps)
+            if partner not in by_min or partner not in on_grid:
                 raise InternalInconsistencyError(
                     f"partner of {format_label(node)} falls outside the grid"
                 )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .branching import mult_space_dim, support_sigmas
 from .catalog import GroupDatum, apply_matrix, signed_perm_det, weyl_image
@@ -173,6 +172,20 @@ def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
     ]
 
 
+def partner_minimum(rep: TempiricRep, reps) -> tuple[int, ...]:
+    """Minimal K-type of the other constituent of a split class among reps."""
+    for other in reps:
+        if (
+            other.kind == "ps"
+            and other.ps_class == rep.ps_class
+            and other.min_ktype != rep.min_ktype
+        ):
+            return other.min_ktype
+    raise InternalInconsistencyError(
+        f"split constituent {rep.describe()} has no partner in the window"
+    )
+
+
 def _require_ds(datum: GroupDatum):
     if not datum.equal_rank or datum.ds is None:
         raise ValueError(f"group {datum.name} has no discrete series (unequal rank)")
@@ -323,12 +336,11 @@ def _count_expressions(roots, target, pairings, budget) -> int:
     return rec(0, target, budget)
 
 
-@lru_cache(maxsize=None)
 def _chamber_data(datum: GroupDatum, lam):
-    # Per-parameter data reused across every K-type: doubled positive
-    # noncompact roots, the bounding functional (D G).lambda evaluated on
-    # them, the shifted base point, and the Weyl determinants.  The
-    # functional is integral and positive on the chamber's roots.
+    # Per-parameter data reused across every K-type of a column: doubled
+    # positive noncompact roots, the bounding functional (D G).lambda
+    # evaluated on them, the shifted base point, and the Weyl determinants.
+    # The functional is integral and positive on the chamber's roots.
     pos = positive_noncompact_roots(datum, lam)
     dim = datum.k.lattice_dim
     doubled_roots = tuple(tuple(2 * c for c in beta) for beta in pos)
@@ -344,36 +356,60 @@ def _chamber_data(datum: GroupDatum, lam):
     return doubled_roots, pairings, base, functional, dets
 
 
-def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
-    """K-type multiplicity in a discrete series.
+def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
+    """K-type multiplicities in a discrete series, one per K-type, in order.
 
-    Alternating sum over the compact Weyl group of partition counts over
-    the chamber's positive noncompact roots, evaluated in doubled
-    coordinates so that all arithmetic stays integral.  A negative total
-    signals inconsistent catalog data and raises.
+    A generator: the chamber data of the series are computed once, then
+    each K-type's alternating sum over the compact Weyl group of
+    partition counts over the chamber's positive noncompact roots is
+    yielded as it is reached, evaluated in doubled coordinates so that
+    all arithmetic stays integral.  A negative total signals
+    inconsistent catalog data and raises at that K-type.
     """
     if ds_rep.kind != "ds":
-        raise ValueError("blattner_mult expects a discrete-series representative")
+        raise ValueError("Blattner's formula needs a discrete-series representative")
     ds = _require_ds(datum)
-    lam = ds_rep.hc_param
-    doubled_roots, pairings, base, functional, dets = _chamber_data(datum, lam)
+    doubled_roots, pairings, base, functional, dets = _chamber_data(
+        datum, ds_rep.hc_param
+    )
     dim = datum.k.lattice_dim
-    mu = label_lattice_coords(datum.k, tau)
-    shifted = tuple(2 * mu[i] + datum.two_rho_c[i] for i in range(dim))
-    total = 0
-    for w, det in zip(ds.weyl_k, dets):
-        moved = apply_matrix(w, shifted)
-        target = tuple(m - b for m, b in zip(moved, base))
-        budget = sum(t * f for t, f in zip(target, functional))
-        total += det * _count_expressions(
-            doubled_roots, target, pairings, budget
+    # The budget functional . (w shifted - base) is read as
+    # (w^T functional) . shifted - functional . base.  A negative budget
+    # admits no expression (every root pairs positively with the
+    # functional), so that term is 0 without building its target.
+    offset = sum(f * b for f, b in zip(functional, base))
+    moves = tuple(
+        (
+            w,
+            det,
+            tuple(sum(f * row[j] for f, row in zip(functional, w)) for j in range(dim)),
         )
-    if total < 0:
-        raise InternalInconsistencyError(
-            f"negative multiplicity {total} for {format_label(tau)} in "
-            f"{ds_rep.describe()}"
-        )
-    return total
+        for w, det in zip(ds.weyl_k, dets)
+    )
+    for tau in ktypes:
+        mu = label_lattice_coords(datum.k, tau)
+        shifted = tuple(2 * mu[i] + datum.two_rho_c[i] for i in range(dim))
+        total = 0
+        for w, det, pulled in moves:
+            budget = sum(p * c for p, c in zip(pulled, shifted)) - offset
+            if budget < 0:
+                continue
+            moved = apply_matrix(w, shifted)
+            target = tuple(m - b for m, b in zip(moved, base))
+            total += det * _count_expressions(
+                doubled_roots, target, pairings, budget
+            )
+        if total < 0:
+            raise InternalInconsistencyError(
+                f"negative multiplicity {total} for {format_label(tau)} in "
+                f"{ds_rep.describe()}"
+            )
+        yield total
+
+
+def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
+    """K-type multiplicity in a discrete series: ``blattner_column`` at tau."""
+    return next(blattner_column(datum, ds_rep, (tau,)))
 
 
 def tempiric_window(datum: GroupDatum, bound):

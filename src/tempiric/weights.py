@@ -330,8 +330,16 @@ def invert_rational_matrix(rows):
 MAX_BOX_LABELS = 10**6
 
 
+# Largest number of (row, column) entries a window computation may
+# evaluate; a larger request is refused once the window is known and
+# before any entry is evaluated.  Sp11 at bound 400 has 257 x 257 = 66,049
+# multiplicity-matrix entries, while SL2R at bound 10^6 would need
+# 2,001 x 2,001, about 4 * 10^6.
+MAX_WINDOW_ENTRIES = 10**6
+
+
 class WindowTooLargeError(ValueError):
-    """A window's label box exceeds ``MAX_BOX_LABELS``."""
+    """A window's label box or entry count exceeds its limit."""
 
 
 def require_box_within_limit(axes, bound) -> None:
@@ -341,6 +349,15 @@ def require_box_within_limit(axes, bound) -> None:
         raise WindowTooLargeError(
             f"bound {bound} needs a box of {size} labels, "
             f"above the limit of {MAX_BOX_LABELS}"
+        )
+
+
+def require_entries_within_limit(rows: int, cols: int, bound) -> None:
+    """Refuse a rows x cols window computation over ``MAX_WINDOW_ENTRIES``."""
+    if rows * cols > MAX_WINDOW_ENTRIES:
+        raise WindowTooLargeError(
+            f"bound {bound} needs {rows} x {cols} = {rows * cols} window entries, "
+            f"above the limit of {MAX_WINDOW_ENTRIES}"
         )
 
 

@@ -52,7 +52,7 @@ def test_criterion_1_vogan_bijection():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            ok = ok and vogan_bijection_check(datum, bound).passed
+            ok = ok and vogan_bijection_check(datum, mult_matrix(datum, bound)).passed
     elapsed = time.monotonic() - start
     _report(
         "criterion 1 (minimal-K-type bijection, bounds 10/50/100/200)",
@@ -66,7 +66,7 @@ def test_criterion_2_triangularity_and_inverse():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            ok = ok and triangularity_check(datum, bound).passed
+            ok = ok and triangularity_check(datum, mult_matrix(datum, bound)).passed
     for name in ("SO31", "SL2R"):
         datum = builtin(name)
         for bound in GRID_BOUNDS:

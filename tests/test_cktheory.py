@@ -87,17 +87,17 @@ def test_mult_matrix_sp11_aggregate_columns(sp11):
 
 
 def test_bijection_examples(sl2r, so31, sp11):
-    assert vogan_bijection_check(sl2r, 16).passed
-    assert vogan_bijection_check(so31, 25).passed
-    report = vogan_bijection_check(sp11, 41)
+    assert vogan_bijection_check(sl2r, mult_matrix(sl2r, 16)).passed
+    assert vogan_bijection_check(so31, mult_matrix(so31, 25)).passed
+    report = vogan_bijection_check(sp11, mult_matrix(sp11, 41))
     assert report.passed
     assert report.data["ktypes"] == report.data["representatives"] == 17
 
 
 def test_triangularity_examples(sl2r, so31, sp11):
-    assert triangularity_check(so31, 16).passed
-    assert triangularity_check(sl2r, 9).passed
-    assert triangularity_check(sp11, 20).passed
+    assert triangularity_check(so31, mult_matrix(so31, 16)).passed
+    assert triangularity_check(sl2r, mult_matrix(sl2r, 9)).passed
+    assert triangularity_check(sp11, mult_matrix(sp11, 20)).passed
 
 
 def test_sp11_blattner_vanishing_rows(sp11):
@@ -252,8 +252,9 @@ def test_ktheory_summary(sl2r, so31, sp11):
 def test_checks_on_sampled_grid(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         for bound in (0, 9, 35, 80, 143, 200):
-            assert vogan_bijection_check(datum, bound).passed, (datum.name, bound)
-            assert triangularity_check(datum, bound).passed, (datum.name, bound)
+            matrix = mult_matrix(datum, bound)
+            assert vogan_bijection_check(datum, matrix).passed, (datum.name, bound)
+            assert triangularity_check(datum, matrix).passed, (datum.name, bound)
 
 
 def test_failing_report_requires_counterexample():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tempiric
+from tempiric import cktheory
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 
@@ -235,17 +236,93 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert err.startswith("error: cannot write")
 
 
-def test_oversize_window_exits_2_quickly():
-    # Sp11 at bound 10^8 has a box of about 10^8 K-type labels; it must be
-    # refused before enumeration, not run for hours.
+def _run_subprocess(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(tempiric.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "tempiric.cli",
-         "ktypes", "--group", "Sp11", "--bound", "1e8"],
+    return subprocess.run(
+        [sys.executable, "-m", "tempiric.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=30,
     )
+
+
+def test_oversize_window_exits_2_quickly():
+    # Sp11 at bound 10^8 has a box of about 10^8 K-type labels; it must be
+    # refused before enumeration, not run for hours.
+    result = _run_subprocess("ktypes", "--group", "Sp11", "--bound", "1e8")
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error: bound 100000000 needs a box of")
+
+
+@pytest.mark.parametrize("command", ["ck-matrix", "verify"])
+def test_oversize_window_entries_exit_2_quickly(command):
+    # SL2R at bound 10^6 scans only a 2,001-label box, but its matrix has
+    # about 4 * 10^6 entries and its Blattner check as many; both are
+    # refused once the window is known, before any entry is evaluated.
+    result = _run_subprocess(command, "--group", "SL2R", "--bound", "1e6")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: bound 1000000 needs ")
+    assert "window entries, above the limit of 1000000" in result.stderr
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _corrupt_so31_weyl(doc):
+    doc["weyl_on_mhat"] = "identity"
+
+
+def _corrupt_sp11_roots(doc):
+    doc["ds"]["noncompact_roots"] = [
+        [2 * c for c in beta] for beta in doc["ds"]["noncompact_roots"]
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize(
+    "group, corrupt, golden",
+    [
+        ("SO31", _corrupt_so31_weyl, "verify-so31-identity-weyl-41"),
+        ("Sp11", _corrupt_sp11_roots, "verify-sp11-doubled-noncompact-41"),
+    ],
+)
+def test_verify_failure_attribution_is_pinned(capsys, tmp_path, group, corrupt, golden, fmt):
+    # Both corrupt groups fail at vogan_bijection; the pinned outputs keep
+    # the shared window matrix from moving a failure to another check.
+    doc = serialize(builtin(group))
+    corrupt(doc)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(
+        capsys, "verify", "--group-file", str(path), "--bound", "41", "--format", fmt
+    )
+    assert code == 1
+    assert out == (GOLDEN / f"{golden}.{fmt}").read_text()
+
+
+def _count_matrix_builds(monkeypatch):
+    builds = []
+    build = cktheory.mult_matrix
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cktheory, "mult_matrix", counted)
+    return builds
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_verify_builds_one_matrix(capsys, monkeypatch, group):
+    builds = _count_matrix_builds(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--group", group, "--bound", "41")
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_ktheory_summary_builds_one_matrix(monkeypatch, sp11):
+    builds = _count_matrix_builds(monkeypatch)
+    summary = cktheory.ktheory_summary(sp11, 20)
+    assert summary["triangular"] and summary["inverse"] == "refused"
+    assert len(builds) == 1

@@ -1,0 +1,177 @@
+"""The column kernels of the multiplicity matrix against the oracles.
+
+Every entry of ``mult_matrix``, zeros included, is recomputed by the
+brute-force oracles of ``tests/oracles.py``: Blattner's formula by direct
+partition enumeration for discrete-series columns, and restriction by
+characters or weights for principal-series columns.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from tempiric import cktheory, weights
+from tempiric.catalog import builtin, load, serialize
+from tempiric.cktheory import AGGREGATE_ONLY, mult_matrix
+from tempiric.tempered import (
+    InternalInconsistencyError,
+    blattner_column,
+    blattner_mult,
+    ds_enumerate,
+    format_label,
+    partner_minimum,
+)
+from tempiric.weights import WindowTooLargeError, enumerate_ktypes, scaled_norm
+
+import oracles
+
+
+def _half_gram_sp11():
+    doc = serialize(builtin("Sp11"))
+    doc["gram"] = [str(Fraction(v) / 2) for v in doc["gram"]]
+    return load(json.dumps(doc))
+
+
+def _doubled_noncompact_sp11():
+    doc = serialize(builtin("Sp11"))
+    doc["ds"]["noncompact_roots"] = [
+        [2 * c for c in beta] for beta in doc["ds"]["noncompact_roots"]
+    ]
+    return load(json.dumps(doc))
+
+
+DATA = {
+    "SL2R": lambda: builtin("SL2R"),
+    "SO31": lambda: builtin("SO31"),
+    "Sp11": lambda: builtin("Sp11"),
+    "Sp11-half-gram": _half_gram_sp11,
+}
+
+
+def _expected_entry(datum, matrix, j, tau):
+    rep = matrix.cols[j]
+    if rep.kind == "ds":
+        return oracles.blattner_by_enumeration(datum, rep.hc_param, tau)
+    induced = oracles.mult_in_induced_oracle(datum, rep.ps_class.representative, tau)
+    if not rep.split:
+        return induced
+    if matrix.resolution[j] == AGGREGATE_ONLY:
+        if tau == rep.min_ktype:
+            return 1
+        if tau == partner_minimum(rep, matrix.cols):
+            return 0
+        return induced
+    # a resolved split pair divides the odd ladder by sign
+    sign = 1 if rep.min_ktype[0] > 0 else -1
+    return induced if tau[0] * sign > 0 else 0
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_every_matrix_entry_matches_the_oracles(name):
+    datum = DATA[name]()
+    matrix = mult_matrix(datum, 41)
+    assert matrix.rows and matrix.cols
+    for j in range(len(matrix.cols)):
+        for i, tau in enumerate(matrix.rows):
+            assert matrix.entry(i, j) == _expected_entry(datum, matrix, j, tau), (
+                name, tau, matrix.cols[j].describe()
+            )
+    assert all(v != 0 for v in matrix.entries.values())
+
+
+@pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
+def test_column_equals_pointwise_multiplicities(name):
+    datum = DATA[name]()
+    rows = enumerate_ktypes(datum, 60)
+    for rep in ds_enumerate(datum, 60):
+        assert list(blattner_column(datum, rep, rows)) == [
+            blattner_mult(datum, rep, tau) for tau in rows
+        ]
+
+
+def test_column_is_lazy(sp11):
+    rep = ds_enumerate(sp11, 20)[0]
+    pulled = []
+
+    def ktypes():
+        for tau in enumerate_ktypes(sp11, 20):
+            pulled.append(tau)
+            yield tau
+
+    column = blattner_column(sp11, rep, ktypes())
+    assert pulled == []
+    next(column)
+    assert len(pulled) == 1
+
+
+def test_column_raises_at_the_same_entry_as_the_pointwise_path():
+    # With every noncompact root doubled, the first series of Sp11 has a
+    # negative Blattner total inside the window.
+    datum = _doubled_noncompact_sp11()
+    rows = enumerate_ktypes(datum, 60)
+    rep = ds_enumerate(datum, 60)[0]
+    good = []
+    with pytest.raises(InternalInconsistencyError) as from_column:
+        for value in blattner_column(datum, rep, rows):
+            good.append(value)
+    assert good == [blattner_mult(datum, rep, tau) for tau in rows[: len(good)]]
+    with pytest.raises(InternalInconsistencyError) as pointwise:
+        blattner_mult(datum, rep, rows[len(good)])
+    assert str(from_column.value) == str(pointwise.value)
+    assert "negative multiplicity" in str(pointwise.value)
+
+
+def _refused_at_limit(monkeypatch, limit, build):
+    # One entry over the limit is refused before any entry is evaluated;
+    # at the limit itself the build runs.
+    def no_entries(*args):
+        raise AssertionError("an entry was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit - 1)
+        for name in ("blattner_column", "blattner_mult", "restrict_sum"):
+            patch.setattr(cktheory, name, no_entries)
+        with pytest.raises(WindowTooLargeError, match="window entries"):
+            build()
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit)
+        return build()
+
+
+def test_oversize_window_is_refused_before_any_entry(sp11, monkeypatch):
+    rows = len(enumerate_ktypes(sp11, 20))
+    series = len(ds_enumerate(sp11, 20))
+    matrix = _refused_at_limit(
+        monkeypatch, rows * rows, lambda: cktheory.mult_matrix(sp11, 20)
+    )
+    assert len(matrix.rows) == len(matrix.cols) == rows
+    report = _refused_at_limit(
+        monkeypatch, series * rows,
+        lambda: cktheory.blattner_consistency_check(sp11, 20),
+    )
+    assert report.passed and report.data["series"] == series
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
+    # A multiplicity planted at the first or the last window K-type below
+    # a series' lowest K-type must be reported there.
+    first = ds_enumerate(sp11, 60)[0]
+    low = scaled_norm(sp11, first.min_ktype)
+    lower = [tau for tau in enumerate_ktypes(sp11, 60) if scaled_norm(sp11, tau) < low]
+    planted = lower[position]
+    real = cktheory.blattner_column
+
+    def planted_column(datum, rep, ktypes):
+        for tau, value in zip(ktypes, real(datum, rep, ktypes)):
+            yield value + (rep == first and tau == planted)
+
+    monkeypatch.setattr(cktheory, "blattner_column", planted_column)
+    report = cktheory.blattner_consistency_check(sp11, 60)
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": first.describe(),
+        "ktype": format_label(planted),
+        "reason": "nonzero multiplicity below the lowest K-type",
+    }

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from tempiric import figures
 from tempiric.figures import (
     CIRCLE,
     SQUARE,
@@ -9,7 +12,7 @@ from tempiric.figures import (
     render_svg,
     render_text,
 )
-from tempiric.tempered import ds_enumerate
+from tempiric.tempered import InternalInconsistencyError, ds_enumerate, tempiric_window
 
 
 def test_sp11_grid_partition(sp11):
@@ -100,3 +103,19 @@ def test_render_svg_shapes(sl2r):
 def test_grid_requires_low_dimension(sl2r):
     with pytest.raises(ValueError):
         build_diagram(sl2r, -1)
+
+
+def test_split_node_without_partner_is_an_inconsistency(sl2r, monkeypatch):
+    # Relabel one constituent of the split pair as a discrete series: the
+    # lookup of the other's partner must fail as an inconsistency, not
+    # leak StopIteration.
+    def lone_split(datum, bound):
+        rows, reps = tempiric_window(datum, bound)
+        return rows, [
+            replace(rep, kind="ds", hc_param=(0,)) if rep.min_ktype == (-1,) else rep
+            for rep in reps
+        ]
+
+    monkeypatch.setattr(figures, "tempiric_window", lone_split)
+    with pytest.raises(InternalInconsistencyError, match="no partner"):
+        build_diagram(sl2r, 4)
