@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .branching import BRANCHING_RULES
-from .weights import CYCLIC2, SO3, SU2, TORUS1, CompactGroup
+from .weights import CYCLIC2, SO3, SU2, TORUS1, CompactGroup, integer_det
 
 WEYL_RULES = ("identity", "negate-torus")
 
@@ -122,25 +122,6 @@ def signed_perm_det(matrix) -> int:
     return sign * prod
 
 
-def _leading_minor_det(gram, size) -> Fraction:
-    rows = [list(gram[i][:size]) for i in range(size)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv_p = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv_p
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
 def _validate(datum: GroupDatum) -> GroupDatum:
     dim = datum.k.lattice_dim
     rule = BRANCHING_RULES.get(datum.branching_rule)
@@ -158,7 +139,7 @@ def _validate(datum: GroupDatum) -> GroupDatum:
             if datum.gram[i][j] != datum.gram[j][i]:
                 raise CatalogError("gram: matrix is not symmetric")
     for size in range(1, dim + 1):
-        if _leading_minor_det(datum.gram, size) <= 0:
+        if integer_det(row[:size] for row in datum.int_gram[:size]) <= 0:
             raise CatalogError("gram: matrix is not positive-definite")
     if len(datum.two_rho_c) != dim:
         raise CatalogError("two_rho_c: length does not match the lattice dimension")

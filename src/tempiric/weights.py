@@ -298,28 +298,29 @@ def vogan_norm(datum, tau) -> Fraction:
     return Fraction(scaled_norm(datum, tau), datum.gram_scale)
 
 
-def invert_rational_matrix(rows):
-    """Exact inverse of a square matrix with Fraction entries.
+def integer_det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination.
 
-    Raises ZeroDivisionError on a singular matrix.
+    Bareiss (1968): after step k every remaining entry is a (k+1) x (k+1)
+    minor of the input, so each division by the previous pivot is exact
+    and all arithmetic stays on ``int``.  The empty matrix has
+    determinant 1.
     """
-    n = len(rows)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * previous
 
 
 # Largest label box a window enumeration may scan; a larger request is
@@ -361,22 +362,18 @@ def require_entries_within_limit(rows: int, cols: int, bound) -> None:
         )
 
 
-def _floor_sqrt(value: Fraction) -> int:
-    # Largest integer t >= 0 with t*t <= value.
-    if value < 0:
-        raise ValueError("negative value")
-    p, q = value.numerator, value.denominator
-    t = isqrt(p // q)
-    while (t + 1) * (t + 1) * q <= p:
-        t += 1
-    return t
-
-
-def _coordinate_caps(gram, bound: Fraction) -> list[int]:
+def _coordinate_caps(datum, bound: Fraction) -> list[int]:
     # max of x_i^2 subject to <x,x> <= B is B * (gram^-1)_ii, so |x_i| is
-    # capped by its integer square root.
-    inv = invert_rational_matrix(gram)
-    return [_floor_sqrt(bound * inv[i][i]) for i in range(len(gram))]
+    # capped by the integer square root of its floor.  With M = D * gram,
+    # (gram^-1)_ii = D * det(M without row and column i) / det(M).
+    m = datum.int_gram
+    numerator = bound.numerator * datum.gram_scale
+    denominator = bound.denominator * integer_det(m)
+    minors = (
+        [row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != i]
+        for i in range(len(m))
+    )
+    return [isqrt(numerator * integer_det(minor) // denominator) for minor in minors]
 
 
 def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
@@ -391,7 +388,7 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     group = datum.k
     if bound < 0:
         return []
-    caps = _coordinate_caps(datum.gram, bound)
+    caps = _coordinate_caps(datum, bound)
     limit = scaled_bound(datum, bound)
     axes = []
     lattice = []

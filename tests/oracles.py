@@ -217,3 +217,27 @@ def _signed_perm_det(matrix):
         if length % 2 == 0:
             sign = -sign
     return sign * prod
+
+
+def invert_rational_matrix(rows):
+    """Exact inverse of a square matrix with Fraction entries.
+
+    Raises ZeroDivisionError on a singular matrix.
+    """
+    n = len(rows)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [v * inv_p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tempiric
-from tempiric import cktheory
+from tempiric import FormalSum, cktheory
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 
@@ -279,26 +279,90 @@ def _corrupt_sp11_roots(doc):
     ]
 
 
+def _corrupt_sp11_rho(doc):
+    doc["two_rho_c"] = [-1, -1]
+
+
+def _corrupt_file(tmp_path, group, corrupt):
+    doc = serialize(builtin(group))
+    corrupt(doc)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize(
     "group, corrupt, golden",
     [
         ("SO31", _corrupt_so31_weyl, "verify-so31-identity-weyl-41"),
         ("Sp11", _corrupt_sp11_roots, "verify-sp11-doubled-noncompact-41"),
+        ("Sp11", _corrupt_sp11_rho, "verify-sp11-negative-rho-41"),
     ],
 )
 def test_verify_failure_attribution_is_pinned(capsys, tmp_path, group, corrupt, golden, fmt):
-    # Both corrupt groups fail at vogan_bijection; the pinned outputs keep
-    # the shared window matrix from moving a failure to another check.
-    doc = serialize(builtin(group))
-    corrupt(doc)
-    path = tmp_path / "corrupt.json"
-    path.write_text(json.dumps(doc))
+    # The first two corrupt groups fail at vogan_bijection and the third
+    # at blattner_consistency; the pinned outputs keep the shared window
+    # matrix and the class pass from moving a failure to another check.
+    path = _corrupt_file(tmp_path, group, corrupt)
     code, out, _ = run(
-        capsys, "verify", "--group-file", str(path), "--bound", "41", "--format", fmt
+        capsys, "verify", "--group-file", path, "--bound", "41", "--format", fmt
     )
     assert code == 1
     assert out == (GOLDEN / f"{golden}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tempiric-table", "--bound", "20"),
+        ("ck-matrix", "--bound", "20"),
+        ("figure", "--grid-bound", "4"),
+    ],
+)
+def test_class_pass_inconsistency_is_pinned(capsys, tmp_path, argv):
+    # With two_rho_c = (-1, -1) the class {(1)} is first met at norm 1 by
+    # four K-types; every window command reports it before any output.
+    path = _corrupt_file(tmp_path, "Sp11", _corrupt_sp11_rho)
+    code, out, err = run(capsys, argv[0], "--group-file", path, *argv[1:])
+    assert code == 1 and out == ""
+    assert err == (
+        "inconsistency: class {(1)} has 4 minimal K-types; rank one allows at most two\n"
+    )
+
+
+def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, so31):
+    # One block total off by one must fail dimension_identity with the
+    # boundary counterexample; verify reaches it only through the check.
+    blocks = cktheory._boundary_blocks
+
+    def off_by_one(*args):
+        *rest, (block, d) = blocks(*args)
+        return [*rest, (block, d + 1)]
+
+    def unused(*args):
+        raise AssertionError("verify restricts each pair once")
+
+    monkeypatch.setattr(cktheory, "_boundary_blocks", off_by_one)
+    monkeypatch.setattr(cktheory, "boundary_block_dims", unused)
+    v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
+    v2 = FormalSum({(1,): 2})
+    report = cktheory.dimension_identity_check(so31, v1, v2)
+    assert not report.passed and report.data == {"lhs": 28, "rhs": 28}
+    assert report.counterexample == {
+        "v1": [((0,), 2), ((2,), 3), ((3,), 1)],
+        "v2": [((1,), 2)],
+        "lhs": 28,
+        "boundary_total": 29,
+        "reason": "boundary block total differs from the Hom dimension",
+    }
+    code, out, _ = run(capsys, "verify", "--group", "SO31", "--bound", "25")
+    assert code == 1
+    assert out.splitlines()[-2] == (
+        'dimension_identity: FAIL {"v1": [[[0], 2], [[2], 3], [[3], 1]], '
+        '"v2": [[[1], 2]], "lhs": 28, "boundary_total": 29, '
+        '"reason": "boundary block total differs from the Hom dimension"}'
+    )
 
 
 def _count_matrix_builds(monkeypatch):

@@ -2,8 +2,9 @@
 
 Hand-built matrices exercise the pivot search, equal-norm blocks,
 non-unit pivots and every refusal; the built-in windows are checked
-against the dense ``Fraction`` Gauss-Jordan of ``invert_rational_matrix``,
-which shares no code with the sparse elimination.
+against the dense ``Fraction`` Gauss-Jordan of
+``oracles.invert_rational_matrix``, which shares no code with the sparse
+elimination.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ from tempiric.cktheory import (
     mult_matrix,
 )
 from tempiric.tempered import InternalInconsistencyError
-from tempiric.weights import invert_rational_matrix
+
+import oracles
 
 GRID_BOUNDS = (10, 50, 100, 200)
 
@@ -40,7 +42,9 @@ def _matrix(dense, cols=None):
 
 
 def _oracle(dense):
-    inverse = invert_rational_matrix([[Fraction(v) for v in row] for row in dense])
+    inverse = oracles.invert_rational_matrix(
+        [[Fraction(v) for v in row] for row in dense]
+    )
     assert all(v.denominator == 1 for row in inverse for v in row)
     return [[int(v) for v in row] for row in inverse]
 

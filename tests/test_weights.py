@@ -1,10 +1,14 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempiric import tempered, weights
+from tempiric.catalog import GroupDatum
 from tempiric.tempered import SWEEP_CEILING, ds_enumerate
 from tempiric.weights import (
     SO3,
@@ -211,3 +215,79 @@ def test_sweep_ceiling_box_within_limit(request, monkeypatch, name):
     if datum.equal_rank:
         with pytest.raises(_BoxChecked):
             ds_enumerate(datum, SWEEP_CEILING)
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(
+            perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+        )
+        term = sign
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_integer_det_examples():
+    assert weights.integer_det([]) == 1
+    assert weights.integer_det([[0, 1], [1, 0]]) == -1
+    assert weights.integer_det([[0, 0], [0, 1]]) == 0
+    assert weights.integer_det([[1, 2], [2, 4]]) == 0
+    # the second pivot vanishes after one step and needs a row swap
+    assert weights.integer_det([[1, 1, 1], [1, 1, 2], [0, 1, 1]]) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_integer_det_matches_leibniz(rows):
+    assert weights.integer_det(rows) == _leibniz_det(rows)
+
+
+_OFF_DIAGONAL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_DIAGONAL = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 3),
+    bound=st.fractions(min_value=0, max_value=200, max_denominator=7),
+)
+def test_coordinate_caps_match_dense_inverse(data, n, bound):
+    # G = L L^T with L lower triangular and a positive diagonal is
+    # positive-definite; each cap is floor(sqrt(bound * (G^-1)_ii)).
+    lower = [
+        [
+            data.draw(_DIAGONAL if j == i else _OFF_DIAGONAL) if j <= i else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    gram = tuple(
+        tuple(sum(lower[i][k] * lower[j][k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    datum = GroupDatum(
+        name="random-gram",
+        k=CompactGroup((TORUS1,) * n),
+        m=CompactGroup((CYCLIC2,)),
+        branching_rule="parity",
+        gram=gram,
+        two_rho_c=(0,) * n,
+        weyl_on_mhat="identity",
+        equal_rank=False,
+        ds=None,
+    )
+    inverse = oracles.invert_rational_matrix(gram)
+    expected = [isqrt(floor(bound * inverse[i][i])) for i in range(n)]
+    assert weights._coordinate_caps(datum, bound) == expected
