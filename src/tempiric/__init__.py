@@ -38,13 +38,13 @@ from .tempered import (
     InternalInconsistencyError,
     PrincipalClass,
     TempiricRep,
+    Window,
     blattner_column,
     blattner_mult,
     constituents,
     ds_enumerate,
     induced_ktype_mult,
     minimal_ktypes,
-    principal_classes,
     tempiric_window,
 )
 from .cktheory import (

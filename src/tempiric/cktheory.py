@@ -22,13 +22,12 @@ from .tempered import (
     InternalInconsistencyError,
     PrincipalClass,
     TempiricRep,
+    Window,
     blattner_column,
     blattner_mult,
-    ds_enumerate,
     format_label,
     make_principal_class,
     partner_minimum,
-    tempiric_window,
 )
 from .weights import (
     CYCLIC2,
@@ -103,64 +102,43 @@ class MultMatrix:
         ]
 
 
-def _split_resolvable(datum: GroupDatum) -> bool:
-    # The two split constituents partition the odd character ladder by
-    # sign exactly when K is a single circle.
-    return datum.k.atoms == (TORUS1,)
-
-
-def mult_matrix(datum: GroupDatum, bound) -> MultMatrix:
-    """Multiplicity matrix of the window at the given norm bound.
+def mult_matrix(window: Window) -> MultMatrix:
+    """Multiplicity matrix of the window.
 
     Built one column at a time, and every (row, column) entry is
     evaluated: discrete-series columns by ``blattner_column`` over the
-    rows, principal-series columns from one restriction of each row,
-    read at the dual of the class representative (which is
-    ``induced_ktype_mult``).  Raises ``WindowTooLargeError`` before
-    evaluating any entry when rows x columns exceeds
-    ``MAX_WINDOW_ENTRIES``.
+    rows with the window's memo, principal-series columns from the
+    window's restriction of each row, read at the dual of the class
+    representative (which is ``induced_ktype_mult``).  Raises
+    ``WindowTooLargeError`` before evaluating any entry when rows x
+    columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
-    rows, reps = tempiric_window(datum, bound)
-    require_entries_within_limit(len(rows), len(reps), bound)
-    restrictions = [restrict_sum(datum, FormalSum.single(tau)) for tau in rows]
+    datum, rows, reps = window.datum, window.rows, window.reps
+    require_entries_within_limit(len(rows), len(reps), window.bound)
     entries: dict = {}
     resolution = []
     for j, rep in enumerate(reps):
+        flag = EXACT
         if rep.kind == "ds":
-            resolution.append(EXACT)
-            for i, v in enumerate(blattner_column(datum, rep, rows)):
-                if v:
-                    entries[(i, j)] = v
-            continue
-        sdual = dual_label(datum.m, rep.ps_class.representative)
-        if not rep.split:
-            resolution.append(EXACT)
-            for i, restricted in enumerate(restrictions):
-                v = restricted[sdual]
-                if v:
-                    entries[(i, j)] = v
-            continue
-        if _split_resolvable(datum):
-            resolution.append(EXACT)
-            sign = 1 if rep.min_ktype[0] > 0 else -1
-            for i, (tau, restricted) in enumerate(zip(rows, restrictions)):
-                if tau[0] * sign <= 0:
-                    continue
-                v = restricted[sdual]
-                if v:
-                    entries[(i, j)] = v
-            continue
-        resolution.append(AGGREGATE_ONLY)
-        partner = partner_minimum(rep, reps)
-        for i, (tau, restricted) in enumerate(zip(rows, restrictions)):
-            if tau == rep.min_ktype:
-                entries[(i, j)] = 1
-            elif tau == partner:
-                continue
-            else:
-                v = restricted[sdual]
-                if v:
-                    entries[(i, j)] = v
+            values = blattner_column(datum, rep, rows, window.memo)
+        else:
+            sdual = dual_label(datum.m, rep.ps_class.representative)
+            values = [restricted[sdual] for restricted in window.restrictions]
+            if rep.split and datum.k.atoms == (TORUS1,):
+                # The two split constituents partition the odd character
+                # ladder by sign exactly when K is a single circle.
+                sign = 1 if rep.min_ktype[0] > 0 else -1
+                values = [v if tau[0] * sign > 0 else 0 for tau, v in zip(rows, values)]
+            elif rep.split:
+                # Unresolved: 0 only at the partner's minimum; the class pass
+                # certified the entry at the column's own minimum to be 1.
+                flag = AGGREGATE_ONLY
+                partner = partner_minimum(rep, reps)
+                values = [0 if tau == partner else v for tau, v in zip(rows, values)]
+        resolution.append(flag)
+        for i, v in enumerate(values):
+            if v:
+                entries[(i, j)] = v
     return MultMatrix(
         rows=tuple(rows),
         cols=tuple(reps),
@@ -169,7 +147,7 @@ def mult_matrix(datum: GroupDatum, bound) -> MultMatrix:
     )
 
 
-def vogan_bijection_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationReport:
+def vogan_bijection_check(matrix: MultMatrix) -> VerificationReport:
     """Minimal K-types biject window representatives with window K-types.
 
     Passes when the assignment representative -> minimal K-type is
@@ -279,19 +257,18 @@ def triangularity_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationRe
     return VerificationReport(name, True, data={"columns": len(matrix.cols)})
 
 
-def composite_map(datum: GroupDatum, tau, bound) -> FormalSum:
+def composite_map(window: Window, tau) -> FormalSum:
     """Image of a K-type in the free group on window representatives.
 
     The coefficients are the matrix entries of the K-type's row.  The
     window must contain the K-type; triangularity then guarantees every
     representative it meets is present, so nothing is silently truncated.
     """
-    bound = Fraction(bound)
-    if vogan_norm(datum, tau) > bound:
+    if vogan_norm(window.datum, tau) > window.bound:
         raise WindowError(
-            f"K-type {format_label(tau)} has norm above the window bound {bound}"
+            f"K-type {format_label(tau)} has norm above the window bound {window.bound}"
         )
-    matrix = mult_matrix(datum, bound)
+    matrix = mult_matrix(window)
     i = matrix.rows.index(tuple(tau))
     return FormalSum(
         {rep: matrix.entry(i, j) for j, rep in enumerate(matrix.cols)}
@@ -495,18 +472,20 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
     )
 
 
-def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
+def blattner_consistency_check(window: Window) -> VerificationReport:
     """Root-data and lowest-K-type consistency for the discrete series.
 
     Recomputes two_rho_c from the positive compact roots, then checks
-    that every enumerated series has multiplicity one at its lowest
+    that every series of the window has multiplicity one at its lowest
     K-type and zero at every window K-type of strictly smaller norm
-    (one ``blattner_column`` per series, stopping at the first nonzero).
+    (one ``blattner_column`` per series with the window's memo, stopping
+    at the first nonzero); it reads only the window's rows and series.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
     exceeds ``MAX_WINDOW_ENTRIES``.
     """
     name = "blattner_consistency"
+    datum = window.datum
     if not datum.equal_rank:
         return VerificationReport(name, True, data={"note": "no discrete series"})
     dim = datum.k.lattice_dim
@@ -523,12 +502,12 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
                 "reason": "two_rho_c differs from the sum of positive compact roots",
             },
         )
-    window = enumerate_ktypes(datum, bound)
-    norms = {tau: scaled_norm(datum, tau) for tau in window}
-    series = ds_enumerate(datum, bound)
-    require_entries_within_limit(len(series), len(window), bound)
+    rows = window.rows
+    norms = {tau: scaled_norm(datum, tau) for tau in rows}
+    series = window.series
+    require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:
-        if blattner_mult(datum, rep, rep.min_ktype) != 1:
+        if blattner_mult(datum, rep, rep.min_ktype, window.memo) != 1:
             return VerificationReport(
                 name,
                 False,
@@ -540,8 +519,8 @@ def blattner_consistency_check(datum: GroupDatum, bound) -> VerificationReport:
         low = norms.get(rep.min_ktype)
         if low is None:
             low = scaled_norm(datum, rep.min_ktype)
-        lower = [tau for tau in window if norms[tau] < low]
-        for tau, mult in zip(lower, blattner_column(datum, rep, lower)):
+        lower = [tau for tau in rows if norms[tau] < low]
+        for tau, mult in zip(lower, blattner_column(datum, rep, lower, window.memo)):
             if mult != 0:
                 return VerificationReport(
                     name,
@@ -572,14 +551,14 @@ def random_ktype_sums(datum: GroupDatum, count: int, norm_cap, seed: int):
     return sums
 
 
-def ktheory_summary(datum: GroupDatum, bound) -> dict:
+def ktheory_summary(window: Window) -> dict:
     """Window basis, matrix status, and the vanishing odd-degree note.
 
     The odd K-group is reported as zero because that is a known analytic
     fact about this category; nothing here computes it.
     """
-    matrix = mult_matrix(datum, bound)
-    triangular = triangularity_check(datum, matrix).passed
+    matrix = mult_matrix(window)
+    triangular = triangularity_check(window.datum, matrix).passed
     refused: list[str] = []
     status = "inverted"
     try:
@@ -588,8 +567,8 @@ def ktheory_summary(datum: GroupDatum, bound) -> dict:
         status = "refused"
         refused = list(exc.columns)
     return {
-        "group": datum.name,
-        "bound": str(Fraction(bound)),
+        "group": window.datum.name,
+        "bound": str(window.bound),
         "generator_count": len(matrix.cols),
         "generators": [rep.describe() for rep in matrix.cols],
         "triangular": triangular,

@@ -206,7 +206,7 @@ def _rep_record(datum, rep) -> dict:
 def cmd_tempiric_table(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
-    _, reps = tempiric_window(datum, args.bound)
+    reps = tempiric_window(datum, args.bound).reps
     records = [_rep_record(datum, rep) for rep in reps]
     if fmt == "json":
         return 0, _json_text(
@@ -246,7 +246,7 @@ def _column_descriptor(rep) -> dict:
 def cmd_ck_matrix(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("json", "csv"), "json")
     datum = _resolve_datum(args)
-    matrix = cktheory.mult_matrix(datum, args.bound)
+    matrix = cktheory.mult_matrix(tempiric_window(datum, args.bound))
     inverse = None
     refusal = None
     try:
@@ -313,13 +313,14 @@ def _admissibility_sweep(datum, bound, seed):
 
 def _verify_reports(datum, bound, seed):
     # Checks run in order and stop at the first failure; inconsistencies
-    # raised mid-check fail the check that tripped them.  The window matrix
-    # is built once, on first use, which is the vogan_bijection step, so an
-    # inconsistency raised while building it fails that check.
-    window_matrix = functools.cache(lambda: cktheory.mult_matrix(datum, bound))
+    # raised mid-check fail the check that tripped them.  blattner_consistency
+    # reads only the window's rows and series, so the class pass and the matrix
+    # (built once) first run in vogan_bijection, which their errors fail.
+    window = tempiric_window(datum, bound)
+    window_matrix = functools.cache(lambda: cktheory.mult_matrix(window))
     checks = [
-        ("blattner_consistency", lambda: cktheory.blattner_consistency_check(datum, bound)),
-        ("vogan_bijection", lambda: cktheory.vogan_bijection_check(datum, window_matrix())),
+        ("blattner_consistency", lambda: cktheory.blattner_consistency_check(window)),
+        ("vogan_bijection", lambda: cktheory.vogan_bijection_check(window_matrix())),
         ("triangularity", lambda: cktheory.triangularity_check(datum, window_matrix())),
         ("dimension_identity", lambda: _identity_sweep(datum, bound, seed)),
         ("admissibility", lambda: _admissibility_sweep(datum, bound, seed)),

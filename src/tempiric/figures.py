@@ -61,7 +61,7 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
     nodes = list(labels_in_box(datum.k, grid_bound))
     on_grid = set(nodes)
     bound = max(vogan_norm(datum, node) for node in nodes)
-    _, reps = tempiric_window(datum, bound)
+    reps = tempiric_window(datum, bound).reps
     by_min = {rep.min_ktype: rep for rep in reps}
     markers = {}
     partners = {}

@@ -7,19 +7,24 @@ two in rank one).  Equal-rank groups also carry discrete series,
 enumerated by regular lattice parameters up to the compact Weyl group,
 with K-type multiplicities from the alternating partition-count formula.
 
+Everything derived from one (datum, bound) is computed once, on first
+read, in the ``Window`` that every consumer reads.
+
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
-from .branching import mult_space_dim, support_sigmas
+from .branching import mult_space_dim, restrict_sum, restricted_support
 from .catalog import GroupDatum, apply_matrix, signed_perm_det, weyl_image
 from .weights import (
     FormalSum,
+    dual_label,
     enumerate_ktypes,
     label_lattice_coords,
     lattice_coords_to_label,
@@ -30,11 +35,6 @@ from .weights import (
     validate_label,
     _coordinate_caps,
 )
-
-# Exhaustive minimal-K-type sweeps abort above this norm; reaching it means
-# the catalog data cannot support a minimal K-type at all.
-SWEEP_CEILING = Fraction(40000)
-
 
 class InternalInconsistencyError(RuntimeError):
     """A structural expectation failed; signals corrupt catalog data."""
@@ -105,38 +105,6 @@ def make_principal_class(datum: GroupDatum, sigma) -> PrincipalClass:
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
 
 
-def _class_minima(datum: GroupDatum, rows):
-    """``(class, minimal K-types)`` for each class the rows meet.
-
-    One pass over norm-sorted rows, restricting each row once.  A row
-    meets the classes of the M-types in its support, and occurs in a
-    class (``induced_ktype_mult`` > 0) exactly when the representative is
-    one of them; the minima are the rows at the first norm where it
-    does, which on a complete window are global.  Representative order.
-    """
-    classes: dict[tuple, PrincipalClass] = {}
-    first_norm: dict[tuple, int] = {}
-    minima: dict[tuple, list] = {}
-    for tau in rows:
-        norm = scaled_norm(datum, tau)
-        for sigma in support_sigmas(datum, FormalSum.single(tau)):
-            cls = make_principal_class(datum, sigma)
-            classes[cls.orbit] = cls
-            if sigma != cls.representative:
-                continue
-            if first_norm.setdefault(cls.orbit, norm) == norm:
-                minima.setdefault(cls.orbit, []).append(tau)
-    return [
-        (classes[orbit], tuple(minima.get(orbit, ())))
-        for orbit in sorted(classes, key=lambda o: o[-1])
-    ]
-
-
-def principal_classes(datum: GroupDatum, kwindow) -> list[PrincipalClass]:
-    """All orbit classes supported by some K-type of the window."""
-    return [cls for cls, _ in _class_minima(datum, kwindow)]
-
-
 def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
     """Multiplicity of tau in the parameter-zero principal series of the class.
 
@@ -147,6 +115,15 @@ def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
     return mult_space_dim(datum, cls.representative, FormalSum.single(tau))
 
 
+def _first_minima(datum: GroupDatum, cls: PrincipalClass):
+    # Every M-type occurs in some K-type, so the doubling ends; the
+    # label-box limit refuses a class too large to reach.
+    bound = Fraction(16)
+    while not (minima := Window(datum, bound).classes.get(cls)):
+        bound *= 2
+    return minima
+
+
 def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, ...], ...]:
     """The K-types of minimal Vogan norm occurring in the class.
 
@@ -154,26 +131,17 @@ def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, .
     their bound; the first window in which the class occurs holds all of
     its minima, so the minimum is certified rather than heuristic.
     """
-    bound = Fraction(16)
-    while bound <= SWEEP_CEILING:
-        minima = dict(_class_minima(datum, enumerate_ktypes(datum, bound))).get(cls)
-        if minima:
-            return minima
-        bound *= 2
-    raise InternalInconsistencyError(
-        f"no K-type found for class {cls.describe()} below norm {SWEEP_CEILING}"
-    )
+    return tuple(tau for tau, _ in _first_minima(datum, cls))
 
 
-def _constituents(datum: GroupDatum, cls: PrincipalClass, minima) -> list[TempiricRep]:
+def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
     # One constituent per minimal K-type, after the rank-one checks.
     if len(minima) > 2:
         raise InternalInconsistencyError(
             f"class {cls.describe()} has {len(minima)} minimal K-types; "
             "rank one allows at most two"
         )
-    for tau in minima:
-        mult = induced_ktype_mult(datum, cls, tau)
+    for tau, mult in minima:
         if mult != 1:
             raise InternalInconsistencyError(
                 f"minimal K-type {format_label(tau)} of class {cls.describe()} "
@@ -182,13 +150,13 @@ def _constituents(datum: GroupDatum, cls: PrincipalClass, minima) -> list[Tempir
     split = len(minima) == 2
     return [
         TempiricRep(kind="ps", min_ktype=tau, ps_class=cls, split=split)
-        for tau in minima
+        for tau, _ in minima
     ]
 
 
 def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
     """One constituent per minimal K-type of the class (one or two)."""
-    return _constituents(datum, cls, minimal_ktypes(datum, cls))
+    return _constituents(cls, _first_minima(datum, cls))
 
 
 def partner_minimum(rep: TempiricRep, reps) -> tuple[int, ...]:
@@ -314,20 +282,14 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     return [found[lowest] for _, lowest, _ in order]
 
 
-# Counts of expressions of a target as a nonnegative-integer combination of a
-# fixed root tuple depend only on (roots, target); the cache is shared across
-# chambers and parameters.
-_EXPRESSION_COUNTS: dict[tuple, dict[tuple, int]] = {}
-
-
-def _count_expressions(roots, target, pairings, budget) -> int:
+def _count_expressions(roots, target, pairings, budget, memo) -> int:
     """Number of ways to write target as a nonnegative combination of roots.
 
     ``pairings`` are strictly positive values of a linear functional on the
     roots and ``budget`` its value on the target; they only bound the
-    search and do not affect the count.
+    search and do not affect the count.  ``memo`` holds the counts for
+    these roots, which depend only on (roots, target).
     """
-    memo = _EXPRESSION_COUNTS.setdefault(roots, {})
 
     def rec(idx: int, vec, value: int) -> int:
         if value < 0:
@@ -375,7 +337,7 @@ def _chamber_data(datum: GroupDatum, lam):
     return doubled_roots, pairings, base, functional, dets
 
 
-def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
+def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes, memo=None):
     """K-type multiplicities in a discrete series, one per K-type, in order.
 
     A generator: the chamber data of the series are computed once, then
@@ -383,7 +345,8 @@ def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
     partition counts over the chamber's positive noncompact roots is
     yielded as it is reached, evaluated in doubled coordinates so that
     all arithmetic stays integral.  A negative total signals
-    inconsistent catalog data and raises at that K-type.
+    inconsistent catalog data and raises at that K-type.  ``memo`` is a
+    ``Window.memo``, shared by the window's columns; by default a new one.
     """
     if ds_rep.kind != "ds":
         raise ValueError("Blattner's formula needs a discrete-series representative")
@@ -391,6 +354,7 @@ def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
     doubled_roots, pairings, base, functional, dets = _chamber_data(
         datum, ds_rep.hc_param
     )
+    counts = {} if memo is None else memo.setdefault(doubled_roots, {})
     dim = datum.k.lattice_dim
     # The budget functional . (w shifted - base) is read as
     # (w^T functional) . shifted - functional . base.  A negative budget
@@ -416,7 +380,7 @@ def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
             moved = apply_matrix(w, shifted)
             target = tuple(m - b for m, b in zip(moved, base))
             total += det * _count_expressions(
-                doubled_roots, target, pairings, budget
+                doubled_roots, target, pairings, budget, counts
             )
         if total < 0:
             raise InternalInconsistencyError(
@@ -426,24 +390,78 @@ def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes):
         yield total
 
 
-def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
+def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau, memo=None) -> int:
     """K-type multiplicity in a discrete series: ``blattner_column`` at tau."""
-    return next(blattner_column(datum, ds_rep, (tau,)))
+    return next(blattner_column(datum, ds_rep, (tau,), memo))
 
 
-def tempiric_window(datum: GroupDatum, bound):
-    """The K-type window and every tempered representative minimal there.
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Everything derived from one ``(datum, bound)``, each part computed once.
 
-    Returns (ktypes, representatives); representatives are sorted by
-    (norm of minimal K-type, minimal K-type, kind) so they align with the
-    window rows under the minimal-K-type bijection.
+    Each part is computed on first read and shared by every reader.
+    ``memo`` holds the partition counts of this window's Blattner columns.
     """
-    bound = Fraction(bound)
-    rows = enumerate_ktypes(datum, bound)
-    reps: list[TempiricRep] = []
-    for cls, minima in _class_minima(datum, rows):
-        reps.extend(_constituents(datum, cls, minima))
-    if datum.equal_rank:
-        reps.extend(ds_enumerate(datum, bound))
-    reps.sort(key=lambda r: (scaled_norm(datum, r.min_ktype),) + r.sort_key())
-    return rows, reps
+
+    datum: GroupDatum
+    bound: Fraction
+    memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The K-types of norm <= bound, sorted by (norm, label)."""
+        return enumerate_ktypes(self.datum, self.bound)
+
+    @cached_property
+    def restrictions(self) -> list[FormalSum]:
+        """One restriction to M per row."""
+        return [restrict_sum(self.datum, FormalSum.single(tau)) for tau in self.rows]
+
+    @cached_property
+    def classes(self) -> dict[PrincipalClass, tuple]:
+        """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
+
+        One pass over the rows' restrictions.  A row meets the classes of
+        the M-types in its support, and occurs in a class (with multiplicity
+        ``induced_ktype_mult``) exactly when the representative is one of
+        them; the minima are the rows at the first norm where it does,
+        which on a complete window are global.  Representative order.
+        """
+        datum = self.datum
+        classes: dict[tuple, PrincipalClass] = {}
+        first_norm: dict[tuple, int] = {}
+        minima: dict[tuple, list] = {}
+        for tau, restricted in zip(self.rows, self.restrictions):
+            norm = scaled_norm(datum, tau)
+            for sigma in restricted_support(datum, restricted):
+                cls = make_principal_class(datum, sigma)
+                classes[cls.orbit] = cls
+                if sigma != cls.representative:
+                    continue
+                if first_norm.setdefault(cls.orbit, norm) == norm:
+                    mult = restricted[dual_label(datum.m, sigma)]
+                    minima.setdefault(cls.orbit, []).append((tau, mult))
+        return {
+            classes[orbit]: tuple(minima.get(orbit, ()))
+            for orbit in sorted(classes, key=lambda o: o[-1])
+        }
+
+    @cached_property
+    def series(self) -> list[TempiricRep]:
+        """The discrete series of the window; none for unequal rank."""
+        return ds_enumerate(self.datum, self.bound) if self.datum.equal_rank else []
+
+    @cached_property
+    def reps(self) -> list[TempiricRep]:
+        """The representatives minimal in the window, aligned with its rows."""
+        reps: list[TempiricRep] = []
+        for cls, minima in self.classes.items():
+            reps.extend(_constituents(cls, minima))
+        reps.extend(self.series)
+        reps.sort(key=lambda r: (scaled_norm(self.datum, r.min_ktype),) + r.sort_key())
+        return reps
+
+
+def tempiric_window(datum: GroupDatum, bound) -> Window:
+    """The ``Window`` of the datum at the given norm bound."""
+    return Window(datum, Fraction(bound))

@@ -23,6 +23,7 @@ from tempiric import (
     invert_window,
     mult_matrix,
     random_ktype_sums,
+    tempiric_window,
     tensor_decompose,
     triangularity_check,
     vogan_bijection_check,
@@ -52,7 +53,8 @@ def test_criterion_1_vogan_bijection():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            ok = ok and vogan_bijection_check(datum, mult_matrix(datum, bound)).passed
+            matrix = mult_matrix(tempiric_window(datum, bound))
+            ok = ok and vogan_bijection_check(matrix).passed
     elapsed = time.monotonic() - start
     _report(
         "criterion 1 (minimal-K-type bijection, bounds 10/50/100/200)",
@@ -66,11 +68,12 @@ def test_criterion_2_triangularity_and_inverse():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            ok = ok and triangularity_check(datum, mult_matrix(datum, bound)).passed
+            matrix = mult_matrix(tempiric_window(datum, bound))
+            ok = ok and triangularity_check(datum, matrix).passed
     for name in ("SO31", "SL2R"):
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            matrix = mult_matrix(datum, bound)
+            matrix = mult_matrix(tempiric_window(datum, bound))
             inverse = invert_window(matrix)
             dense = matrix.dense()
             n = len(dense)

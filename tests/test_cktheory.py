@@ -18,12 +18,12 @@ from tempiric.cktheory import (
     vogan_bijection_check,
     WindowError,
 )
-from tempiric.tempered import make_principal_class
+from tempiric.tempered import make_principal_class, tempiric_window
 from tempiric.weights import FormalSum
 
 
 def test_mult_matrix_so31_all_ones_triangle(so31):
-    matrix = mult_matrix(so31, 16)
+    matrix = mult_matrix(tempiric_window(so31, 16))
     assert matrix.rows == ((0,), (1,), (2,), (3,))
     assert all(flag == EXACT for flag in matrix.resolution)
     for i, tau in enumerate(matrix.rows):
@@ -33,7 +33,7 @@ def test_mult_matrix_so31_all_ones_triangle(so31):
 
 
 def test_mult_matrix_sl2r_sign_resolution(sl2r):
-    matrix = mult_matrix(sl2r, 9)
+    matrix = mult_matrix(tempiric_window(sl2r, 9))
     assert all(flag == EXACT for flag in matrix.resolution)
     by_desc = {rep.describe(): j for j, rep in enumerate(matrix.cols)}
     plus = by_desc["PS(sigma={(1)},min=(1),split)"]
@@ -47,7 +47,7 @@ def test_mult_matrix_sl2r_sign_resolution(sl2r):
 
 
 def test_mult_matrix_split_columns_sum_to_aggregate(sl2r):
-    matrix = mult_matrix(sl2r, 100)
+    matrix = mult_matrix(tempiric_window(sl2r, 100))
     sign_class = make_principal_class(sl2r, (1,))
     split = [
         j for j, rep in enumerate(matrix.cols)
@@ -62,7 +62,7 @@ def test_mult_matrix_split_columns_sum_to_aggregate(sl2r):
 
 
 def test_mult_matrix_sp11_aggregate_columns(sp11):
-    matrix = mult_matrix(sp11, 20)
+    matrix = mult_matrix(tempiric_window(sp11, 20))
     row = {tau: i for i, tau in enumerate(matrix.rows)}
     split = {
         rep.min_ktype: j
@@ -87,21 +87,21 @@ def test_mult_matrix_sp11_aggregate_columns(sp11):
 
 
 def test_bijection_examples(sl2r, so31, sp11):
-    assert vogan_bijection_check(sl2r, mult_matrix(sl2r, 16)).passed
-    assert vogan_bijection_check(so31, mult_matrix(so31, 25)).passed
-    report = vogan_bijection_check(sp11, mult_matrix(sp11, 41))
+    assert vogan_bijection_check(mult_matrix(tempiric_window(sl2r, 16))).passed
+    assert vogan_bijection_check(mult_matrix(tempiric_window(so31, 25))).passed
+    report = vogan_bijection_check(mult_matrix(tempiric_window(sp11, 41)))
     assert report.passed
     assert report.data["ktypes"] == report.data["representatives"] == 17
 
 
 def test_triangularity_examples(sl2r, so31, sp11):
-    assert triangularity_check(so31, mult_matrix(so31, 16)).passed
-    assert triangularity_check(sl2r, mult_matrix(sl2r, 9)).passed
-    assert triangularity_check(sp11, mult_matrix(sp11, 20)).passed
+    assert triangularity_check(so31, mult_matrix(tempiric_window(so31, 16))).passed
+    assert triangularity_check(sl2r, mult_matrix(tempiric_window(sl2r, 9))).passed
+    assert triangularity_check(sp11, mult_matrix(tempiric_window(sp11, 20))).passed
 
 
 def test_sp11_blattner_vanishing_rows(sp11):
-    matrix = mult_matrix(sp11, 20)
+    matrix = mult_matrix(tempiric_window(sp11, 20))
     row = {tau: i for i, tau in enumerate(matrix.rows)}
     (j20,) = [
         j for j, rep in enumerate(matrix.cols)
@@ -112,37 +112,37 @@ def test_sp11_blattner_vanishing_rows(sp11):
 
 
 def test_composite_map_examples(sl2r, sp11):
-    image = composite_map(sl2r, (0,), 9)
+    image = composite_map(tempiric_window(sl2r, 9), (0,))
     assert {rep.describe(): v for rep, v in image.items()} == {
         "PS(sigma={(0)},min=(0))": 1
     }
-    image = composite_map(sl2r, (2,), 9)
+    image = composite_map(tempiric_window(sl2r, 9), (2,))
     assert {rep.describe(): v for rep, v in image.items()} == {
         "PS(sigma={(0)},min=(0))": 1,
         "DS(lambda=(1),Lambda=(2))": 1,
     }
-    image = composite_map(sp11, (0, 0), 20)
+    image = composite_map(tempiric_window(sp11, 20), (0, 0))
     assert {rep.describe(): v for rep, v in image.items()} == {
         "PS(sigma={(0)},min=(0,0))": 1
     }
 
 
 def test_composite_map_matches_matrix(sl2r):
-    matrix = mult_matrix(sl2r, 16)
+    matrix = mult_matrix(tempiric_window(sl2r, 16))
     for i, tau in enumerate(matrix.rows):
-        image = composite_map(sl2r, tau, 16)
+        image = composite_map(tempiric_window(sl2r, 16), tau)
         for j, rep in enumerate(matrix.cols):
             assert image[rep] == matrix.entry(i, j)
 
 
 def test_composite_map_window_error(sl2r):
     with pytest.raises(WindowError):
-        composite_map(sl2r, (10,), 9)
+        composite_map(tempiric_window(sl2r, 9), (10,))
 
 
 def test_invert_so31_bidiagonal(so31):
     # inverse of the all-ones lower triangle: unit diagonal, -1 one step below
-    inverse = invert_window(mult_matrix(so31, 16))
+    inverse = invert_window(mult_matrix(tempiric_window(so31, 16)))
     n = len(inverse)
     for i in range(n):
         for j in range(n):
@@ -155,7 +155,7 @@ def test_invert_so31_bidiagonal(so31):
 
 
 def test_invert_sl2r_exact(sl2r):
-    matrix = mult_matrix(sl2r, 9)
+    matrix = mult_matrix(tempiric_window(sl2r, 9))
     inverse = invert_window(matrix)
     dense = matrix.dense()
     n = len(dense)
@@ -168,7 +168,7 @@ def test_invert_sl2r_exact(sl2r):
 
 def test_invert_sp11_refuses(sp11):
     with pytest.raises(UnresolvedColumnsError) as excinfo:
-        invert_window(mult_matrix(sp11, 20))
+        invert_window(mult_matrix(tempiric_window(sp11, 20)))
     assert all("split" in column for column in excinfo.value.columns)
     assert len(excinfo.value.columns) == 2
 
@@ -230,20 +230,20 @@ def test_admissibility_examples(sl2r, so31, sp11):
 
 def test_blattner_consistency(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
-        assert blattner_consistency_check(datum, 60).passed
+        assert blattner_consistency_check(tempiric_window(datum, 60)).passed
 
 
 def test_ktheory_summary(sl2r, so31, sp11):
-    summary = ktheory_summary(so31, 16)
+    summary = ktheory_summary(tempiric_window(so31, 16))
     assert summary["generator_count"] == 4
     assert summary["inverse"] == "inverted" and summary["triangular"]
-    summary = ktheory_summary(sl2r, 9)
+    summary = ktheory_summary(tempiric_window(sl2r, 9))
     assert summary["generator_count"] == 7
     assert summary["inverse"] == "inverted"
-    summary = ktheory_summary(sp11, 8)
+    summary = ktheory_summary(tempiric_window(sp11, 8))
     assert summary["generator_count"] == 1
     assert summary["generators"] == ["PS(sigma={(0)},min=(0,0))"]
-    summary = ktheory_summary(sp11, 20)
+    summary = ktheory_summary(tempiric_window(sp11, 20))
     assert summary["inverse"] == "refused"
     assert len(summary["refused_columns"]) == 2
     assert summary["k1"].startswith("0")
@@ -252,8 +252,8 @@ def test_ktheory_summary(sl2r, so31, sp11):
 def test_checks_on_sampled_grid(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         for bound in (0, 9, 35, 80, 143, 200):
-            matrix = mult_matrix(datum, bound)
-            assert vogan_bijection_check(datum, matrix).passed, (datum.name, bound)
+            matrix = mult_matrix(tempiric_window(datum, bound))
+            assert vogan_bijection_check(matrix).passed, (datum.name, bound)
             assert triangularity_check(datum, matrix).passed, (datum.name, bound)
 
 

@@ -16,7 +16,7 @@ import pytest
 from tempiric import cktheory, cli, tempered, weights
 from tempiric.catalog import builtin, load, serialize
 from tempiric.cli import main
-from tempiric.tempered import minimal_ktypes, principal_classes, tempiric_window
+from tempiric.tempered import minimal_ktypes, tempiric_window
 
 import oracles
 
@@ -47,31 +47,28 @@ def _swept(name, sigma):
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_window_minima_match_the_sweeps(name, bound):
     datum = DATA[name]
-    rows, reps = tempiric_window(datum, bound)
+    window = tempiric_window(datum, bound)
     by_class: dict = {}
-    for rep in reps:
+    for rep in window.reps:
         if rep.kind == "ps":
             by_class.setdefault(rep.ps_class, []).append(rep.min_ktype)
-    assert sorted(by_class, key=lambda c: c.representative) == principal_classes(
-        datum, rows
-    )
+    assert sorted(by_class, key=lambda c: c.representative) == list(window.classes)
     for cls, minima in by_class.items():
         assert tuple(minima) == _swept(name, cls.representative), cls.describe()
         assert tuple(minima) == minimal_ktypes(datum, cls), cls.describe()
 
 
 def test_window_certifies_minima_above_the_sweep_ceiling():
-    # The doubling sweep's last window has norm 32,768, so the standalone
-    # minimal_ktypes cannot reach the class {(-181)|(181)} (minimum (181),
-    # norm 182^2 = 33,124); the window reads it off its own rows.
+    # The class {(-181)|(181)} has its minimum (181) at norm 182^2 = 33,124,
+    # above norm 32,768: the window reads it off its own rows, and the
+    # standalone minimal_ktypes doubles its window until the class occurs.
     so31 = DATA["SO31"]
     (rep,) = [
-        rep for rep in tempiric_window(so31, 33124)[1]
+        rep for rep in tempiric_window(so31, 33124).reps
         if rep.ps_class.orbit == ((-181,), (181,))
     ]
     assert rep.min_ktype == (181,) and not rep.split
-    with pytest.raises(tempered.InternalInconsistencyError, match="below norm 40000"):
-        minimal_ktypes(so31, rep.ps_class)
+    assert minimal_ktypes(so31, rep.ps_class) == ((181,),)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -91,7 +88,7 @@ def _count_calls(monkeypatch, name, modules):
 def test_window_enumerates_once_and_never_sweeps(monkeypatch, name):
     enumerations = _count_calls(monkeypatch, "enumerate_ktypes", [tempered])
     sweeps = _count_calls(monkeypatch, "minimal_ktypes", [tempered])
-    tempiric_window(DATA[name], 100)
+    tempiric_window(DATA[name], 100).reps
     assert len(enumerations) == 1 and not sweeps
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import tempiric
-from tempiric import FormalSum, cktheory
+from tempiric import FormalSum, branching, cktheory, tempered
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
+from tempiric.tempered import tempiric_window
 
 
 def run(capsys, *argv):
@@ -331,6 +332,42 @@ def test_class_pass_inconsistency_is_pinned(capsys, tmp_path, argv):
     )
 
 
+def _skew_gram_sp11(doc):
+    doc["gram"] = ["1", "-5/2", "-5/2", "7"]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_skew_gram_verify_fails_in_the_discrete_series(capsys, tmp_path, fmt):
+    # blattner_consistency reads only the window's rows and series, so the
+    # non-dominant lowest K-type fails it before the class pass, whose own
+    # inconsistency (below) would otherwise be reported.
+    path = _corrupt_file(tmp_path, "Sp11", _skew_gram_sp11)
+    code, out, _ = run(
+        capsys, "verify", "--group-file", path, "--bound", "30", "--format", fmt
+    )
+    assert code == 1
+    assert out == (GOLDEN / f"verify-sp11-skew-gram-30.{fmt}").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tempiric-table", "--bound", "30"),
+        ("ck-matrix", "--bound", "30"),
+        ("figure", "--grid-bound", "4"),
+    ],
+)
+def test_skew_gram_window_runs_the_class_pass_first(capsys, tmp_path, argv):
+    # A window's representatives run the class pass before the discrete
+    # series, so its inconsistency is reported, not the series' one above.
+    path = _corrupt_file(tmp_path, "Sp11", _skew_gram_sp11)
+    code, out, err = run(capsys, argv[0], "--group-file", path, *argv[1:])
+    assert code == 1 and out == ""
+    assert err == (
+        "inconsistency: class {(9)} has 3 minimal K-types; rank one allows at most two\n"
+    )
+
+
 def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, so31):
     # One block total off by one must fail dimension_identity with the
     # boundary counterexample; verify reaches it only through the check.
@@ -387,6 +424,38 @@ def test_verify_builds_one_matrix(capsys, monkeypatch, group):
 
 def test_ktheory_summary_builds_one_matrix(monkeypatch, sp11):
     builds = _count_matrix_builds(monkeypatch)
-    summary = cktheory.ktheory_summary(sp11, 20)
+    summary = cktheory.ktheory_summary(tempiric_window(sp11, 20))
     assert summary["triangular"] and summary["inverse"] == "refused"
     assert len(builds) == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    # Counts the calls made through every tempiric module that holds it.
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, holder in list(sys.modules.items()):
+        if key.startswith("tempiric") and getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_verify_enumerates_the_discrete_series_once(capsys, monkeypatch, group):
+    calls = _count_calls(monkeypatch, tempered, "ds_enumerate")
+    code, _, _ = run(capsys, "verify", "--group", group, "--bound", "41")
+    assert code == 0
+    assert len(calls) == (1 if builtin(group).equal_rank else 0)
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_ck_matrix_restricts_each_row_once(capsys, monkeypatch, group):
+    calls = _count_calls(monkeypatch, branching, "restrict_sum")
+    code, out, _ = run(capsys, "ck-matrix", "--group", group, "--bound", "41")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [list(args[1]) for args in calls] == [[tuple(tau)] for tau in rows]

@@ -21,6 +21,7 @@ from tempiric.tempered import (
     ds_enumerate,
     format_label,
     partner_minimum,
+    tempiric_window,
 )
 from tempiric.weights import WindowTooLargeError, enumerate_ktypes, scaled_norm
 
@@ -41,8 +42,17 @@ def _doubled_noncompact_sp11():
     return load(json.dumps(doc))
 
 
+def _shifted_rho_sl2r():
+    # With two_rho_c = (-1) and no discrete series, the class {(0)} splits
+    # at (0) and (2); the split minimum at (0) takes the negative ladder.
+    doc = serialize(builtin("SL2R"))
+    doc.update(two_rho_c=[-1], equal_rank=False, ds=None)
+    return load(json.dumps(doc))
+
+
 DATA = {
     "SL2R": lambda: builtin("SL2R"),
+    "SL2R-shifted-rho": _shifted_rho_sl2r,
     "SO31": lambda: builtin("SO31"),
     "Sp11": lambda: builtin("Sp11"),
     "Sp11-half-gram": _half_gram_sp11,
@@ -70,7 +80,7 @@ def _expected_entry(datum, matrix, j, tau):
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_every_matrix_entry_matches_the_oracles(name):
     datum = DATA[name]()
-    matrix = mult_matrix(datum, 41)
+    matrix = mult_matrix(tempiric_window(datum, 41))
     assert matrix.rows and matrix.cols
     for j in range(len(matrix.cols)):
         for i, tau in enumerate(matrix.rows):
@@ -78,6 +88,18 @@ def test_every_matrix_entry_matches_the_oracles(name):
                 name, tau, matrix.cols[j].describe()
             )
     assert all(v != 0 for v in matrix.entries.values())
+
+
+def test_windows_never_share_a_memo(sp11):
+    # All Blattner columns of a window fill its one memo, keyed by the
+    # chamber's roots; a second window of the same datum starts empty and
+    # computes the same counts on its own.
+    first, second = tempiric_window(sp11, 41), tempiric_window(sp11, 41)
+    matrix = mult_matrix(first)
+    assert 0 < len(first.memo) < len(first.series)
+    assert second.memo == {}
+    assert mult_matrix(second) == matrix
+    assert second.memo == first.memo and second.memo is not first.memo
 
 
 @pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
@@ -143,12 +165,13 @@ def test_oversize_window_is_refused_before_any_entry(sp11, monkeypatch):
     rows = len(enumerate_ktypes(sp11, 20))
     series = len(ds_enumerate(sp11, 20))
     matrix = _refused_at_limit(
-        monkeypatch, rows * rows, lambda: cktheory.mult_matrix(sp11, 20)
+        monkeypatch, rows * rows,
+        lambda: cktheory.mult_matrix(tempiric_window(sp11, 20)),
     )
     assert len(matrix.rows) == len(matrix.cols) == rows
     report = _refused_at_limit(
         monkeypatch, series * rows,
-        lambda: cktheory.blattner_consistency_check(sp11, 20),
+        lambda: cktheory.blattner_consistency_check(tempiric_window(sp11, 20)),
     )
     assert report.passed and report.data["series"] == series
 
@@ -163,12 +186,12 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
     planted = lower[position]
     real = cktheory.blattner_column
 
-    def planted_column(datum, rep, ktypes):
-        for tau, value in zip(ktypes, real(datum, rep, ktypes)):
+    def planted_column(datum, rep, ktypes, memo=None):
+        for tau, value in zip(ktypes, real(datum, rep, ktypes, memo)):
             yield value + (rep == first and tau == planted)
 
     monkeypatch.setattr(cktheory, "blattner_column", planted_column)
-    report = cktheory.blattner_consistency_check(sp11, 60)
+    report = cktheory.blattner_consistency_check(tempiric_window(sp11, 60))
     assert not report.passed
     assert report.counterexample == {
         "representative": first.describe(),

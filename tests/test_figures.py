@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,11 +111,10 @@ def test_split_node_without_partner_is_an_inconsistency(sl2r, monkeypatch):
     # lookup of the other's partner must fail as an inconsistency, not
     # leak StopIteration.
     def lone_split(datum, bound):
-        rows, reps = tempiric_window(datum, bound)
-        return rows, [
+        return SimpleNamespace(reps=[
             replace(rep, kind="ds", hc_param=(0,)) if rep.min_ktype == (-1,) else rep
-            for rep in reps
-        ]
+            for rep in tempiric_window(datum, bound).reps
+        ])
 
     monkeypatch.setattr(figures, "tempiric_window", lone_split)
     with pytest.raises(InternalInconsistencyError, match="no partner"):

@@ -20,7 +20,7 @@ from tempiric.cktheory import (
     invert_window,
     mult_matrix,
 )
-from tempiric.tempered import InternalInconsistencyError
+from tempiric.tempered import InternalInconsistencyError, tempiric_window
 
 import oracles
 
@@ -114,7 +114,7 @@ def test_sparse_product_check_sees_every_entry():
 @pytest.mark.parametrize("name", ["sl2r", "so31"])
 @pytest.mark.parametrize("bound", GRID_BOUNDS)
 def test_builtin_windows_match_dense_oracle(request, name, bound):
-    matrix = mult_matrix(request.getfixturevalue(name), bound)
+    matrix = mult_matrix(tempiric_window(request.getfixturevalue(name), bound))
     assert invert_window(matrix) == _oracle(matrix.dense())
 
 

@@ -9,7 +9,6 @@ from tempiric.tempered import (
     induced_ktype_mult,
     make_principal_class,
     minimal_ktypes,
-    principal_classes,
     tempiric_window,
 )
 from tempiric.weights import enumerate_ktypes, vogan_norm
@@ -18,13 +17,13 @@ import oracles
 
 
 def test_principal_classes_sl2r(sl2r):
-    classes = principal_classes(sl2r, enumerate_ktypes(sl2r, 9))
+    classes = list(tempiric_window(sl2r, 9).classes)
     assert [c.orbit for c in classes] == [((0,),), ((1,),)]
     assert all(c.w_sigma_order == 2 for c in classes)
 
 
 def test_principal_classes_so31(so31):
-    classes = principal_classes(so31, enumerate_ktypes(so31, 16))
+    classes = list(tempiric_window(so31, 16).classes)
     assert [c.orbit for c in classes] == [
         ((0,),),
         ((-1,), (1,)),
@@ -35,7 +34,7 @@ def test_principal_classes_so31(so31):
 
 
 def test_principal_classes_sp11(sp11):
-    classes = principal_classes(sp11, enumerate_ktypes(sp11, 34))
+    classes = list(tempiric_window(sp11, 34).classes)
     assert [c.orbit for c in classes] == [((c,),) for c in range(5)]
     assert all(c.w_sigma_order == 2 for c in classes)
 
@@ -75,7 +74,7 @@ def test_minimal_ktypes_match_exhaustive_sweep(sl2r, so31, sp11):
 
 def test_minimal_multiplicity_is_one(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
-        for cls in principal_classes(datum, enumerate_ktypes(datum, 100)):
+        for cls in tempiric_window(datum, 100).classes:
             for tau in minimal_ktypes(datum, cls):
                 assert induced_ktype_mult(datum, cls, tau) == 1
 
@@ -181,13 +180,14 @@ def test_blattner_lowest_ktype_properties(sl2r, sp11):
 
 def test_tempiric_window_alignment(sl2r, so31, sp11):
     for datum, bound in ((sl2r, 16), (so31, 25), (sp11, 41)):
-        rows, reps = tempiric_window(datum, bound)
+        window = tempiric_window(datum, bound)
+        rows, reps = window.rows, window.reps
         assert len(rows) == len(reps)
         assert [rep.min_ktype for rep in reps] == rows
 
 
 def test_tempiric_window_sp11_pattern(sp11):
-    _, reps = tempiric_window(sp11, 41)
+    reps = tempiric_window(sp11, 41).reps
     for rep in reps:
         a, b = rep.min_ktype
         if abs(a - b) >= 2:

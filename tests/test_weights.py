@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tempiric import tempered, weights
 from tempiric.catalog import GroupDatum
-from tempiric.tempered import SWEEP_CEILING, ds_enumerate
+from tempiric.tempered import ds_enumerate
 from tempiric.weights import (
     SO3,
     SU2,
@@ -199,7 +199,7 @@ class _BoxChecked(Exception):
 
 @pytest.mark.parametrize("name", ["sl2r", "so31", "sp11"])
 def test_sweep_ceiling_box_within_limit(request, monkeypatch, name):
-    # A window at the minimal-K-type sweep ceiling passes the box check;
+    # A window at norm 40,000 passes the box check;
     # each routine stops right after it instead of scanning the box.
     datum = request.getfixturevalue(name)
     check = weights.require_box_within_limit
@@ -211,10 +211,10 @@ def test_sweep_ceiling_box_within_limit(request, monkeypatch, name):
     monkeypatch.setattr(weights, "require_box_within_limit", check_then_stop)
     monkeypatch.setattr(tempered, "require_box_within_limit", check_then_stop)
     with pytest.raises(_BoxChecked):
-        enumerate_ktypes(datum, SWEEP_CEILING)
+        enumerate_ktypes(datum, Fraction(40000))
     if datum.equal_rank:
         with pytest.raises(_BoxChecked):
-            ds_enumerate(datum, SWEEP_CEILING)
+            ds_enumerate(datum, Fraction(40000))
 
 
 def _leibniz_det(rows):
