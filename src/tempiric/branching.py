@@ -15,6 +15,7 @@ from .weights import (
     TORUS1,
     FormalSum,
     dual_label,
+    dual_rule,
     validate_label,
 )
 
@@ -82,8 +83,7 @@ def restricted_support(datum, restricted: FormalSum) -> tuple[tuple[int, ...], .
     """``support_sigmas`` read off a restriction already computed.
 
     The M-types whose duals occur with positive multiplicity, sorted.
+    The branching rules produced its labels, so they are not revalidated.
     """
-    sigmas = {
-        dual_label(datum.m, w) for w, mult in restricted.items() if mult > 0
-    }
-    return tuple(sorted(sigmas))
+    dual = dual_rule(datum.m)
+    return tuple(sorted({dual(w) for w, mult in restricted.items() if mult > 0}))

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .branching import BRANCHING_RULES
@@ -41,6 +42,17 @@ class DiscreteSeriesDatum:
     compact_pos_roots: tuple[tuple[int, ...], ...]
     noncompact_roots: tuple[tuple[int, ...], ...]
     weyl_k: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def signed_weyl_k(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+        """``(perm, signs, det)`` of each ``weyl_k`` element, in order.
+
+        The loader certifies every element a signed permutation matrix
+        (``signed_perm_det``); this is that certificate, read once.
+        """
+        return tuple(
+            (*signed_permutation(w), signed_perm_det(w)) for w in self.weyl_k
+        )
 
 
 @dataclass(frozen=True)
@@ -92,20 +104,31 @@ def apply_matrix(matrix, vec) -> tuple:
     return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
 
 
-def signed_perm_det(matrix) -> int:
-    """Determinant of a signed permutation matrix."""
-    n = len(matrix)
+def signed_permutation(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(perm, signs)`` of a signed permutation matrix.
+
+    Row r holds ``signs[r]`` in column ``perm[r]`` and zeros elsewhere, so
+    the matrix maps a vector v to ``(signs[r] * v[perm[r]])_r``.
+    """
     perm = []
-    prod = 1
+    signs = []
     for row in matrix:
         nonzero = [(j, v) for j, v in enumerate(row) if v != 0]
         if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
             raise CatalogError("wk_elements: entry is not a signed permutation matrix")
         j, v = nonzero[0]
         perm.append(j)
-        prod *= v
-    if sorted(perm) != list(range(n)):
+        signs.append(v)
+    if sorted(perm) != list(range(len(matrix))):
         raise CatalogError("wk_elements: entry is not a signed permutation matrix")
+    return tuple(perm), tuple(signs)
+
+
+def signed_perm_det(matrix) -> int:
+    """Determinant of a signed permutation matrix."""
+    perm, signs = signed_permutation(matrix)
+    n = len(perm)
+    prod = math.prod(signs)
     sign = 1
     seen = [False] * n
     for start in range(n):

@@ -6,6 +6,13 @@ unit-diagonal lower-triangularity of the induced map on representation
 rings, inverts exact windows over the integers, and checks the boundary
 dimension identities behind the rank-one Fourier decomposition.
 
+Every matrix entry comes from one per-column code path, ``_column``,
+which ``mult_matrix`` runs over all rows and ``composite_map`` over one.
+Its discrete-series columns run ``tempered.blattner_kernel`` on the
+window's row coordinates.  The below-minimum block of those columns is
+evaluated once: ``blattner_consistency_check`` stores each prefix it
+evaluates to the end on the window, and ``mult_matrix`` reuses it.
+
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
 """
@@ -23,17 +30,18 @@ from .tempered import (
     PrincipalClass,
     TempiricRep,
     Window,
-    blattner_column,
+    blattner_kernel,
     blattner_mult,
     format_label,
-    make_principal_class,
     partner_minimum,
+    principal_class_of,
 )
 from .weights import (
     CYCLIC2,
     TORUS1,
     FormalSum,
     dual_label,
+    dual_rule,
     enumerate_ktypes,
     hom_invariant_dim,
     labels_in_box,
@@ -102,41 +110,58 @@ class MultMatrix:
         ]
 
 
+def _column(window: Window, rep: TempiricRep):
+    """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
+
+    Discrete-series columns run ``blattner_kernel`` with the window's
+    memo on the row's ``Window.shifted`` coordinates.  Principal-series
+    columns read the window's restriction of the row at the dual of the
+    class representative (which is ``induced_ktype_mult``), then apply
+    the split rules.
+    """
+    datum, rows = window.datum, window.rows
+    if rep.kind == "ds":
+        kernel = blattner_kernel(datum, rep, window.memo)
+        shifted = window.shifted
+        return EXACT, lambda i: kernel(shifted[i], rows[i])
+    sdual = dual_label(datum.m, rep.ps_class.representative)
+    restrictions = window.restrictions
+    if rep.split and datum.k.atoms == (TORUS1,):
+        # The two split constituents partition the odd character
+        # ladder by sign exactly when K is a single circle.
+        sign = 1 if rep.min_ktype[0] > 0 else -1
+        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0
+    if rep.split:
+        # Unresolved: 0 only at the partner's minimum; the class pass
+        # certified the entry at the column's own minimum to be 1.
+        partner = partner_minimum(rep, window.reps)
+        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual]
+    return EXACT, lambda i: restrictions[i][sdual]
+
+
 def mult_matrix(window: Window) -> MultMatrix:
     """Multiplicity matrix of the window.
 
-    Built one column at a time, and every (row, column) entry is
-    evaluated: discrete-series columns by ``blattner_column`` over the
-    rows with the window's memo, principal-series columns from the
-    window's restriction of each row, read at the dual of the class
-    representative (which is ``induced_ktype_mult``).  Raises
+    Built one ``_column`` at a time, and every (row, column) entry is
+    evaluated, in row order.  A series whose ``Window.below_minimum``
+    prefix is stored (``blattner_consistency_check`` evaluated it) takes
+    those entries from it and evaluates only the remaining rows.  Raises
     ``WindowTooLargeError`` before evaluating any entry when rows x
     columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
-    datum, rows, reps = window.datum, window.rows, window.reps
+    rows, reps = window.rows, window.reps
     require_entries_within_limit(len(rows), len(reps), window.bound)
     entries: dict = {}
     resolution = []
     for j, rep in enumerate(reps):
-        flag = EXACT
-        if rep.kind == "ds":
-            values = blattner_column(datum, rep, rows, window.memo)
-        else:
-            sdual = dual_label(datum.m, rep.ps_class.representative)
-            values = [restricted[sdual] for restricted in window.restrictions]
-            if rep.split and datum.k.atoms == (TORUS1,):
-                # The two split constituents partition the odd character
-                # ladder by sign exactly when K is a single circle.
-                sign = 1 if rep.min_ktype[0] > 0 else -1
-                values = [v if tau[0] * sign > 0 else 0 for tau, v in zip(rows, values)]
-            elif rep.split:
-                # Unresolved: 0 only at the partner's minimum; the class pass
-                # certified the entry at the column's own minimum to be 1.
-                flag = AGGREGATE_ONLY
-                partner = partner_minimum(rep, reps)
-                values = [0 if tau == partner else v for tau, v in zip(rows, values)]
+        flag, entry = _column(window, rep)
         resolution.append(flag)
-        for i, v in enumerate(values):
+        prefix = window.below_minimum.get(rep, ())
+        for i, v in enumerate(prefix):
+            if v:
+                entries[(i, j)] = v
+        for i in range(len(prefix), len(rows)):
+            v = entry(i)
             if v:
                 entries[(i, j)] = v
     return MultMatrix(
@@ -260,7 +285,8 @@ def triangularity_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationRe
 def composite_map(window: Window, tau) -> FormalSum:
     """Image of a K-type in the free group on window representatives.
 
-    The coefficients are the matrix entries of the K-type's row.  The
+    The coefficients are the matrix entries of the K-type's row, and only
+    that row is evaluated, by ``mult_matrix``'s own ``_column``.  The
     window must contain the K-type; triangularity then guarantees every
     representative it meets is present, so nothing is silently truncated.
     """
@@ -268,11 +294,8 @@ def composite_map(window: Window, tau) -> FormalSum:
         raise WindowError(
             f"K-type {format_label(tau)} has norm above the window bound {window.bound}"
         )
-    matrix = mult_matrix(window)
-    i = matrix.rows.index(tuple(tau))
-    return FormalSum(
-        {rep: matrix.entry(i, j) for j, rep in enumerate(matrix.cols)}
-    )
+    i = window.rows.index(tuple(tau))
+    return FormalSum({rep: _column(window, rep)[1](i) for rep in window.reps})
 
 
 def _sparse_product_is_identity(a_rows, b_rows) -> bool:
@@ -373,18 +396,17 @@ def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) ->
     definition of ``mult_space_dim``).  The two are computed by
     independent routes from one restriction of each sum and must agree
     exactly; the total of ``boundary_block_dims``, read off the same two
-    restrictions, must then equal the left side too.
+    restrictions and their supports, must then equal the left side too.
     """
     r1 = restrict_sum(datum, v1)
     r2 = restrict_sum(datum, v2)
     lhs = hom_invariant_dim(datum.m, r1, r2)
     sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
-    rhs = sum(
-        r1[dual_label(datum.m, s)] * r2[dual_label(datum.m, s)] for s in sigmas
-    )
+    dual = dual_rule(datum.m)
+    rhs = sum(r1[dual(s)] * r2[dual(s)] for s in sigmas)
     payload = {"lhs": lhs, "rhs": rhs}
     failure = payload if lhs != rhs else None
-    total = sum(d for _, d in _boundary_blocks(datum, r1, r2))
+    total = sum(d for _, d in _boundary_blocks(datum, r1, r2, sigmas))
     if failure is None and total != lhs:
         failure = {
             "lhs": lhs,
@@ -414,28 +436,30 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     either argument; when the M-dual is finite all orbits are listed.
     Each argument is restricted once.
     """
-    return _boundary_blocks(datum, restrict_sum(datum, v1), restrict_sum(datum, v2))
+    r1, r2 = restrict_sum(datum, v1), restrict_sum(datum, v2)
+    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
+    return _boundary_blocks(datum, r1, r2, sigmas)
 
 
-def _boundary_blocks(datum: GroupDatum, r1: FormalSum, r2: FormalSum):
-    # boundary_block_dims read off the two restrictions.
+def _boundary_blocks(datum: GroupDatum, r1: FormalSum, r2: FormalSum, sigmas):
+    # boundary_block_dims read off the two restrictions and the union of
+    # their supports; each orbit is built once.
     blocks = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
-    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
     if all(kind == CYCLIC2 for kind in datum.m.atoms):
-        sigmas |= set(labels_in_box(datum.m, 0))
+        sigmas = sigmas | set(labels_in_box(datum.m, 0))
     orbits: dict[tuple, PrincipalClass] = {}
+    covered: set = set()
     for sigma in sigmas:
-        cls = make_principal_class(datum, sigma)
-        orbits[cls.orbit] = cls
+        if sigma not in covered:
+            cls = principal_class_of(datum, sigma)
+            orbits[cls.orbit] = cls
+            covered.update(cls.orbit)
+    dual = dual_rule(datum.m)
     for orbit in sorted(orbits, key=lambda o: o[-1]):
-        cls = orbits[orbit]
-        d = sum(
-            r1[dual_label(datum.m, s)] * r2[dual_label(datum.m, s)]
-            for s in cls.orbit
-        )
-        blocks.append((cls, d))
+        d = sum(r1[dual(s)] * r2[dual(s)] for s in orbit)
+        blocks.append((orbits[orbit], d))
     return blocks
 
 
@@ -454,10 +478,12 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
         cap = max(cap, max((abs(c) for c in sigma), default=0) + 8)
     for tau in v:
         cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
+    members = set(support)
+    dual = dual_rule(datum.m)
     stray = []
     for sigma in labels_in_box(datum.m, cap):
-        inside = sigma in support
-        positive = restricted[dual_label(datum.m, sigma)] > 0
+        inside = sigma in members
+        positive = restricted[dual(sigma)] > 0
         if positive != inside:
             stray.append(sigma)
     passed = not stray
@@ -477,9 +503,12 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
 
     Recomputes two_rho_c from the positive compact roots, then checks
     that every series of the window has multiplicity one at its lowest
-    K-type and zero at every window K-type of strictly smaller norm
-    (one ``blattner_column`` per series with the window's memo, stopping
-    at the first nonzero); it reads only the window's rows and series.
+    K-type and zero at every window K-type of strictly smaller norm.
+    Those rows are a prefix of the window's rows; ``blattner_kernel``
+    evaluates it with the window's memo in row order, stopping at the
+    first nonzero, and a prefix evaluated to its end is stored in
+    ``Window.below_minimum`` for ``mult_matrix``.  It reads only the
+    window's rows, with their coordinates and norms, and its series.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
     exceeds ``MAX_WINDOW_ENTRIES``.
@@ -502,8 +531,7 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                 "reason": "two_rho_c differs from the sum of positive compact roots",
             },
         )
-    rows = window.rows
-    norms = {tau: scaled_norm(datum, tau) for tau in rows}
+    rows, shifted = window.rows, window.shifted
     series = window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:
@@ -516,21 +544,22 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                     "reason": "lowest K-type multiplicity differs from 1",
                 },
             )
-        low = norms.get(rep.min_ktype)
-        if low is None:
-            low = scaled_norm(datum, rep.min_ktype)
-        lower = [tau for tau in rows if norms[tau] < low]
-        for tau, mult in zip(lower, blattner_column(datum, rep, lower, window.memo)):
+        kernel = blattner_kernel(datum, rep, window.memo)
+        prefix = []
+        for i in range(window.rows_below(rep.min_ktype)):
+            mult = kernel(shifted[i], rows[i])
             if mult != 0:
                 return VerificationReport(
                     name,
                     False,
                     counterexample={
                         "representative": rep.describe(),
-                        "ktype": format_label(tau),
+                        "ktype": format_label(rows[i]),
                         "reason": "nonzero multiplicity below the lowest K-type",
                     },
                 )
+            prefix.append(mult)
+        window.below_minimum[rep] = tuple(prefix)
     return VerificationReport(name, True, data={"series": len(series)})
 
 

@@ -8,7 +8,13 @@ enumerated by regular lattice parameters up to the compact Weyl group,
 with K-type multiplicities from the alternating partition-count formula.
 
 Everything derived from one (datum, bound) is computed once, on first
-read, in the ``Window`` that every consumer reads.
+read, in the ``Window`` that every consumer reads: the rows with their
+doubled, rho_c-shifted coordinates and scaled norms, their restrictions,
+the classes, the series, and the below-minimum block of each series'
+Blattner column once a check has evaluated it.  One column kernel,
+``blattner_kernel``, evaluates every Blattner multiplicity from a row's
+coordinates; ``blattner_column`` and ``blattner_mult`` are its lazy
+wrappers over K-type labels.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -16,15 +22,18 @@ All enumeration is deterministic and exhaustive below explicit bounds.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from .branching import mult_space_dim, restrict_sum, restricted_support
-from .catalog import GroupDatum, apply_matrix, signed_perm_det, weyl_image
+from .catalog import GroupDatum, weyl_image
 from .weights import (
+    CYCLIC2,
     FormalSum,
-    dual_label,
+    dual_rule,
     enumerate_ktypes,
     label_lattice_coords,
     lattice_coords_to_label,
@@ -99,9 +108,12 @@ def format_label(label) -> str:
 
 
 def make_principal_class(datum: GroupDatum, sigma) -> PrincipalClass:
-    sigma = validate_label(datum.m, sigma)
-    image = weyl_image(datum, sigma)
-    orbit = tuple(sorted({sigma, image}))
+    return principal_class_of(datum, validate_label(datum.m, sigma))
+
+
+def principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
+    """``make_principal_class`` of a label already known to be valid."""
+    orbit = tuple(sorted({sigma, weyl_image(datum, sigma)}))
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
 
 
@@ -209,7 +221,11 @@ def blattner_parameter(datum: GroupDatum, lam) -> tuple[int, ...]:
     Computed per chamber as lambda + rho_n - rho_c; the result must be a
     dominant label, which is checked.
     """
-    pos = positive_noncompact_roots(datum, lam)
+    return _lowest_ktype(datum, lam, positive_noncompact_roots(datum, lam))
+
+
+def _lowest_ktype(datum: GroupDatum, lam, pos) -> tuple[int, ...]:
+    # blattner_parameter, given the chamber's positive noncompact roots
     dim = datum.k.lattice_dim
     # doubled coordinates keep everything integral
     two_rho_n = tuple(sum(beta[i] for beta in pos) for i in range(dim))
@@ -228,9 +244,9 @@ def blattner_parameter(datum: GroupDatum, lam) -> tuple[int, ...]:
         ) from None
 
 
-def _canonical_orbit_rep(datum: GroupDatum, lam) -> tuple[int, ...]:
-    ds = datum.ds
-    return max(apply_matrix(w, lam) for w in ds.weyl_k)
+def _signed_image(perm, signs, vec) -> tuple[int, ...]:
+    # w . vec for the signed permutation matrix w = (perm, signs)
+    return tuple(s * vec[c] for c, s in zip(perm, signs))
 
 
 def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
@@ -259,14 +275,27 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     ]
     box = [range(-r, r + 1) for r in radii]
     require_box_within_limit(box, bound)
+    # A root's wall functional w with w . lambda = D <alpha, lambda>, so
+    # regularity (``is_regular``) is one dot product per root, and the
+    # signs of the noncompact ones give the chamber's positive roots.
+    walls = [
+        tuple(sum(a * row[j] for a, row in zip(alpha, datum.int_gram)) for j in range(dim))
+        for alpha in (*ds.compact_pos_roots, *ds.noncompact_roots)
+    ]
+    compact = len(ds.compact_pos_roots)
+    moves = [(perm, signs) for perm, signs, _ in ds.signed_weyl_k]
     found: dict[tuple[int, ...], TempiricRep] = {}
     order = []
     for lam in itertools.product(*box):
-        if not is_regular(datum, lam):
+        # One parameter per compact Weyl orbit: the largest image.  The
+        # identity is among the images, so that is lam >= every image.
+        if not all(lam >= _signed_image(perm, signs, lam) for perm, signs in moves):
             continue
-        if lam != _canonical_orbit_rep(datum, lam):
+        pairings = [sum(map(mul, wall, lam)) for wall in walls]
+        if not all(pairings):
             continue
-        lowest = blattner_parameter(datum, lam)
+        pos = [beta for beta, p in zip(ds.noncompact_roots, pairings[compact:]) if p > 0]
+        lowest = _lowest_ktype(datum, lam, pos)
         norm = scaled_norm(datum, lowest)
         if norm > limit:
             continue
@@ -320,7 +349,7 @@ def _count_expressions(roots, target, pairings, budget, memo) -> int:
 def _chamber_data(datum: GroupDatum, lam):
     # Per-parameter data reused across every K-type of a column: doubled
     # positive noncompact roots, the bounding functional (D G).lambda
-    # evaluated on them, the shifted base point, and the Weyl determinants.
+    # evaluated on them, the shifted base point, and the functional itself.
     # The functional is integral and positive on the chamber's roots.
     pos = positive_noncompact_roots(datum, lam)
     dim = datum.k.lattice_dim
@@ -333,52 +362,53 @@ def _chamber_data(datum: GroupDatum, lam):
     )
     two_rho_n = tuple(sum(beta[i] for beta in pos) for i in range(dim))
     base = tuple(2 * lam[i] + two_rho_n[i] for i in range(dim))
-    dets = tuple(signed_perm_det(w) for w in datum.ds.weyl_k)
-    return doubled_roots, pairings, base, functional, dets
+    return doubled_roots, pairings, base, functional
 
 
-def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes, memo=None):
-    """K-type multiplicities in a discrete series, one per K-type, in order.
+def doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
+    """2 mu + 2 rho_c: lattice coordinates mu, doubled and rho_c-shifted."""
+    return tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
 
-    A generator: the chamber data of the series are computed once, then
-    each K-type's alternating sum over the compact Weyl group of
-    partition counts over the chamber's positive noncompact roots is
-    yielded as it is reached, evaluated in doubled coordinates so that
-    all arithmetic stays integral.  A negative total signals
-    inconsistent catalog data and raises at that K-type.  ``memo`` is a
-    ``Window.memo``, shared by the window's columns; by default a new one.
+
+def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
+    """The Blattner column kernel of one discrete series.
+
+    Returns ``entry(shifted, tau)``: the multiplicity of the K-type
+    ``tau``, whose ``doubled_shifted`` coordinates are ``shifted``, in the
+    series.  The chamber data and each compact Weyl element's signed
+    permutation are read once, here; each entry is then the alternating
+    sum over the compact Weyl group of partition counts over the
+    chamber's positive noncompact roots, in doubled coordinates so that
+    all arithmetic stays integral.  A negative total signals inconsistent
+    catalog data and raises at that K-type.  ``memo`` is a ``Window.memo``,
+    shared by the window's columns; by default a new one.
     """
     if ds_rep.kind != "ds":
         raise ValueError("Blattner's formula needs a discrete-series representative")
     ds = _require_ds(datum)
-    doubled_roots, pairings, base, functional, dets = _chamber_data(
-        datum, ds_rep.hc_param
-    )
+    doubled_roots, pairings, base, functional = _chamber_data(datum, ds_rep.hc_param)
     counts = {} if memo is None else memo.setdefault(doubled_roots, {})
-    dim = datum.k.lattice_dim
     # The budget functional . (w shifted - base) is read as
     # (w^T functional) . shifted - functional . base.  A negative budget
     # admits no expression (every root pairs positively with the
     # functional), so that term is 0 without building its target.
     offset = sum(f * b for f, b in zip(functional, base))
-    moves = tuple(
-        (
-            w,
-            det,
-            tuple(sum(f * row[j] for f, row in zip(functional, w)) for j in range(dim)),
-        )
-        for w, det in zip(ds.weyl_k, dets)
-    )
-    for tau in ktypes:
-        mu = label_lattice_coords(datum.k, tau)
-        shifted = tuple(2 * mu[i] + datum.two_rho_c[i] for i in range(dim))
+    moves = []
+    for perm, signs, det in ds.signed_weyl_k:
+        pulled = [0] * len(perm)
+        for c, sign, f in zip(perm, signs, functional):
+            pulled[c] = sign * f
+        moves.append((perm, signs, det, pulled))
+
+    def entry(shifted, tau) -> int:
         total = 0
-        for w, det, pulled in moves:
-            budget = sum(p * c for p, c in zip(pulled, shifted)) - offset
+        for perm, signs, det, pulled in moves:
+            budget = sum(map(mul, pulled, shifted)) - offset
             if budget < 0:
                 continue
-            moved = apply_matrix(w, shifted)
-            target = tuple(m - b for m, b in zip(moved, base))
+            target = tuple(
+                s * shifted[c] - b for c, s, b in zip(perm, signs, base)
+            )
             total += det * _count_expressions(
                 doubled_roots, target, pairings, budget, counts
             )
@@ -387,7 +417,20 @@ def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes, memo=None):
                 f"negative multiplicity {total} for {format_label(tau)} in "
                 f"{ds_rep.describe()}"
             )
-        yield total
+        return total
+
+    return entry
+
+
+def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes, memo=None):
+    """K-type multiplicities in a discrete series, one per K-type, in order.
+
+    A generator over ``blattner_kernel``: each K-type's multiplicity is
+    yielded as it is reached, so a raise happens at that K-type.
+    """
+    entry = blattner_kernel(datum, ds_rep, memo)
+    for tau in ktypes:
+        yield entry(doubled_shifted(datum, label_lattice_coords(datum.k, tau)), tau)
 
 
 def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau, memo=None) -> int:
@@ -401,16 +444,46 @@ class Window:
 
     Each part is computed on first read and shared by every reader.
     ``memo`` holds the partition counts of this window's Blattner columns.
+    ``below_minimum`` maps a series to its column at the rows of norm
+    below its lowest K-type (a prefix of ``rows``, which are sorted by
+    norm), stored once every entry of that prefix has been evaluated:
+    ``blattner_consistency_check`` evaluates it, and ``mult_matrix`` then
+    evaluates only the rest of the column.
     """
 
     datum: GroupDatum
     bound: Fraction
     memo: dict = field(default_factory=dict, init=False, repr=False)
+    below_minimum: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
         """The K-types of norm <= bound, sorted by (norm, label)."""
         return enumerate_ktypes(self.datum, self.bound)
+
+    def _lattice_coords(self):
+        # label_lattice_coords of each row; enumerated labels are valid.
+        lattice = [p for p, kind in enumerate(self.datum.k.atoms) if kind != CYCLIC2]
+        return (tuple(tau[p] for p in lattice) for tau in self.rows)
+
+    @cached_property
+    def shifted(self) -> list[tuple[int, ...]]:
+        """Each row's ``doubled_shifted`` coordinates, read by the Blattner kernel."""
+        return [doubled_shifted(self.datum, mu) for mu in self._lattice_coords()]
+
+    @cached_property
+    def norms(self) -> list[int]:
+        """Each row's ``scaled_norm``; nondecreasing, like the rows."""
+        datum = self.datum
+        norms = []
+        for mu in self._lattice_coords():
+            x = tuple(m + r for m, r in zip(mu, datum.two_rho_c))
+            norms.append(scaled_pairing(datum, x, x))
+        return norms
+
+    def rows_below(self, tau) -> int:
+        """How many rows have norm strictly below that of the K-type tau."""
+        return bisect_left(self.norms, scaled_norm(self.datum, tau))
 
     @cached_property
     def restrictions(self) -> list[FormalSum]:
@@ -426,21 +499,24 @@ class Window:
         ``induced_ktype_mult``) exactly when the representative is one of
         them; the minima are the rows at the first norm where it does,
         which on a complete window are global.  Representative order.
+        Each orbit is built once, from the first of its M-types met.
         """
         datum = self.datum
-        classes: dict[tuple, PrincipalClass] = {}
+        dual = dual_rule(datum.m)
+        class_of: dict[tuple, PrincipalClass] = {}
         first_norm: dict[tuple, int] = {}
         minima: dict[tuple, list] = {}
-        for tau, restricted in zip(self.rows, self.restrictions):
-            norm = scaled_norm(datum, tau)
+        for tau, norm, restricted in zip(self.rows, self.norms, self.restrictions):
             for sigma in restricted_support(datum, restricted):
-                cls = make_principal_class(datum, sigma)
-                classes[cls.orbit] = cls
+                cls = class_of.get(sigma)
+                if cls is None:
+                    cls = principal_class_of(datum, sigma)
+                    class_of.update((s, cls) for s in cls.orbit)
                 if sigma != cls.representative:
                     continue
                 if first_norm.setdefault(cls.orbit, norm) == norm:
-                    mult = restricted[dual_label(datum.m, sigma)]
-                    minima.setdefault(cls.orbit, []).append((tau, mult))
+                    minima.setdefault(cls.orbit, []).append((tau, restricted[dual(sigma)]))
+        classes = {cls.orbit: cls for cls in class_of.values()}
         return {
             classes[orbit]: tuple(minima.get(orbit, ()))
             for orbit in sorted(classes, key=lambda o: o[-1])
@@ -458,7 +534,8 @@ class Window:
         for cls, minima in self.classes.items():
             reps.extend(_constituents(cls, minima))
         reps.extend(self.series)
-        reps.sort(key=lambda r: (scaled_norm(self.datum, r.min_ktype),) + r.sort_key())
+        norm_of = dict(zip(self.rows, self.norms))
+        reps.sort(key=lambda r: (norm_of[r.min_ktype],) + r.sort_key())
         return reps
 
 

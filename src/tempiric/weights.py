@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
+from operator import mul
 
 TORUS1 = "Torus1"
 CYCLIC2 = "Cyclic2"
@@ -213,16 +214,20 @@ def tensor_decompose(group: CompactGroup, tau1, tau2) -> FormalSum:
     return FormalSum(out)
 
 
-def dual_label(group: CompactGroup, tau) -> tuple[int, ...]:
-    """Label of the dual irreducible.
+def dual_rule(group: CompactGroup):
+    """The dual as a function on labels already known to be valid.
 
     Circle characters dualize by negating the exponent; the other atom
-    kinds are self-dual.
+    kinds are self-dual.  One sign per atom is fixed here, so a sweep
+    over many labels applies it without revalidating each one.
     """
-    tau = validate_label(group, tau)
-    return tuple(
-        -v if kind == TORUS1 else v for kind, v in zip(group.atoms, tau)
-    )
+    signs = tuple(-1 if kind == TORUS1 else 1 for kind in group.atoms)
+    return lambda label: tuple(map(mul, signs, label))
+
+
+def dual_label(group: CompactGroup, tau) -> tuple[int, ...]:
+    """Label of the dual irreducible: ``dual_rule`` after validation."""
+    return dual_rule(group)(validate_label(group, tau))
 
 
 def hom_invariant_dim(group: CompactGroup, v1: FormalSum, v2: FormalSum) -> int:

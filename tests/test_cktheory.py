@@ -1,5 +1,6 @@
 import pytest
 
+from tempiric import builtin, cktheory
 from tempiric.cktheory import (
     AGGREGATE_ONLY,
     EXACT,
@@ -127,12 +128,29 @@ def test_composite_map_examples(sl2r, sp11):
     }
 
 
-def test_composite_map_matches_matrix(sl2r):
-    matrix = mult_matrix(tempiric_window(sl2r, 16))
-    for i, tau in enumerate(matrix.rows):
-        image = composite_map(tempiric_window(sl2r, 16), tau)
-        for j, rep in enumerate(matrix.cols):
-            assert image[rep] == matrix.entry(i, j)
+def test_composite_map_matches_matrix():
+    # Sp11 carries unresolved split pairs, SL2R a pair resolved by sign,
+    # and SO31 two-member orbits with no split.
+    for name in ("SL2R", "SO31", "Sp11"):
+        datum = builtin(name)
+        matrix = mult_matrix(tempiric_window(datum, 41))
+        assert (AGGREGATE_ONLY in matrix.resolution) == (name == "Sp11")
+        for i, tau in enumerate(matrix.rows):
+            image = composite_map(tempiric_window(datum, 41), tau)
+            for j, rep in enumerate(matrix.cols):
+                assert image[rep] == matrix.entry(i, j), (name, tau, rep.describe())
+
+
+def test_composite_map_reads_one_row(monkeypatch, sp11):
+    def whole_matrix(*args):
+        raise AssertionError("composite_map built the whole matrix")
+
+    monkeypatch.setattr(cktheory, "mult_matrix", whole_matrix)
+    window = tempiric_window(sp11, 400)
+    image = composite_map(window, (0, 0))
+    assert {rep.describe(): v for rep, v in image.items()} == {
+        "PS(sigma={(0)},min=(0,0))": 1
+    }
 
 
 def test_composite_map_window_error(sl2r):

@@ -7,11 +7,12 @@ characters or weights for principal-series columns.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tempiric import cktheory, weights
+from tempiric import cli, cktheory, tempered, weights
 from tempiric.catalog import builtin, load, serialize
 from tempiric.cktheory import AGGREGATE_ONLY, mult_matrix
 from tempiric.tempered import (
@@ -152,7 +153,7 @@ def _refused_at_limit(monkeypatch, limit, build):
 
     with monkeypatch.context() as patch:
         patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit - 1)
-        for name in ("blattner_column", "blattner_mult", "restrict_sum"):
+        for name in ("blattner_kernel", "blattner_mult", "restrict_sum"):
             patch.setattr(cktheory, name, no_entries)
         with pytest.raises(WindowTooLargeError, match="window entries"):
             build()
@@ -184,13 +185,13 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
     low = scaled_norm(sp11, first.min_ktype)
     lower = [tau for tau in enumerate_ktypes(sp11, 60) if scaled_norm(sp11, tau) < low]
     planted = lower[position]
-    real = cktheory.blattner_column
+    real = cktheory.blattner_kernel
 
-    def planted_column(datum, rep, ktypes, memo=None):
-        for tau, value in zip(ktypes, real(datum, rep, ktypes, memo)):
-            yield value + (rep == first and tau == planted)
+    def planted_kernel(datum, rep, memo=None):
+        entry = real(datum, rep, memo)
+        return lambda shifted, tau: entry(shifted, tau) + (rep == first and tau == planted)
 
-    monkeypatch.setattr(cktheory, "blattner_column", planted_column)
+    monkeypatch.setattr(cktheory, "blattner_kernel", planted_kernel)
     report = cktheory.blattner_consistency_check(tempiric_window(sp11, 60))
     assert not report.passed
     assert report.counterexample == {
@@ -198,3 +199,100 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
         "ktype": format_label(planted),
         "reason": "nonzero multiplicity below the lowest K-type",
     }
+
+
+def _count_kernel_entries(monkeypatch):
+    # Counts every Blattner kernel evaluation, per (series, K-type),
+    # through both modules that build kernels.
+    evaluated = Counter()
+    real = tempered.blattner_kernel
+
+    def counted(datum, rep, memo=None):
+        entry = real(datum, rep, memo)
+
+        def counted_entry(shifted, tau):
+            evaluated[rep, tau] += 1
+            return entry(shifted, tau)
+
+        return counted_entry
+
+    for module in (tempered, cktheory):
+        monkeypatch.setattr(module, "blattner_kernel", counted)
+    return evaluated
+
+
+@pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
+def test_verify_evaluates_each_below_minimum_entry_once(monkeypatch, name):
+    # blattner_consistency evaluates the below-minimum block and the matrix
+    # reuses it; blattner_mult evaluates each lowest K-type once more.
+    datum = DATA[name]()
+    evaluated = _count_kernel_entries(monkeypatch)
+    reports = cli._verify_reports(datum, Fraction(60), cktheory.DEFAULT_SEED)
+    assert [r.name for r in reports if r.passed] == [
+        "blattner_consistency", "vogan_bijection", "triangularity",
+        "dimension_identity", "admissibility",
+    ]
+    window = tempiric_window(datum, 60)
+    below = [
+        (rep, tau) for rep in window.series for tau in window.rows
+        if scaled_norm(datum, tau) < scaled_norm(datum, rep.min_ktype)
+    ]
+    assert below and all(evaluated[key] == 1 for key in below)
+    expected = Counter((rep, tau) for rep in window.series for tau in window.rows)
+    expected.update((rep, rep.min_ktype) for rep in window.series)
+    assert evaluated == expected
+
+
+def test_ck_matrix_evaluates_every_entry_once(capsys, monkeypatch):
+    evaluated = _count_kernel_entries(monkeypatch)
+    assert cli.main(["ck-matrix", "--group", "Sp11", "--bound", "60"]) == 0
+    capsys.readouterr()
+    window = tempiric_window(builtin("Sp11"), 60)
+    assert window.series
+    assert evaluated == Counter(
+        (rep, tau) for rep in window.series for tau in window.rows
+    )
+
+
+def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
+    capsys, monkeypatch, sp11
+):
+    # A nonzero planted at the first row below a series' lowest K-type and
+    # a raising entry at the last one: the check stops at the nonzero, and
+    # keeps no prefix for the series, so the matrix still evaluates (and
+    # raises at) the later entry.
+    window = tempiric_window(sp11, 60)
+    first = window.series[0]
+    lower = window.rows[: window.rows_below(first.min_ktype)]
+    assert len(lower) >= 2
+    planted, raising = lower[0], lower[-1]
+    real = cktheory.blattner_kernel
+
+    def planted_kernel(datum, rep, memo=None):
+        entry = real(datum, rep, memo)
+
+        def planted_entry(shifted, tau):
+            if rep == first and tau == raising:
+                raise InternalInconsistencyError(
+                    f"negative multiplicity -1 for {format_label(tau)} in {rep.describe()}"
+                )
+            return entry(shifted, tau) + (rep == first and tau == planted)
+
+        return planted_entry
+
+    monkeypatch.setattr(cktheory, "blattner_kernel", planted_kernel)
+    counterexample = {
+        "representative": first.describe(),
+        "ktype": format_label(planted),
+        "reason": "nonzero multiplicity below the lowest K-type",
+    }
+    assert cli.main(["verify", "--group", "Sp11", "--bound", "60"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"blattner_consistency: FAIL {json.dumps(counterexample)}",
+        "# FAILURES detected",
+    ]
+    report = cktheory.blattner_consistency_check(window)
+    assert report.counterexample == counterexample
+    assert first not in window.below_minimum
+    with pytest.raises(InternalInconsistencyError, match="negative multiplicity -1"):
+        mult_matrix(window)

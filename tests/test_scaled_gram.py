@@ -6,6 +6,7 @@ unscaled group at bound B.  The brute-force oracles work on the
 ``Fraction`` Gram matrix and share no code with the integer hot path.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from math import lcm
@@ -14,10 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempiric.catalog import BUILTIN_NAMES, builtin, load, serialize
+from tempiric import weights
+from tempiric.catalog import BUILTIN_NAMES, apply_matrix, builtin, load, serialize
 from tempiric.cktheory import mult_matrix
-from tempiric.tempered import blattner_mult, ds_enumerate, tempiric_window
-from tempiric.weights import enumerate_ktypes, vogan_norm
+from tempiric.tempered import (
+    InternalInconsistencyError,
+    TempiricRep,
+    blattner_mult,
+    blattner_parameter,
+    ds_enumerate,
+    is_regular,
+    tempiric_window,
+)
+from tempiric.weights import (
+    enumerate_ktypes,
+    label_lattice_coords,
+    scaled_norm,
+    vogan_norm,
+)
 
 import oracles
 
@@ -126,3 +141,88 @@ def test_enumerate_ktypes_off_diagonal_gram(sp11, a, d, t, bound):
         if oracles.norm_oracle(datum, tau) <= bound
     )
     assert enumerate_ktypes(datum, bound) == [tau for _, tau in expected]
+
+
+def _skew_gram(datum):
+    return _with_gram(datum, [[1, Fraction(-5, 2)], [Fraction(-5, 2), 7]])
+
+
+_GRAMS = {
+    "half": lambda sp11: scaled(sp11, Fraction(1, 2)),
+    "skew": _skew_gram,
+}
+
+
+def _assert_window_coordinates(datum, bound):
+    window = tempiric_window(datum, bound)
+    assert window.rows
+    for tau, shifted, norm in zip(window.rows, window.shifted, window.norms, strict=True):
+        mu = label_lattice_coords(datum.k, tau)
+        assert shifted == tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
+        assert norm == scaled_norm(datum, tau)
+
+
+def _ds_enumerate_pointwise(datum, bound):
+    # ds_enumerate as it read before its loop was hoisted: the same box,
+    # with the pointwise is_regular, the matrix images of the compact
+    # Weyl group and blattner_parameter at every parameter.
+    ds = datum.ds
+    dim = datum.k.lattice_dim
+    bound = Fraction(bound)
+    caps = weights._coordinate_caps(datum, bound)
+    half_shift = [
+        (sum(abs(beta[i]) for beta in ds.noncompact_roots) + 1) // 2
+        for i in range(dim)
+    ]
+    radii = [caps[i] + 2 * abs(datum.two_rho_c[i]) + half_shift[i] for i in range(dim)]
+    found, order = {}, []
+    for lam in itertools.product(*(range(-r, r + 1) for r in radii)):
+        if not is_regular(datum, lam):
+            continue
+        if lam != max(apply_matrix(w, lam) for w in ds.weyl_k):
+            continue
+        lowest = blattner_parameter(datum, lam)
+        norm = scaled_norm(datum, lowest)
+        if norm > weights.scaled_bound(datum, bound):
+            continue
+        if lowest in found:
+            raise InternalInconsistencyError(f"{lowest} shared")
+        found[lowest] = TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam)
+        order.append((norm, lowest, lam))
+    return [found[lowest] for _, lowest, _ in sorted(order)]
+
+
+def _assert_ds_enumerate_unchanged(datum, bound):
+    try:
+        expected = _ds_enumerate_pointwise(datum, bound)
+    except InternalInconsistencyError as exc:
+        with pytest.raises(InternalInconsistencyError) as raised:
+            ds_enumerate(datum, bound)
+        if "shared" not in str(exc):
+            assert str(raised.value) == str(exc)
+        return
+    assert ds_enumerate(datum, bound) == expected
+
+
+@pytest.mark.parametrize("gram", sorted(_GRAMS))
+def test_window_coordinates_and_norms(sp11, gram):
+    _assert_window_coordinates(_GRAMS[gram](sp11), 60)
+
+
+@pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half", "Sp11-skew"])
+def test_ds_enumerate_matches_the_pointwise_scan(name):
+    group, _, gram = name.partition("-")
+    datum = builtin(group)
+    if gram:
+        datum = _GRAMS[gram](datum)
+    _assert_ds_enumerate_unchanged(datum, 60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_ENTRY, d=_ENTRY, t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
+       bound=st.fractions(min_value=0, max_value=30, max_denominator=5))
+def test_window_parts_and_series_on_rational_grams(sp11, a, d, t, bound):
+    b = t * min(a, d) / 2
+    datum = _with_gram(sp11, [[a, b], [b, d]])
+    _assert_window_coordinates(datum, 60)
+    _assert_ds_enumerate_unchanged(datum, bound)

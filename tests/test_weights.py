@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempiric import tempered, weights
-from tempiric.catalog import GroupDatum
+from tempiric.catalog import BUILTIN_NAMES, GroupDatum, builtin
 from tempiric.tempered import ds_enumerate
 from tempiric.weights import (
     SO3,
@@ -104,6 +104,23 @@ def test_dual_label():
     assert dual_label(T1, (3,)) == (-3,)
     assert dual_label(A1, (4,)) == (4,)
     assert dual_label(MIXED, (-2, 3)) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [T1, C2, A1, B1, MIXED] + [builtin(name).m for name in BUILTIN_NAMES],
+    ids=lambda group: "x".join(group.atoms),
+)
+def test_dual_rule_equals_dual_label(group):
+    # The per-group sign rule, applied without validation, on every label
+    # of the box: circle atoms negate, the other kinds are self-dual.
+    dual = weights.dual_rule(group)
+    labels = list(weights.labels_in_box(group, 6))
+    assert labels
+    for label in labels:
+        assert dual(label) == dual_label(group, label) == tuple(
+            -v if kind == TORUS1 else v for kind, v in zip(group.atoms, label)
+        )
 
 
 def test_hom_invariant_dim():
