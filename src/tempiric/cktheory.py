@@ -10,8 +10,9 @@ Every matrix entry comes from one per-column code path, ``_column``,
 which ``mult_matrix`` runs over all rows and ``composite_map`` over one.
 Its discrete-series columns run ``tempered.blattner_kernel`` on the
 window's row coordinates.  The below-minimum block of those columns is
-evaluated once: ``blattner_consistency_check`` stores each prefix it
-evaluates to the end on the window, and ``mult_matrix`` reuses it.
+evaluated once: ``blattner_consistency_check`` marks on the window each
+series whose block it evaluated to the end, and ``mult_matrix`` skips
+that block for it.
 
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
@@ -143,9 +144,9 @@ def mult_matrix(window: Window) -> MultMatrix:
     """Multiplicity matrix of the window.
 
     Built one ``_column`` at a time, and every (row, column) entry is
-    evaluated, in row order.  A series whose ``Window.below_minimum``
-    prefix is stored (``blattner_consistency_check`` evaluated it) takes
-    those entries from it and evaluates only the remaining rows.  Raises
+    evaluated, in row order.  A series in ``Window.below_minimum``
+    (``blattner_consistency_check`` evaluated its below-minimum prefix
+    and found it zero) is evaluated only at the remaining rows.  Raises
     ``WindowTooLargeError`` before evaluating any entry when rows x
     columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
@@ -156,11 +157,8 @@ def mult_matrix(window: Window) -> MultMatrix:
     for j, rep in enumerate(reps):
         flag, entry = _column(window, rep)
         resolution.append(flag)
-        prefix = window.below_minimum.get(rep, ())
-        for i, v in enumerate(prefix):
-            if v:
-                entries[(i, j)] = v
-        for i in range(len(prefix), len(rows)):
+        start = window.rows_below(rep.min_ktype) if rep in window.below_minimum else 0
+        for i in range(start, len(rows)):
             v = entry(i)
             if v:
                 entries[(i, j)] = v
@@ -506,9 +504,9 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     K-type and zero at every window K-type of strictly smaller norm.
     Those rows are a prefix of the window's rows; ``blattner_kernel``
     evaluates it with the window's memo in row order, stopping at the
-    first nonzero, and a prefix evaluated to its end is stored in
-    ``Window.below_minimum`` for ``mult_matrix``.  It reads only the
-    window's rows, with their coordinates and norms, and its series.
+    first nonzero; a series whose prefix was evaluated to its end is
+    added to ``Window.below_minimum`` for ``mult_matrix``.  It reads only
+    the window's rows, with their coordinates and norms, and its series.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
     exceeds ``MAX_WINDOW_ENTRIES``.
@@ -545,10 +543,8 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                 },
             )
         kernel = blattner_kernel(datum, rep, window.memo)
-        prefix = []
         for i in range(window.rows_below(rep.min_ktype)):
-            mult = kernel(shifted[i], rows[i])
-            if mult != 0:
+            if kernel(shifted[i], rows[i]) != 0:
                 return VerificationReport(
                     name,
                     False,
@@ -558,8 +554,7 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                         "reason": "nonzero multiplicity below the lowest K-type",
                     },
                 )
-            prefix.append(mult)
-        window.below_minimum[rep] = tuple(prefix)
+        window.below_minimum.add(rep)
     return VerificationReport(name, True, data={"series": len(series)})
 
 

@@ -31,7 +31,6 @@ from operator import mul
 from .branching import mult_space_dim, restrict_sum, restricted_support
 from .catalog import GroupDatum, weyl_image
 from .weights import (
-    CYCLIC2,
     FormalSum,
     dual_rule,
     enumerate_ktypes,
@@ -208,6 +207,12 @@ def positive_noncompact_roots(datum: GroupDatum, lam) -> tuple[tuple[int, ...], 
             if scaled_pairing(datum, beta, lam) > 0
         )
     )
+    return _require_half(ds, lam, pos)
+
+
+def _require_half(ds, lam, pos):
+    # A chamber makes exactly half the noncompact roots positive; anything
+    # else (a wall, or a root listed twice) is inconsistent catalog data.
     if 2 * len(pos) != len(ds.noncompact_roots):
         raise InternalInconsistencyError(
             f"parameter {lam} lies on a noncompact root wall"
@@ -295,7 +300,7 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
         if not all(pairings):
             continue
         pos = [beta for beta, p in zip(ds.noncompact_roots, pairings[compact:]) if p > 0]
-        lowest = _lowest_ktype(datum, lam, pos)
+        lowest = _lowest_ktype(datum, lam, _require_half(ds, lam, pos))
         norm = scaled_norm(datum, lowest)
         if norm > limit:
             continue
@@ -444,42 +449,37 @@ class Window:
 
     Each part is computed on first read and shared by every reader.
     ``memo`` holds the partition counts of this window's Blattner columns.
-    ``below_minimum`` maps a series to its column at the rows of norm
-    below its lowest K-type (a prefix of ``rows``, which are sorted by
-    norm), stored once every entry of that prefix has been evaluated:
-    ``blattner_consistency_check`` evaluates it, and ``mult_matrix`` then
-    evaluates only the rest of the column.
+    ``below_minimum`` holds the series whose column is certified zero at
+    every row of norm below its lowest K-type (a prefix of ``rows``,
+    which are sorted by norm); a series is added once every entry of
+    that prefix has been evaluated: ``blattner_consistency_check``
+    evaluates it, and ``mult_matrix`` then evaluates only the rest of
+    the column.
     """
 
     datum: GroupDatum
     bound: Fraction
     memo: dict = field(default_factory=dict, init=False, repr=False)
-    below_minimum: dict = field(default_factory=dict, init=False, repr=False)
+    below_minimum: set = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
         """The K-types of norm <= bound, sorted by (norm, label)."""
         return enumerate_ktypes(self.datum, self.bound)
 
-    def _lattice_coords(self):
-        # label_lattice_coords of each row; enumerated labels are valid.
-        lattice = [p for p, kind in enumerate(self.datum.k.atoms) if kind != CYCLIC2]
-        return (tuple(tau[p] for p in lattice) for tau in self.rows)
-
     @cached_property
     def shifted(self) -> list[tuple[int, ...]]:
         """Each row's ``doubled_shifted`` coordinates, read by the Blattner kernel."""
-        return [doubled_shifted(self.datum, mu) for mu in self._lattice_coords()]
+        datum = self.datum
+        return [
+            doubled_shifted(datum, label_lattice_coords(datum.k, tau))
+            for tau in self.rows
+        ]
 
     @cached_property
     def norms(self) -> list[int]:
         """Each row's ``scaled_norm``; nondecreasing, like the rows."""
-        datum = self.datum
-        norms = []
-        for mu in self._lattice_coords():
-            x = tuple(m + r for m, r in zip(mu, datum.two_rho_c))
-            norms.append(scaled_pairing(datum, x, x))
-        return norms
+        return [scaled_norm(self.datum, tau) for tau in self.rows]
 
     def rows_below(self, tau) -> int:
         """How many rows have norm strictly below that of the K-type tau."""

@@ -332,6 +332,25 @@ def test_class_pass_inconsistency_is_pinned(capsys, tmp_path, argv):
     )
 
 
+def _duplicate_sl2r_root(doc):
+    doc["ds"]["noncompact_roots"] = [[2], [2], [-2]]
+
+
+def test_duplicated_noncompact_root_is_an_inconsistency(capsys, tmp_path):
+    # No chamber makes half of [(2), (2), (-2)] positive: the first regular
+    # parameter of the scan is reported, by the table and by verify.
+    path = _corrupt_file(tmp_path, "SL2R", _duplicate_sl2r_root)
+    wall = "parameter (-7,) lies on a noncompact root wall"
+    code, out, err = run(capsys, "tempiric-table", "--group-file", path, "--bound", "20")
+    assert (code, out, err) == (1, "", f"inconsistency: {wall}\n")
+    code, out, _ = run(capsys, "verify", "--group-file", path, "--bound", "20")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"blattner_consistency: FAIL {json.dumps({'error': wall})}",
+        "# FAILURES detected",
+    ]
+
+
 def _skew_gram_sp11(doc):
     doc["gram"] = ["1", "-5/2", "-5/2", "7"]
 

@@ -218,6 +218,18 @@ def test_ds_enumerate_matches_the_pointwise_scan(name):
     _assert_ds_enumerate_unchanged(datum, 60)
 
 
+def test_ds_enumerate_refuses_a_noncompact_root_listed_twice():
+    # The loader only asks the noncompact roots to be closed under
+    # negation, so (2) may be listed twice; no chamber then makes half
+    # of them positive.
+    doc = serialize(builtin("SL2R"))
+    doc["ds"]["noncompact_roots"] = [[2], [2], [-2]]
+    datum = load(json.dumps(doc))
+    with pytest.raises(InternalInconsistencyError, match="noncompact root wall"):
+        ds_enumerate(datum, 60)
+    _assert_ds_enumerate_unchanged(datum, 60)
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=_ENTRY, d=_ENTRY, t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
        bound=st.fractions(min_value=0, max_value=30, max_denominator=5))
