@@ -14,6 +14,11 @@ evaluated once: ``blattner_consistency_check`` marks on the window each
 series whose block it evaluated to the end, and ``mult_matrix`` skips
 that block for it.
 
+``verify``'s randomized sweeps, ``identity_sweep`` and
+``admissibility_sweep``, read their sums, restrictions and orbits off
+the window, and run the same private core per sum as the public
+``dimension_identity_check`` and ``admissibility_check``.
+
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
 """
@@ -24,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .branching import restrict_sum, restricted_support
+from .branching import restrict_sum
 from .catalog import GroupDatum
 from .tempered import (
     InternalInconsistencyError,
@@ -44,7 +49,7 @@ from .weights import (
     dual_label,
     dual_rule,
     enumerate_ktypes,
-    hom_invariant_dim,
+    isotypic_pairing,
     labels_in_box,
     require_entries_within_limit,
     scaled_norm,
@@ -385,6 +390,29 @@ def invert_window(matrix: MultMatrix):
     return [[row.get(j, 0) for j in range(n)] for row in inverse]
 
 
+class _Duals(dict):
+    """``dual_rule(group)`` as a mapping: ``duals[label]``, each computed once."""
+
+    def __init__(self, group):
+        super().__init__()
+        self.rule = dual_rule(group)
+
+    def __missing__(self, label):
+        self[label] = value = self.rule(label)
+        return value
+
+
+def _restricted(datum: GroupDatum, v: FormalSum) -> dict:
+    # restrict_sum(datum, v) as the {M-label: multiplicity} dict the check
+    # cores read.
+    return dict(restrict_sum(datum, v).items())
+
+
+def _support(restricted: dict, duals: _Duals) -> set:
+    # The set of restricted_support, with each dual read from duals.
+    return {duals[w] for w, mult in restricted.items() if mult > 0}
+
+
 def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
@@ -396,15 +424,21 @@ def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) ->
     exactly; the total of ``boundary_block_dims``, read off the same two
     restrictions and their supports, must then equal the left side too.
     """
-    r1 = restrict_sum(datum, v1)
-    r2 = restrict_sum(datum, v2)
-    lhs = hom_invariant_dim(datum.m, r1, r2)
-    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
-    dual = dual_rule(datum.m)
-    rhs = sum(r1[dual(s)] * r2[dual(s)] for s in sigmas)
+    r1, r2 = _restricted(datum, v1), _restricted(datum, v2)
+    return _identity_report(datum, v1, v2, r1, r2, _Duals(datum.m), {})
+
+
+def _identity_report(datum, v1, v2, r1, r2, duals, class_of) -> VerificationReport:
+    # dimension_identity_check of v1 and v2, given their restrictions r1
+    # and r2 (as _restricted returns them), a _Duals of M, and a map of
+    # M-types to classes for _boundary_blocks.
+    lhs = isotypic_pairing(r1, r2)
+    sigmas = _support(r1, duals) | _support(r2, duals)
+    rhs = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in sigmas)
     payload = {"lhs": lhs, "rhs": rhs}
     failure = payload if lhs != rhs else None
-    total = sum(d for _, d in _boundary_blocks(datum, r1, r2, sigmas))
+    blocks = _boundary_blocks(datum, r1, r2, sigmas, duals, class_of)
+    total = sum(d for _, d in blocks)
     if failure is None and total != lhs:
         failure = {
             "lhs": lhs,
@@ -434,14 +468,16 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     either argument; when the M-dual is finite all orbits are listed.
     Each argument is restricted once.
     """
-    r1, r2 = restrict_sum(datum, v1), restrict_sum(datum, v2)
-    sigmas = set(restricted_support(datum, r1)) | set(restricted_support(datum, r2))
-    return _boundary_blocks(datum, r1, r2, sigmas)
+    r1, r2 = _restricted(datum, v1), _restricted(datum, v2)
+    duals = _Duals(datum.m)
+    sigmas = _support(r1, duals) | _support(r2, duals)
+    return _boundary_blocks(datum, r1, r2, sigmas, duals, {})
 
 
-def _boundary_blocks(datum: GroupDatum, r1: FormalSum, r2: FormalSum, sigmas):
+def _boundary_blocks(datum: GroupDatum, r1: dict, r2: dict, sigmas, duals, class_of):
     # boundary_block_dims read off the two restrictions and the union of
-    # their supports; each orbit is built once.
+    # their supports.  Orbits come from class_of (a Window.class_of, or
+    # empty); one it lacks is built here, once.
     blocks = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
@@ -451,12 +487,11 @@ def _boundary_blocks(datum: GroupDatum, r1: FormalSum, r2: FormalSum, sigmas):
     covered: set = set()
     for sigma in sigmas:
         if sigma not in covered:
-            cls = principal_class_of(datum, sigma)
+            cls = class_of.get(sigma) or principal_class_of(datum, sigma)
             orbits[cls.orbit] = cls
             covered.update(cls.orbit)
-    dual = dual_rule(datum.m)
     for orbit in sorted(orbits, key=lambda o: o[-1]):
-        d = sum(r1[dual(s)] * r2[dual(s)] for s in orbit)
+        d = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in orbit)
         blocks.append((orbits[orbit], d))
     return blocks
 
@@ -469,21 +504,28 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
     dimensions are read from one restriction of v, so the sweep costs one
     lookup per label.
     """
-    restricted = restrict_sum(datum, v)
-    support = restricted_support(datum, restricted)
+    dual = dual_rule(datum.m)
+
+    def box(cap):
+        return ((sigma, dual(sigma)) for sigma in labels_in_box(datum.m, cap))
+
+    return _admissibility_report(v, _restricted(datum, v), _Duals(datum.m), box)
+
+
+def _admissibility_report(v, restricted: dict, duals, box) -> VerificationReport:
+    # admissibility_check of v, given its restriction and a _Duals of M;
+    # box(cap) yields each label of labels_in_box(M, cap) with its dual.
+    support = sorted(_support(restricted, duals))
     cap = 8
     for sigma in support:
         cap = max(cap, max((abs(c) for c in sigma), default=0) + 8)
     for tau in v:
         cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
     members = set(support)
-    dual = dual_rule(datum.m)
-    stray = []
-    for sigma in labels_in_box(datum.m, cap):
-        inside = sigma in members
-        positive = restricted[dual(sigma)] > 0
-        if positive != inside:
-            stray.append(sigma)
+    stray = [
+        sigma for sigma, sdual in box(cap)
+        if (restricted.get(sdual, 0) > 0) != (sigma in members)
+    ]
     passed = not stray
     return VerificationReport(
         "admissibility",
@@ -494,6 +536,62 @@ def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
         },
         data={"support": [format_label(s) for s in support], "sweep_cap": cap},
     )
+
+
+def _window_sums(window: Window, count: int, norm_cap, seed: int):
+    # random_ktype_sums(window.datum, count, norm_cap, seed) as dicts, each
+    # with its restriction: the multiplicity-weighted sum of its rows'
+    # Window.restrictions.
+    pool = window.rows_within(norm_cap)
+    restriction_of = dict(zip(pool, window.restrictions))
+    for v in _random_sums(pool, count, seed):
+        restricted: dict = {}
+        for tau, mult in v.items():
+            for sigma, m in restriction_of[tau].items():
+                restricted[sigma] = restricted.get(sigma, 0) + mult * m
+        yield v, restricted
+
+
+def identity_sweep(window: Window, pairs: int, norm_cap, seed: int) -> VerificationReport:
+    """``dimension_identity_check`` on random pairs of K-type sums.
+
+    The pairs are consecutive ``random_ktype_sums(window.datum, 2 * pairs,
+    norm_cap, seed)``, with norm_cap at most the window's bound.  They
+    are drawn from the window's rows and restricted through
+    ``Window.restrictions``; their orbits come from ``Window.class_of``;
+    each M-label's dual is computed once.  Returns the first failing
+    report, or a pass.
+    """
+    duals = _Duals(window.datum.m)
+    sums = _window_sums(window, 2 * pairs, norm_cap, seed)
+    for (v1, r1), (v2, r2) in zip(sums, sums):
+        report = _identity_report(window.datum, v1, v2, r1, r2, duals, window.class_of)
+        if not report.passed:
+            return report
+    return VerificationReport("dimension_identity", True, data={"pairs": pairs})
+
+
+def admissibility_sweep(window: Window, samples: int, norm_cap, seed: int) -> VerificationReport:
+    """``admissibility_check`` on random K-type sums.
+
+    The sums are ``random_ktype_sums(window.datum, samples, norm_cap,
+    seed)``, read off the window like ``identity_sweep``'s.  Each label
+    box, with the duals of its labels, is built once per distinct cap.
+    Returns the first failing report, or a pass.
+    """
+    duals = _Duals(window.datum.m)
+    boxes: dict[int, list] = {}
+
+    def box(cap):
+        if cap not in boxes:
+            boxes[cap] = [(s, duals[s]) for s in labels_in_box(window.datum.m, cap)]
+        return boxes[cap]
+
+    for v, restricted in _window_sums(window, samples, norm_cap, seed):
+        report = _admissibility_report(v, restricted, duals, box)
+        if not report.passed:
+            return report
+    return VerificationReport("admissibility", True, data={"samples": samples})
 
 
 def blattner_consistency_check(window: Window) -> VerificationReport:
@@ -563,16 +661,19 @@ def random_ktype_sums(datum: GroupDatum, count: int, norm_cap, seed: int):
 
     An empty window yields an empty list.
     """
-    rng = random.Random(seed)
     pool = enumerate_ktypes(datum, norm_cap)
+    return [FormalSum(v) for v in _random_sums(pool, count, seed)]
+
+
+def _random_sums(pool, count: int, seed: int):
+    # random_ktype_sums from the given pool of K-types, lazily, as dicts.
+    rng = random.Random(seed)
     if not pool:
-        return []
-    sums = []
+        return
     for _ in range(count):
         size = rng.randint(1, min(3, len(pool)))
         labels = rng.sample(pool, size)
-        sums.append(FormalSum({tau: rng.randint(1, 3) for tau in labels}))
-    return sums
+        yield {tau: rng.randint(1, 3) for tau in labels}
 
 
 def ktheory_summary(window: Window) -> dict:

@@ -288,26 +288,17 @@ def cmd_ck_matrix(args) -> tuple[int, str]:
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 
-def _identity_sweep(datum, bound, seed):
-    cap = min(Fraction(bound), Fraction(VERIFY_NORM_CAP))
-    pairs = cktheory.random_ktype_sums(datum, 2 * VERIFY_PAIRS, cap, seed)
-    for v1, v2 in zip(pairs[0::2], pairs[1::2]):
-        report = cktheory.dimension_identity_check(datum, v1, v2)
-        if not report.passed:
-            return report
-    return cktheory.VerificationReport(
-        "dimension_identity", True, data={"pairs": VERIFY_PAIRS}
-    )
+def _sweep_cap(window):
+    return min(window.bound, Fraction(VERIFY_NORM_CAP))
 
 
-def _admissibility_sweep(datum, bound, seed):
-    cap = min(Fraction(bound), Fraction(VERIFY_NORM_CAP))
-    for v in cktheory.random_ktype_sums(datum, VERIFY_ADMISSIBILITY, cap, seed + 1):
-        report = cktheory.admissibility_check(datum, v)
-        if not report.passed:
-            return report
-    return cktheory.VerificationReport(
-        "admissibility", True, data={"samples": VERIFY_ADMISSIBILITY}
+def _identity_sweep(window, seed):
+    return cktheory.identity_sweep(window, VERIFY_PAIRS, _sweep_cap(window), seed)
+
+
+def _admissibility_sweep(window, seed):
+    return cktheory.admissibility_sweep(
+        window, VERIFY_ADMISSIBILITY, _sweep_cap(window), seed + 1
     )
 
 
@@ -322,8 +313,8 @@ def _verify_reports(datum, bound, seed):
         ("blattner_consistency", lambda: cktheory.blattner_consistency_check(window)),
         ("vogan_bijection", lambda: cktheory.vogan_bijection_check(window_matrix())),
         ("triangularity", lambda: cktheory.triangularity_check(datum, window_matrix())),
-        ("dimension_identity", lambda: _identity_sweep(datum, bound, seed)),
-        ("admissibility", lambda: _admissibility_sweep(datum, bound, seed)),
+        ("dimension_identity", lambda: _identity_sweep(window, seed)),
+        ("admissibility", lambda: _admissibility_sweep(window, seed)),
     ]
     reports = []
     for name, thunk in checks:

@@ -9,9 +9,10 @@ with K-type multiplicities from the alternating partition-count formula.
 
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
-doubled, rho_c-shifted coordinates and scaled norms, their restrictions,
-the classes, the series, and the below-minimum block of each series'
-Blattner column once a check has evaluated it.  One column kernel,
+doubled, rho_c-shifted coordinates and scaled norms, their restrictions
+and supports, the class of every M-type they meet, the classes, the
+series, and the below-minimum block of each series' Blattner column
+once a check has evaluated it.  One column kernel,
 ``blattner_kernel``, evaluates every Blattner multiplicity from a row's
 coordinates; ``blattner_column`` and ``blattner_mult`` are its lazy
 wrappers over K-type labels.
@@ -22,7 +23,7 @@ All enumeration is deterministic and exhaustive below explicit bounds.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -485,33 +486,59 @@ class Window:
         """How many rows have norm strictly below that of the K-type tau."""
         return bisect_left(self.norms, scaled_norm(self.datum, tau))
 
+    def rows_within(self, bound) -> list[tuple[int, ...]]:
+        """The rows of norm <= bound: ``enumerate_ktypes(datum, bound)``.
+
+        A prefix of ``rows``, in the same order; the bound must not exceed
+        the window's.
+        """
+        if Fraction(bound) > self.bound:
+            raise ValueError(f"bound {bound} exceeds the window bound {self.bound}")
+        return self.rows[: bisect_right(self.norms, scaled_bound(self.datum, bound))]
+
     @cached_property
     def restrictions(self) -> list[FormalSum]:
         """One restriction to M per row."""
         return [restrict_sum(self.datum, FormalSum.single(tau)) for tau in self.rows]
 
     @cached_property
+    def supports(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Each row's ``restricted_support``: the M-types the row meets."""
+        return [restricted_support(self.datum, r) for r in self.restrictions]
+
+    @cached_property
+    def class_of(self) -> dict[tuple[int, ...], PrincipalClass]:
+        """``{M-type: principal class}`` for every M-type the rows meet.
+
+        Each orbit is built once, from the first of its M-types met, and
+        every member of the orbit maps to it.
+        """
+        class_of: dict[tuple, PrincipalClass] = {}
+        for support in self.supports:
+            for sigma in support:
+                if sigma not in class_of:
+                    cls = principal_class_of(self.datum, sigma)
+                    class_of.update((s, cls) for s in cls.orbit)
+        return class_of
+
+    @cached_property
     def classes(self) -> dict[PrincipalClass, tuple]:
         """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
 
-        One pass over the rows' restrictions.  A row meets the classes of
+        One pass over the rows' supports.  A row meets the classes of
         the M-types in its support, and occurs in a class (with multiplicity
         ``induced_ktype_mult``) exactly when the representative is one of
         them; the minima are the rows at the first norm where it does,
         which on a complete window are global.  Representative order.
-        Each orbit is built once, from the first of its M-types met.
         """
-        datum = self.datum
-        dual = dual_rule(datum.m)
-        class_of: dict[tuple, PrincipalClass] = {}
+        dual = dual_rule(self.datum.m)
+        class_of = self.class_of
         first_norm: dict[tuple, int] = {}
         minima: dict[tuple, list] = {}
-        for tau, norm, restricted in zip(self.rows, self.norms, self.restrictions):
-            for sigma in restricted_support(datum, restricted):
-                cls = class_of.get(sigma)
-                if cls is None:
-                    cls = principal_class_of(datum, sigma)
-                    class_of.update((s, cls) for s in cls.orbit)
+        rows = zip(self.rows, self.norms, self.restrictions, self.supports)
+        for tau, norm, restricted, support in rows:
+            for sigma in support:
+                cls = class_of[sigma]
                 if sigma != cls.representative:
                     continue
                 if first_norm.setdefault(cls.orbit, norm) == norm:

@@ -235,14 +235,25 @@ def hom_invariant_dim(group: CompactGroup, v1: FormalSum, v2: FormalSum) -> int:
 
     By Schur's lemma this is the pairing of isotypic multiplicities.  It
     equals the invariant dimension of dual(V1) (x) V2, with the circle
-    duality n -> -n applied to the first argument.
+    duality n -> -n applied to the first argument.  Every label is
+    validated, then the two are paired by ``isotypic_pairing``.
     """
     for v in (v1, v2):
-        if v.has_negative():
-            raise ValueError("hom_invariant_dim requires nonnegative multiplicities")
         for tau in v:
             validate_label(group, tau)
-    return sum(m * v2[tau] for tau, m in v1.items())
+    return isotypic_pairing(dict(v1.items()), dict(v2.items()))
+
+
+def isotypic_pairing(m1: dict, m2: dict) -> int:
+    """``hom_invariant_dim`` of two ``{label: multiplicity}`` dicts.
+
+    For labels known to be valid, such as those the branching rules
+    produce, so none is revalidated; negative multiplicities are still
+    refused.
+    """
+    if min(m1.values(), default=0) < 0 or min(m2.values(), default=0) < 0:
+        raise ValueError("hom_invariant_dim requires nonnegative multiplicities")
+    return sum(m * m2.get(label, 0) for label, m in m1.items())
 
 
 def label_lattice_coords(group: CompactGroup, tau) -> tuple[int, ...]:
@@ -349,9 +360,20 @@ class WindowTooLargeError(ValueError):
     """A window's label box or entry count exceeds its limit."""
 
 
+def _axis_size(axis) -> int:
+    # len() of a range must fit a C ssize_t; its endpoints need not.
+    if isinstance(axis, range):
+        return max(0, -((axis.start - axis.stop) // axis.step))
+    return len(axis)
+
+
 def require_box_within_limit(axes, bound) -> None:
-    """Refuse a label box, given as one range per coordinate, over the limit."""
-    size = prod(len(axis) for axis in axes)
+    """Refuse a label box, given as one range per coordinate, over the limit.
+
+    The box's size is computed from each range's endpoints, so a box of
+    any size is refused rather than overflowing.
+    """
+    size = prod(_axis_size(axis) for axis in axes)
     if size > MAX_BOX_LABELS:
         raise WindowTooLargeError(
             f"bound {bound} needs a box of {size} labels, "

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tempiric
-from tempiric import FormalSum, branching, cktheory, tempered
+from tempiric import FormalSum, branching, cktheory, tempered, weights
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 from tempiric.tempered import tempiric_window
@@ -267,6 +268,38 @@ def test_oversize_window_entries_exit_2_quickly(command):
     assert "window entries, above the limit of 1000000" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ktypes", "--group", "SL2R", "--bound", "1e40"),
+        ("tempiric-table", "--group", "SL2R", "--bound", "1e40"),
+        ("verify", "--group", "Sp11", "--bound", "1e400"),
+    ],
+)
+def test_huge_bound_is_refused_not_overflowed(capsys, argv):
+    # A box with more labels than a C ssize_t can count is refused by the
+    # same limit as any other oversize box, not by an OverflowError.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bound {Fraction(argv[-1])} needs a box of ")
+    assert err.endswith(" labels, above the limit of 1000000\n")
+
+
+def test_python_dash_m_tempiric_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(tempiric.__file__).parents[1]))
+    argv = ("verify", "--group", "SO31", "--bound", "10")
+    result = subprocess.run(
+        [sys.executable, "-m", "tempiric", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == run(capsys, *argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "tempiric", "ktypes", "--group", "G2", "--bound", "1"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert result.returncode == 2 and result.stderr.startswith("error: ")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -421,6 +454,29 @@ def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, s
     )
 
 
+def test_hom_pairing_mismatch_fails_the_identity_check(capsys, monkeypatch, so31):
+    # A Hom dimension off by one must fail dimension_identity against the
+    # right side, which is computed by its own route.
+    pairing = cktheory.isotypic_pairing
+    monkeypatch.setattr(cktheory, "isotypic_pairing", lambda *args: pairing(*args) + 1)
+    v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
+    v2 = FormalSum({(1,): 2})
+    report = cktheory.dimension_identity_check(so31, v1, v2)
+    assert not report.passed and report.data == {"lhs": 29, "rhs": 28}
+    assert report.counterexample == {
+        "v1": [((0,), 2), ((2,), 3), ((3,), 1)],
+        "v2": [((1,), 2)],
+        "lhs": 29,
+        "rhs": 28,
+    }
+    code, out, _ = run(capsys, "verify", "--group", "SO31", "--bound", "25")
+    assert code == 1
+    assert out.splitlines()[-2] == (
+        'dimension_identity: FAIL {"v1": [[[0], 2], [[2], 3], [[3], 1]], '
+        '"v2": [[[1], 2]], "lhs": 29, "rhs": 28}'
+    )
+
+
 def _count_matrix_builds(monkeypatch):
     builds = []
     build = cktheory.mult_matrix
@@ -478,3 +534,16 @@ def test_ck_matrix_restricts_each_row_once(capsys, monkeypatch, group):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [list(args[1]) for args in calls] == [[tuple(tau)] for tau in rows]
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_verify_restricts_each_row_once(capsys, monkeypatch, group):
+    # The sweeps read their pool and restrictions off the window: verify
+    # enumerates the K-types once and restricts each row once.
+    restricted = _count_calls(monkeypatch, branching, "restrict_sum")
+    enumerated = _count_calls(monkeypatch, weights, "enumerate_ktypes")
+    code, _, _ = run(capsys, "verify", "--group", group, "--bound", "41")
+    assert code == 0
+    assert [args[1] for args in enumerated] == [Fraction(41)]
+    rows = tempiric_window(builtin(group), 41).rows
+    assert [list(args[1]) for args in restricted] == [[tau] for tau in rows]

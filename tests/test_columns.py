@@ -147,13 +147,14 @@ def test_column_raises_at_the_same_entry_as_the_pointwise_path():
 
 def _refused_at_limit(monkeypatch, limit, build):
     # One entry over the limit is refused before any entry is evaluated;
-    # at the limit itself the build runs.
+    # at the limit itself the build runs.  _column is the one path to
+    # the entries of both kinds of column.
     def no_entries(*args):
         raise AssertionError("an entry was evaluated")
 
     with monkeypatch.context() as patch:
         patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit - 1)
-        for name in ("blattner_kernel", "blattner_mult", "restrict_sum"):
+        for name in ("blattner_kernel", "blattner_mult", "restrict_sum", "_column"):
             patch.setattr(cktheory, name, no_entries)
         with pytest.raises(WindowTooLargeError, match="window entries"):
             build()
