@@ -48,11 +48,10 @@ class DiscreteSeriesDatum:
         """``(perm, signs, det)`` of each ``weyl_k`` element, in order.
 
         The loader certifies every element a signed permutation matrix
-        (``signed_perm_det``); this is that certificate, read once.
+        (``signed_permutation``); this is that certificate, read once, with
+        the element's ``integer_det``.
         """
-        return tuple(
-            (*signed_permutation(w), signed_perm_det(w)) for w in self.weyl_k
-        )
+        return tuple((*signed_permutation(w), integer_det(w)) for w in self.weyl_k)
 
 
 @dataclass(frozen=True)
@@ -124,27 +123,6 @@ def signed_permutation(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(perm), tuple(signs)
 
 
-def signed_perm_det(matrix) -> int:
-    """Determinant of a signed permutation matrix."""
-    perm, signs = signed_permutation(matrix)
-    n = len(perm)
-    prod = math.prod(signs)
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign * prod
-
-
 def _validate(datum: GroupDatum) -> GroupDatum:
     dim = datum.k.lattice_dim
     rule = BRANCHING_RULES.get(datum.branching_rule)
@@ -207,7 +185,7 @@ def _validate_ds(datum: GroupDatum, dim: int):
     }
     elements = set(ds.weyl_k)
     for w in ds.weyl_k:
-        signed_perm_det(w)
+        signed_permutation(w)
         for alpha in compact_set:
             if apply_matrix(w, alpha) not in compact_set:
                 raise CatalogError("ds.wk_elements: element does not permute the compact roots")

@@ -1,23 +1,16 @@
-"""Assembly and verification layer for the multiplicity matrix.
+"""Verification layer for the multiplicity matrix.
 
-Builds the sparse K-type-by-tempered-representative multiplicity matrix
-on a finite norm window, certifies the minimal-K-type bijection and the
+Certifies, on one finite ``Window``, the minimal-K-type bijection and the
 unit-diagonal lower-triangularity of the induced map on representation
 rings, inverts exact windows over the integers, and checks the boundary
 dimension identities behind the rank-one Fourier decomposition.
 
-Every matrix entry comes from one per-column code path, ``_column``,
-which ``mult_matrix`` runs over all rows and ``composite_map`` over one.
-Its discrete-series columns run ``tempered.blattner_kernel`` on the
-window's row coordinates.  The below-minimum block of those columns is
-evaluated once: ``blattner_consistency_check`` marks on the window each
-series whose block it evaluated to the end, and ``mult_matrix`` skips
-that block for it.
-
-``verify``'s randomized sweeps, ``identity_sweep`` and
-``admissibility_sweep``, read their sums, restrictions and orbits off
-the window, and run the same private core per sum as the public
-``dimension_identity_check`` and ``admissibility_check``.
+Every check reads a ``Window``: the matrix checks its ``matrix`` (built
+by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
+``EXACT``, ``AGGREGATE_ONLY`` and ``WindowError``), and the M-side
+checks its restrictions, duals and orbits.  ``verify``'s randomized
+sweeps, ``identity_sweep`` and ``admissibility_sweep``, are loops over
+the public ``dimension_identity_check`` and ``admissibility_check``.
 
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
@@ -29,41 +22,32 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .branching import restrict_sum
-from .catalog import GroupDatum
 from .tempered import (
+    AGGREGATE_ONLY,
+    EXACT,
     InternalInconsistencyError,
+    MultMatrix,
     PrincipalClass,
     TempiricRep,
     Window,
+    WindowError,
+    _column,
     blattner_kernel,
     blattner_mult,
     format_label,
-    partner_minimum,
+    mult_matrix,
     principal_class_of,
 )
 from .weights import (
     CYCLIC2,
-    TORUS1,
     FormalSum,
-    dual_label,
-    dual_rule,
-    enumerate_ktypes,
     isotypic_pairing,
     labels_in_box,
     require_entries_within_limit,
-    scaled_norm,
     vogan_norm,
 )
 
-EXACT = "exact"
-AGGREGATE_ONLY = "aggregate-only"
-
 DEFAULT_SEED = 1729
-
-
-class WindowError(ValueError):
-    """The requested computation depends on data outside the window."""
 
 
 class UnresolvedColumnsError(RuntimeError):
@@ -90,99 +74,15 @@ class VerificationReport:
             raise ValueError("a failing report must carry a counterexample")
 
 
-@dataclass
-class MultMatrix:
-    """Sparse integer matrix over (K-type window) x (tempered window).
-
-    Rows are ordered by (norm, label); columns align with rows through
-    the minimal-K-type bijection.  Aggregate-only columns belong to
-    unresolved split pairs: away from the two minimal K-types they carry
-    the full induced multiplicity shared by the pair, and at the minima
-    they are exact (1 at the column's own minimum, 0 at the partner's).
-    """
-
-    rows: tuple
-    cols: tuple
-    entries: dict
-    resolution: tuple
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
-    def dense(self):
-        return [
-            [self.entry(i, j) for j in range(len(self.cols))]
-            for i in range(len(self.rows))
-        ]
-
-
-def _column(window: Window, rep: TempiricRep):
-    """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
-
-    Discrete-series columns run ``blattner_kernel`` with the window's
-    memo on the row's ``Window.shifted`` coordinates.  Principal-series
-    columns read the window's restriction of the row at the dual of the
-    class representative (which is ``induced_ktype_mult``), then apply
-    the split rules.
-    """
-    datum, rows = window.datum, window.rows
-    if rep.kind == "ds":
-        kernel = blattner_kernel(datum, rep, window.memo)
-        shifted = window.shifted
-        return EXACT, lambda i: kernel(shifted[i], rows[i])
-    sdual = dual_label(datum.m, rep.ps_class.representative)
-    restrictions = window.restrictions
-    if rep.split and datum.k.atoms == (TORUS1,):
-        # The two split constituents partition the odd character
-        # ladder by sign exactly when K is a single circle.
-        sign = 1 if rep.min_ktype[0] > 0 else -1
-        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0
-    if rep.split:
-        # Unresolved: 0 only at the partner's minimum; the class pass
-        # certified the entry at the column's own minimum to be 1.
-        partner = partner_minimum(rep, window.reps)
-        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual]
-    return EXACT, lambda i: restrictions[i][sdual]
-
-
-def mult_matrix(window: Window) -> MultMatrix:
-    """Multiplicity matrix of the window.
-
-    Built one ``_column`` at a time, and every (row, column) entry is
-    evaluated, in row order.  A series in ``Window.below_minimum``
-    (``blattner_consistency_check`` evaluated its below-minimum prefix
-    and found it zero) is evaluated only at the remaining rows.  Raises
-    ``WindowTooLargeError`` before evaluating any entry when rows x
-    columns exceeds ``MAX_WINDOW_ENTRIES``.
-    """
-    rows, reps = window.rows, window.reps
-    require_entries_within_limit(len(rows), len(reps), window.bound)
-    entries: dict = {}
-    resolution = []
-    for j, rep in enumerate(reps):
-        flag, entry = _column(window, rep)
-        resolution.append(flag)
-        start = window.rows_below(rep.min_ktype) if rep in window.below_minimum else 0
-        for i in range(start, len(rows)):
-            v = entry(i)
-            if v:
-                entries[(i, j)] = v
-    return MultMatrix(
-        rows=tuple(rows),
-        cols=tuple(reps),
-        entries=entries,
-        resolution=tuple(resolution),
-    )
-
-
-def vogan_bijection_check(matrix: MultMatrix) -> VerificationReport:
+def vogan_bijection_check(window: Window) -> VerificationReport:
     """Minimal K-types biject window representatives with window K-types.
 
     Passes when the assignment representative -> minimal K-type is
     injective, covers the whole K-type window, and each minimum occurs
-    with multiplicity exactly one in ``matrix`` (from ``mult_matrix``).
+    with multiplicity exactly one in ``Window.matrix``.
     """
     name = "vogan_bijection"
+    matrix, row_index = window.matrix, window.row_index
     seen: dict[tuple, TempiricRep] = {}
     for rep in matrix.cols:
         if rep.min_ktype in seen:
@@ -209,7 +109,7 @@ def vogan_bijection_check(matrix: MultMatrix) -> VerificationReport:
                 "reason": "K-type is not minimal in any window representative",
             },
         )
-    extra = [rep for rep in matrix.cols if rep.min_ktype not in matrix.rows]
+    extra = [rep for rep in matrix.cols if rep.min_ktype not in row_index]
     if extra:
         return VerificationReport(
             name,
@@ -219,7 +119,6 @@ def vogan_bijection_check(matrix: MultMatrix) -> VerificationReport:
                 "reason": "minimal K-type escapes the window",
             },
         )
-    row_index = {tau: i for i, tau in enumerate(matrix.rows)}
     for j, rep in enumerate(matrix.cols):
         mult = matrix.entry(row_index[rep.min_ktype], j)
         if mult != 1:
@@ -237,17 +136,16 @@ def vogan_bijection_check(matrix: MultMatrix) -> VerificationReport:
     )
 
 
-def triangularity_check(datum: GroupDatum, matrix: MultMatrix) -> VerificationReport:
+def triangularity_check(window: Window) -> VerificationReport:
     """Unit entries at minima and vanishing strictly below them in norm.
 
-    Reads every entry of ``matrix`` (from ``mult_matrix``), zeros
-    included.  Aggregate entries of unresolved split columns are held to
-    the same vanishing requirement, which is stronger than resolving them
-    would demand.
+    Reads every entry of ``Window.matrix``, zeros included, against the
+    rows' ``Window.norms``.  Aggregate entries of unresolved split
+    columns are held to the same vanishing requirement, which is
+    stronger than resolving them would demand.
     """
     name = "triangularity"
-    norms = [scaled_norm(datum, tau) for tau in matrix.rows]
-    row_index = {tau: i for i, tau in enumerate(matrix.rows)}
+    matrix, norms, row_index = window.matrix, window.norms, window.row_index
     for j, rep in enumerate(matrix.cols):
         pivot = row_index.get(rep.min_ktype)
         if pivot is None:
@@ -297,7 +195,7 @@ def composite_map(window: Window, tau) -> FormalSum:
         raise WindowError(
             f"K-type {format_label(tau)} has norm above the window bound {window.bound}"
         )
-    i = window.rows.index(tuple(tau))
+    i = window.row_index[tuple(tau)]
     return FormalSum({rep: _column(window, rep)[1](i) for rep in window.reps})
 
 
@@ -390,55 +288,31 @@ def invert_window(matrix: MultMatrix):
     return [[row.get(j, 0) for j in range(n)] for row in inverse]
 
 
-class _Duals(dict):
-    """``dual_rule(group)`` as a mapping: ``duals[label]``, each computed once."""
-
-    def __init__(self, group):
-        super().__init__()
-        self.rule = dual_rule(group)
-
-    def __missing__(self, label):
-        self[label] = value = self.rule(label)
-        return value
-
-
-def _restricted(datum: GroupDatum, v: FormalSum) -> dict:
-    # restrict_sum(datum, v) as the {M-label: multiplicity} dict the check
-    # cores read.
-    return dict(restrict_sum(datum, v).items())
-
-
-def _support(restricted: dict, duals: _Duals) -> set:
+def _support(restricted: dict, duals) -> set:
     # The set of restricted_support, with each dual read from duals.
     return {duals[w] for w, mult in restricted.items() if mult > 0}
 
 
-def dimension_identity_check(datum: GroupDatum, v1: FormalSum, v2: FormalSum) -> VerificationReport:
+def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
     Left side: invariant Hom dimension of the two restrictions over M.
     Right side: sum over M-types of the product of multiplicity-space
     dimensions, each read off the restriction at the dual M-type (the
     definition of ``mult_space_dim``).  The two are computed by
-    independent routes from one restriction of each sum and must agree
-    exactly; the total of ``boundary_block_dims``, read off the same two
-    restrictions and their supports, must then equal the left side too.
+    independent routes from one ``Window.restriction`` of each sum and
+    must agree exactly; the total of ``boundary_block_dims``, read off
+    the same two restrictions and their supports, must then equal the
+    left side too.  Raises ``WindowError`` at a K-type outside the window.
     """
-    r1, r2 = _restricted(datum, v1), _restricted(datum, v2)
-    return _identity_report(datum, v1, v2, r1, r2, _Duals(datum.m), {})
-
-
-def _identity_report(datum, v1, v2, r1, r2, duals, class_of) -> VerificationReport:
-    # dimension_identity_check of v1 and v2, given their restrictions r1
-    # and r2 (as _restricted returns them), a _Duals of M, and a map of
-    # M-types to classes for _boundary_blocks.
+    r1, r2 = window.restriction(v1), window.restriction(v2)
+    duals = window.duals
     lhs = isotypic_pairing(r1, r2)
     sigmas = _support(r1, duals) | _support(r2, duals)
     rhs = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in sigmas)
     payload = {"lhs": lhs, "rhs": rhs}
     failure = payload if lhs != rhs else None
-    blocks = _boundary_blocks(datum, r1, r2, sigmas, duals, class_of)
-    total = sum(d for _, d in blocks)
+    total = sum(d for _, d in _boundary_blocks(window, r1, r2, sigmas))
     if failure is None and total != lhs:
         failure = {
             "lhs": lhs,
@@ -457,7 +331,7 @@ def _identity_report(datum, v1, v2, r1, r2, duals, class_of) -> VerificationRepo
     )
 
 
-def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
+def boundary_block_dims(window: Window, v1: FormalSum, v2: FormalSum):
     """Boundary morphism-space dimension per tempered block.
 
     Discrete-series blocks have no boundary and contribute 0 (reported as
@@ -466,18 +340,18 @@ def boundary_block_dims(datum: GroupDatum, v1: FormalSum, v2: FormalSum):
     when the stabilizer has order two, two when the orbit has two
     members.  Blocks are listed for every orbit meeting the support of
     either argument; when the M-dual is finite all orbits are listed.
-    Each argument is restricted once.
+    Each argument is restricted once, by ``Window.restriction``.
     """
-    r1, r2 = _restricted(datum, v1), _restricted(datum, v2)
-    duals = _Duals(datum.m)
-    sigmas = _support(r1, duals) | _support(r2, duals)
-    return _boundary_blocks(datum, r1, r2, sigmas, duals, {})
+    r1, r2 = window.restriction(v1), window.restriction(v2)
+    sigmas = _support(r1, window.duals) | _support(r2, window.duals)
+    return _boundary_blocks(window, r1, r2, sigmas)
 
 
-def _boundary_blocks(datum: GroupDatum, r1: dict, r2: dict, sigmas, duals, class_of):
+def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     # boundary_block_dims read off the two restrictions and the union of
-    # their supports.  Orbits come from class_of (a Window.class_of, or
-    # empty); one it lacks is built here, once.
+    # their supports.  Orbits come from Window.class_of; one it lacks (an
+    # M-type no row meets) is built here.
+    datum, duals, class_of = window.datum, window.duals, window.class_of
     blocks = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
@@ -496,25 +370,17 @@ def _boundary_blocks(datum: GroupDatum, r1: dict, r2: dict, sigmas, duals, class
     return blocks
 
 
-def admissibility_check(datum: GroupDatum, v: FormalSum) -> VerificationReport:
+def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
     Sweeps every M-label within a coordinate box extending well past the
     support and confirms no multiplicity space survives outside it.  The
-    dimensions are read from one restriction of v, so the sweep costs one
-    lookup per label.
+    dimensions are read from one ``Window.restriction`` of v, so the
+    sweep costs one lookup per label.  Raises ``WindowError`` at a K-type
+    outside the window.
     """
-    dual = dual_rule(datum.m)
-
-    def box(cap):
-        return ((sigma, dual(sigma)) for sigma in labels_in_box(datum.m, cap))
-
-    return _admissibility_report(v, _restricted(datum, v), _Duals(datum.m), box)
-
-
-def _admissibility_report(v, restricted: dict, duals, box) -> VerificationReport:
-    # admissibility_check of v, given its restriction and a _Duals of M;
-    # box(cap) yields each label of labels_in_box(M, cap) with its dual.
+    restricted = window.restriction(v)
+    duals = window.duals
     support = sorted(_support(restricted, duals))
     cap = 8
     for sigma in support:
@@ -523,8 +389,8 @@ def _admissibility_report(v, restricted: dict, duals, box) -> VerificationReport
         cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
     members = set(support)
     stray = [
-        sigma for sigma, sdual in box(cap)
-        if (restricted.get(sdual, 0) > 0) != (sigma in members)
+        sigma for sigma in labels_in_box(window.datum.m, cap)
+        if (restricted.get(duals[sigma], 0) > 0) != (sigma in members)
     ]
     passed = not stray
     return VerificationReport(
@@ -538,57 +404,28 @@ def _admissibility_report(v, restricted: dict, duals, box) -> VerificationReport
     )
 
 
-def _window_sums(window: Window, count: int, norm_cap, seed: int):
-    # random_ktype_sums(window.datum, count, norm_cap, seed) as dicts, each
-    # with its restriction: the multiplicity-weighted sum of its rows'
-    # Window.restrictions.
-    pool = window.rows_within(norm_cap)
-    restriction_of = dict(zip(pool, window.restrictions))
-    for v in _random_sums(pool, count, seed):
-        restricted: dict = {}
-        for tau, mult in v.items():
-            for sigma, m in restriction_of[tau].items():
-                restricted[sigma] = restricted.get(sigma, 0) + mult * m
-        yield v, restricted
-
-
 def identity_sweep(window: Window, pairs: int, norm_cap, seed: int) -> VerificationReport:
     """``dimension_identity_check`` on random pairs of K-type sums.
 
-    The pairs are consecutive ``random_ktype_sums(window.datum, 2 * pairs,
-    norm_cap, seed)``, with norm_cap at most the window's bound.  They
-    are drawn from the window's rows and restricted through
-    ``Window.restrictions``; their orbits come from ``Window.class_of``;
-    each M-label's dual is computed once.  Returns the first failing
-    report, or a pass.
+    The pairs are consecutive ``random_ktype_sums(window, 2 * pairs,
+    norm_cap, seed)``, with norm_cap at most the window's bound.  Returns
+    the first failing report, or a pass.
     """
-    duals = _Duals(window.datum.m)
-    sums = _window_sums(window, 2 * pairs, norm_cap, seed)
-    for (v1, r1), (v2, r2) in zip(sums, sums):
-        report = _identity_report(window.datum, v1, v2, r1, r2, duals, window.class_of)
+    sums = random_ktype_sums(window, 2 * pairs, norm_cap, seed)
+    for v1, v2 in zip(sums[0::2], sums[1::2]):
+        report = dimension_identity_check(window, v1, v2)
         if not report.passed:
             return report
     return VerificationReport("dimension_identity", True, data={"pairs": pairs})
 
 
 def admissibility_sweep(window: Window, samples: int, norm_cap, seed: int) -> VerificationReport:
-    """``admissibility_check`` on random K-type sums.
+    """``admissibility_check`` on ``random_ktype_sums(window, samples, norm_cap, seed)``.
 
-    The sums are ``random_ktype_sums(window.datum, samples, norm_cap,
-    seed)``, read off the window like ``identity_sweep``'s.  Each label
-    box, with the duals of its labels, is built once per distinct cap.
     Returns the first failing report, or a pass.
     """
-    duals = _Duals(window.datum.m)
-    boxes: dict[int, list] = {}
-
-    def box(cap):
-        if cap not in boxes:
-            boxes[cap] = [(s, duals[s]) for s in labels_in_box(window.datum.m, cap)]
-        return boxes[cap]
-
-    for v, restricted in _window_sums(window, samples, norm_cap, seed):
-        report = _admissibility_report(v, restricted, duals, box)
+    for v in random_ktype_sums(window, samples, norm_cap, seed):
+        report = admissibility_check(window, v)
         if not report.passed:
             return report
     return VerificationReport("admissibility", True, data={"samples": samples})
@@ -656,24 +493,22 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     return VerificationReport(name, True, data={"series": len(series)})
 
 
-def random_ktype_sums(datum: GroupDatum, count: int, norm_cap, seed: int):
-    """Deterministic pseudo-random formal sums over a K-type window.
+def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[FormalSum]:
+    """Deterministic pseudo-random formal sums of the rows of norm <= norm_cap.
 
-    An empty window yields an empty list.
+    The pool is ``Window.rows_within(norm_cap)``; an empty pool yields an
+    empty list.
     """
-    pool = enumerate_ktypes(datum, norm_cap)
-    return [FormalSum(v) for v in _random_sums(pool, count, seed)]
-
-
-def _random_sums(pool, count: int, seed: int):
-    # random_ktype_sums from the given pool of K-types, lazily, as dicts.
-    rng = random.Random(seed)
+    pool = window.rows_within(norm_cap)
     if not pool:
-        return
+        return []
+    rng = random.Random(seed)
+    sums = []
     for _ in range(count):
         size = rng.randint(1, min(3, len(pool)))
         labels = rng.sample(pool, size)
-        yield {tau: rng.randint(1, 3) for tau in labels}
+        sums.append(FormalSum({tau: rng.randint(1, 3) for tau in labels}))
+    return sums
 
 
 def ktheory_summary(window: Window) -> dict:
@@ -682,8 +517,8 @@ def ktheory_summary(window: Window) -> dict:
     The odd K-group is reported as zero because that is a known analytic
     fact about this category; nothing here computes it.
     """
-    matrix = mult_matrix(window)
-    triangular = triangularity_check(window.datum, matrix).passed
+    matrix = window.matrix
+    triangular = triangularity_check(window).passed
     refused: list[str] = []
     status = "inverted"
     try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
@@ -18,8 +17,8 @@ from fractions import Fraction
 
 from . import cktheory, figures
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
-from .cktheory import DEFAULT_SEED, UnresolvedColumnsError, WindowError
-from .tempered import InternalInconsistencyError, format_label, tempiric_window
+from .cktheory import DEFAULT_SEED, UnresolvedColumnsError
+from .tempered import InternalInconsistencyError, WindowError, format_label, tempiric_window
 from .weights import WindowTooLargeError, enumerate_ktypes, vogan_norm, weyl_dim
 from .branching import restrict_decompose
 
@@ -246,7 +245,7 @@ def _column_descriptor(rep) -> dict:
 def cmd_ck_matrix(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("json", "csv"), "json")
     datum = _resolve_datum(args)
-    matrix = cktheory.mult_matrix(tempiric_window(datum, args.bound))
+    matrix = tempiric_window(datum, args.bound).matrix
     inverse = None
     refusal = None
     try:
@@ -305,14 +304,13 @@ def _admissibility_sweep(window, seed):
 def _verify_reports(datum, bound, seed):
     # Checks run in order and stop at the first failure; inconsistencies
     # raised mid-check fail the check that tripped them.  blattner_consistency
-    # reads only the window's rows and series, so the class pass and the matrix
-    # (built once) first run in vogan_bijection, which their errors fail.
+    # reads only the window's rows and series, so the class pass and the
+    # window's matrix first run in vogan_bijection, which their errors fail.
     window = tempiric_window(datum, bound)
-    window_matrix = functools.cache(lambda: cktheory.mult_matrix(window))
     checks = [
         ("blattner_consistency", lambda: cktheory.blattner_consistency_check(window)),
-        ("vogan_bijection", lambda: cktheory.vogan_bijection_check(window_matrix())),
-        ("triangularity", lambda: cktheory.triangularity_check(datum, window_matrix())),
+        ("vogan_bijection", lambda: cktheory.vogan_bijection_check(window)),
+        ("triangularity", lambda: cktheory.triangularity_check(window)),
         ("dimension_identity", lambda: _identity_sweep(window, seed)),
         ("admissibility", lambda: _admissibility_sweep(window, seed)),
     ]

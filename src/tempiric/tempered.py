@@ -11,11 +11,19 @@ Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 and supports, the class of every M-type they meet, the classes, the
-series, and the below-minimum block of each series' Blattner column
-once a check has evaluated it.  One column kernel,
-``blattner_kernel``, evaluates every Blattner multiplicity from a row's
-coordinates; ``blattner_column`` and ``blattner_mult`` are its lazy
-wrappers over K-type labels.
+series, the multiplicity matrix, and the below-minimum block of each
+series' Blattner column once a check has evaluated it.  One column
+kernel, ``blattner_kernel``, evaluates every Blattner multiplicity from
+a row's coordinates; ``blattner_column`` and ``blattner_mult`` are its
+lazy wrappers over K-type labels.
+
+Every matrix entry comes from one per-column code path, ``_column``,
+which ``mult_matrix`` runs over all rows and ``cktheory.composite_map``
+over one.  Its discrete-series columns run ``blattner_kernel`` on the
+window's row coordinates.  The below-minimum block of those columns is
+evaluated once: ``cktheory.blattner_consistency_check`` marks on the
+window each series whose block it evaluated to the end, and
+``mult_matrix`` skips that block for it.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -32,12 +40,14 @@ from operator import mul
 from .branching import mult_space_dim, restrict_sum, restricted_support
 from .catalog import GroupDatum, weyl_image
 from .weights import (
+    TORUS1,
     FormalSum,
     dual_rule,
     enumerate_ktypes,
     label_lattice_coords,
     lattice_coords_to_label,
     require_box_within_limit,
+    require_entries_within_limit,
     scaled_bound,
     scaled_norm,
     scaled_pairing,
@@ -45,8 +55,16 @@ from .weights import (
     _coordinate_caps,
 )
 
+EXACT = "exact"
+AGGREGATE_ONLY = "aggregate-only"
+
+
 class InternalInconsistencyError(RuntimeError):
     """A structural expectation failed; signals corrupt catalog data."""
+
+
+class WindowError(ValueError):
+    """The requested computation depends on data outside the window."""
 
 
 @dataclass(frozen=True)
@@ -444,6 +462,103 @@ def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau, memo=None) -> int
     return next(blattner_column(datum, ds_rep, (tau,), memo))
 
 
+@dataclass
+class MultMatrix:
+    """Sparse integer matrix over (K-type window) x (tempered window).
+
+    Rows are ordered by (norm, label); columns align with rows through
+    the minimal-K-type bijection.  Aggregate-only columns belong to
+    unresolved split pairs: away from the two minimal K-types they carry
+    the full induced multiplicity shared by the pair, and at the minima
+    they are exact (1 at the column's own minimum, 0 at the partner's).
+    """
+
+    rows: tuple
+    cols: tuple
+    entries: dict
+    resolution: tuple
+
+    def entry(self, i: int, j: int) -> int:
+        return self.entries.get((i, j), 0)
+
+    def dense(self):
+        return [
+            [self.entry(i, j) for j in range(len(self.cols))]
+            for i in range(len(self.rows))
+        ]
+
+
+def _column(window: Window, rep: TempiricRep):
+    """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
+
+    Discrete-series columns run ``blattner_kernel`` with the window's
+    memo on the row's ``Window.shifted`` coordinates.  Principal-series
+    columns read the window's restriction of the row at the dual of the
+    class representative (which is ``induced_ktype_mult``), then apply
+    the split rules.
+    """
+    datum, rows = window.datum, window.rows
+    if rep.kind == "ds":
+        kernel = blattner_kernel(datum, rep, window.memo)
+        shifted = window.shifted
+        return EXACT, lambda i: kernel(shifted[i], rows[i])
+    sdual = window.duals[rep.ps_class.representative]
+    restrictions = window.restrictions
+    if rep.split and datum.k.atoms == (TORUS1,):
+        # The two split constituents partition the odd character
+        # ladder by sign exactly when K is a single circle.
+        sign = 1 if rep.min_ktype[0] > 0 else -1
+        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0
+    if rep.split:
+        # Unresolved: 0 only at the partner's minimum; the class pass
+        # certified the entry at the column's own minimum to be 1.
+        partner = partner_minimum(rep, window.reps)
+        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual]
+    return EXACT, lambda i: restrictions[i][sdual]
+
+
+def mult_matrix(window: Window) -> MultMatrix:
+    """Multiplicity matrix of the window; ``Window.matrix`` is it, built once.
+
+    Built one ``_column`` at a time, and every (row, column) entry is
+    evaluated, in row order.  A series in ``Window.below_minimum``
+    (``blattner_consistency_check`` evaluated its below-minimum prefix
+    and found it zero) is evaluated only at the remaining rows.  Raises
+    ``WindowTooLargeError`` before evaluating any entry when rows x
+    columns exceeds ``MAX_WINDOW_ENTRIES``.
+    """
+    rows, reps = window.rows, window.reps
+    require_entries_within_limit(len(rows), len(reps), window.bound)
+    entries: dict = {}
+    resolution = []
+    for j, rep in enumerate(reps):
+        flag, entry = _column(window, rep)
+        resolution.append(flag)
+        start = window.rows_below(rep.min_ktype) if rep in window.below_minimum else 0
+        for i in range(start, len(rows)):
+            v = entry(i)
+            if v:
+                entries[(i, j)] = v
+    return MultMatrix(
+        rows=tuple(rows),
+        cols=tuple(reps),
+        entries=entries,
+        resolution=tuple(resolution),
+    )
+
+
+class _Memo(dict):
+    """``fn`` as a mapping: ``memo[x]`` is ``fn(x)``, computed once per x."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Window:
     """Everything derived from one ``(datum, bound)``, each part computed once.
@@ -454,8 +569,8 @@ class Window:
     every row of norm below its lowest K-type (a prefix of ``rows``,
     which are sorted by norm); a series is added once every entry of
     that prefix has been evaluated: ``blattner_consistency_check``
-    evaluates it, and ``mult_matrix`` then evaluates only the rest of
-    the column.
+    evaluates it, and ``matrix`` then evaluates only the rest of the
+    column.
     """
 
     datum: GroupDatum
@@ -482,6 +597,11 @@ class Window:
         """Each row's ``scaled_norm``; nondecreasing, like the rows."""
         return [scaled_norm(self.datum, tau) for tau in self.rows]
 
+    @cached_property
+    def row_index(self) -> dict[tuple[int, ...], int]:
+        """``{K-type: its position in rows}``."""
+        return {tau: i for i, tau in enumerate(self.rows)}
+
     def rows_below(self, tau) -> int:
         """How many rows have norm strictly below that of the K-type tau."""
         return bisect_left(self.norms, scaled_norm(self.datum, tau))
@@ -500,6 +620,30 @@ class Window:
     def restrictions(self) -> list[FormalSum]:
         """One restriction to M per row."""
         return [restrict_sum(self.datum, FormalSum.single(tau)) for tau in self.rows]
+
+    def restriction(self, v) -> dict:
+        """``restrict_sum(datum, v)`` of a sum of rows, as ``{M-label: multiplicity}``.
+
+        The multiplicity-weighted sum of its rows' ``restrictions``.
+        Raises ``WindowError`` at a K-type that is not a row, an invalid
+        label included.
+        """
+        index, restrictions = self.row_index, self.restrictions
+        restricted: dict = {}
+        for tau, mult in v.items():
+            i = index.get(tau)
+            if i is None:
+                raise WindowError(
+                    f"K-type {format_label(tau)} is not in the window of bound {self.bound}"
+                )
+            for sigma, m in restrictions[i].items():
+                restricted[sigma] = restricted.get(sigma, 0) + mult * m
+        return restricted
+
+    @cached_property
+    def duals(self) -> _Memo:
+        """``{M-label: its dual}`` (``dual_rule``), each computed once, on first read."""
+        return _Memo(dual_rule(self.datum.m))
 
     @cached_property
     def supports(self) -> list[tuple[tuple[int, ...], ...]]:
@@ -531,8 +675,7 @@ class Window:
         them; the minima are the rows at the first norm where it does,
         which on a complete window are global.  Representative order.
         """
-        dual = dual_rule(self.datum.m)
-        class_of = self.class_of
+        duals, class_of = self.duals, self.class_of
         first_norm: dict[tuple, int] = {}
         minima: dict[tuple, list] = {}
         rows = zip(self.rows, self.norms, self.restrictions, self.supports)
@@ -542,7 +685,7 @@ class Window:
                 if sigma != cls.representative:
                     continue
                 if first_norm.setdefault(cls.orbit, norm) == norm:
-                    minima.setdefault(cls.orbit, []).append((tau, restricted[dual(sigma)]))
+                    minima.setdefault(cls.orbit, []).append((tau, restricted[duals[sigma]]))
         classes = {cls.orbit: cls for cls in class_of.values()}
         return {
             classes[orbit]: tuple(minima.get(orbit, ()))
@@ -564,6 +707,11 @@ class Window:
         norm_of = dict(zip(self.rows, self.norms))
         reps.sort(key=lambda r: (norm_of[r.min_ktype],) + r.sort_key())
         return reps
+
+    @cached_property
+    def matrix(self) -> MultMatrix:
+        """``mult_matrix`` of the window, which every check and consumer reads."""
+        return mult_matrix(self)
 
 
 def tempiric_window(datum: GroupDatum, bound) -> Window:

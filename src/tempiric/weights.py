@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, log10, prod
 from operator import mul
 
 TORUS1 = "Torus1"
@@ -367,6 +367,21 @@ def _axis_size(axis) -> int:
     return len(axis)
 
 
+def _decimal(value) -> str:
+    # str(value), or "~10^e" for a number past Python's limit on
+    # int-to-str digits, so a refusal never fails on the number it refuses.
+    try:
+        return str(value)
+    except ValueError:
+        n = int(value)
+        e = int(log10(n))  # floor(log10(n)), up to rounding; corrected below
+        if 10**e > n:
+            e -= 1
+        elif 10 ** (e + 1) <= n:
+            e += 1
+        return f"~10^{e}"
+
+
 def require_box_within_limit(axes, bound) -> None:
     """Refuse a label box, given as one range per coordinate, over the limit.
 
@@ -376,7 +391,7 @@ def require_box_within_limit(axes, bound) -> None:
     size = prod(_axis_size(axis) for axis in axes)
     if size > MAX_BOX_LABELS:
         raise WindowTooLargeError(
-            f"bound {bound} needs a box of {size} labels, "
+            f"bound {_decimal(bound)} needs a box of {_decimal(size)} labels, "
             f"above the limit of {MAX_BOX_LABELS}"
         )
 
@@ -416,24 +431,10 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     group = datum.k
     if bound < 0:
         return []
-    caps = _coordinate_caps(datum, bound)
     limit = scaled_bound(datum, bound)
-    axes = []
-    lattice = []
-    lattice_index = 0
-    for position, kind in enumerate(group.atoms):
-        if kind == CYCLIC2:
-            axes.append((0, 1))
-            continue
-        cap = caps[lattice_index]
-        shift = datum.two_rho_c[lattice_index]
-        lo, hi = -cap - shift, cap - shift
-        if kind in (SU2, SO3):
-            lo = max(lo, 0)
-        axes.append(range(lo, hi + 1))
-        lattice.append((position, shift))
-        lattice_index += 1
-    require_box_within_limit(axes, bound)
+    axes = _label_axes(group, _coordinate_caps(datum, bound), datum.two_rho_c, bound)
+    positions = [p for p, kind in enumerate(group.atoms) if kind != CYCLIC2]
+    lattice = list(zip(positions, datum.two_rho_c))
     window = []
     for label in itertools.product(*axes):
         x = tuple(label[p] + shift for p, shift in lattice)
@@ -444,14 +445,29 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     return [label for _, label in window]
 
 
-def labels_in_box(group: CompactGroup, cap: int):
-    """All labels with every coordinate bounded by ``cap`` in magnitude."""
+def _label_axes(group: CompactGroup, caps, shifts, bound) -> list:
+    # One axis per atom, for the labels with |x_i + shifts[i]| <= caps[i]
+    # on the i-th lattice coordinate (and x_i >= 0 on SU2 and SO3), and
+    # both bits on Cyclic2.  Refused over MAX_BOX_LABELS before any label
+    # is generated.
+    lattice = iter(zip(caps, shifts))
     axes = []
     for kind in group.atoms:
         if kind == CYCLIC2:
             axes.append((0, 1))
-        elif kind == TORUS1:
-            axes.append(tuple(range(-cap, cap + 1)))
-        else:
-            axes.append(tuple(range(0, cap + 1)))
-    return itertools.product(*axes)
+            continue
+        cap, shift = next(lattice)
+        low = -cap - shift
+        axes.append(range(max(low, 0) if kind in (SU2, SO3) else low, cap - shift + 1))
+    require_box_within_limit(axes, bound)
+    return axes
+
+
+def labels_in_box(group: CompactGroup, cap: int):
+    """All labels with every coordinate bounded by ``cap`` in magnitude.
+
+    Raises ``WindowTooLargeError`` before generating any label when the
+    box exceeds ``MAX_BOX_LABELS``.
+    """
+    dim = group.lattice_dim
+    return itertools.product(*_label_axes(group, [cap] * dim, [0] * dim, cap))

@@ -53,8 +53,7 @@ def test_criterion_1_vogan_bijection():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            matrix = mult_matrix(tempiric_window(datum, bound))
-            ok = ok and vogan_bijection_check(matrix).passed
+            ok = ok and vogan_bijection_check(tempiric_window(datum, bound)).passed
     elapsed = time.monotonic() - start
     _report(
         "criterion 1 (minimal-K-type bijection, bounds 10/50/100/200)",
@@ -68,8 +67,7 @@ def test_criterion_2_triangularity_and_inverse():
     for name in BUILTIN_NAMES:
         datum = builtin(name)
         for bound in GRID_BOUNDS:
-            matrix = mult_matrix(tempiric_window(datum, bound))
-            ok = ok and triangularity_check(datum, matrix).passed
+            ok = ok and triangularity_check(tempiric_window(datum, bound)).passed
     for name in ("SO31", "SL2R"):
         datum = builtin(name)
         for bound in GRID_BOUNDS:
@@ -90,10 +88,11 @@ def test_criterion_3_dimension_identity():
     ok = True
     for name in BUILTIN_NAMES:
         datum = builtin(name)
-        pairs = random_ktype_sums(datum, 400, 60, DEFAULT_SEED)
+        window = tempiric_window(datum, 60)
+        pairs = random_ktype_sums(window, 400, 60, DEFAULT_SEED)
         for v1, v2 in zip(pairs[0::2], pairs[1::2]):
-            report = dimension_identity_check(datum, v1, v2)
-            total = sum(d for _, d in boundary_block_dims(datum, v1, v2))
+            report = dimension_identity_check(window, v1, v2)
+            total = sum(d for _, d in boundary_block_dims(window, v1, v2))
             ok = ok and report.passed and total == report.data["lhs"]
     elapsed = time.monotonic() - start
     _report(
@@ -107,8 +106,9 @@ def test_criterion_4_uniform_admissibility():
     ok = True
     for name in BUILTIN_NAMES:
         datum = builtin(name)
-        for v in random_ktype_sums(datum, 100, 60, DEFAULT_SEED + 1):
-            ok = ok and admissibility_check(datum, v).passed
+        window = tempiric_window(datum, 60)
+        for v in random_ktype_sums(window, 100, 60, DEFAULT_SEED + 1):
+            ok = ok and admissibility_check(window, v).passed
     _report("criterion 4 (uniform admissibility, 100 seeded sums per group)", ok)
 
 

@@ -8,7 +8,6 @@ from tempiric.catalog import (
     builtin,
     load,
     serialize,
-    signed_perm_det,
     weyl_image,
 )
 
@@ -43,7 +42,7 @@ def test_two_rho_c_is_sum_of_compact_roots(sl2r, sp11):
 
 
 def test_weyl_k_determinants(sp11):
-    dets = sorted(signed_perm_det(w) for w in sp11.ds.weyl_k)
+    dets = sorted(det for _, _, det in sp11.ds.signed_weyl_k)
     assert dets == [-1, -1, 1, 1]
 
 

@@ -88,17 +88,17 @@ def test_mult_matrix_sp11_aggregate_columns(sp11):
 
 
 def test_bijection_examples(sl2r, so31, sp11):
-    assert vogan_bijection_check(mult_matrix(tempiric_window(sl2r, 16))).passed
-    assert vogan_bijection_check(mult_matrix(tempiric_window(so31, 25))).passed
-    report = vogan_bijection_check(mult_matrix(tempiric_window(sp11, 41)))
+    assert vogan_bijection_check(tempiric_window(sl2r, 16)).passed
+    assert vogan_bijection_check(tempiric_window(so31, 25)).passed
+    report = vogan_bijection_check(tempiric_window(sp11, 41))
     assert report.passed
     assert report.data["ktypes"] == report.data["representatives"] == 17
 
 
 def test_triangularity_examples(sl2r, so31, sp11):
-    assert triangularity_check(so31, mult_matrix(tempiric_window(so31, 16))).passed
-    assert triangularity_check(sl2r, mult_matrix(tempiric_window(sl2r, 9))).passed
-    assert triangularity_check(sp11, mult_matrix(tempiric_window(sp11, 20))).passed
+    assert triangularity_check(tempiric_window(so31, 16)).passed
+    assert triangularity_check(tempiric_window(sl2r, 9)).passed
+    assert triangularity_check(tempiric_window(sp11, 20)).passed
 
 
 def test_sp11_blattner_vanishing_rows(sp11):
@@ -193,21 +193,22 @@ def test_invert_sp11_refuses(sp11):
 
 def test_dimension_identity_examples(sl2r, sp11):
     v11 = FormalSum({(1, 1): 1})
-    report = dimension_identity_check(sp11, v11, v11)
+    sp11_window = tempiric_window(sp11, 20)
+    report = dimension_identity_check(sp11_window, v11, v11)
     assert report.passed and report.data == {"lhs": 2, "rhs": 2}
     report = dimension_identity_check(
-        sp11, FormalSum({(1, 0): 1}), FormalSum({(0, 1): 1})
+        sp11_window, FormalSum({(1, 0): 1}), FormalSum({(0, 1): 1})
     )
     assert report.passed and report.data == {"lhs": 1, "rhs": 1}
     report = dimension_identity_check(
-        sl2r, FormalSum({(0,): 1}), FormalSum({(0,): 1})
+        tempiric_window(sl2r, 9), FormalSum({(0,): 1}), FormalSum({(0,): 1})
     )
     assert report.passed and report.data == {"lhs": 1, "rhs": 1}
 
 
 def test_boundary_blocks_so31(so31):
     v = FormalSum({(1,): 1})
-    blocks = boundary_block_dims(so31, v, v)
+    blocks = boundary_block_dims(tempiric_window(so31, 16), v, v)
     rendered = {
         (block if isinstance(block, str) else block.orbit): d
         for block, d in blocks
@@ -218,7 +219,7 @@ def test_boundary_blocks_so31(so31):
 
 def test_boundary_blocks_sl2r(sl2r):
     v = FormalSum({(1,): 1})
-    blocks = boundary_block_dims(sl2r, v, v)
+    blocks = boundary_block_dims(tempiric_window(sl2r, 9), v, v)
     rendered = {
         (block if isinstance(block, str) else block.orbit): d
         for block, d in blocks
@@ -228,22 +229,24 @@ def test_boundary_blocks_sl2r(sl2r):
 
 def test_boundary_total_matches_identity(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
+        window = tempiric_window(datum, 40)
         for v1, v2 in zip(
-            random_ktype_sums(datum, 20, 40, DEFAULT_SEED),
-            random_ktype_sums(datum, 20, 40, DEFAULT_SEED + 7),
+            random_ktype_sums(window, 20, 40, DEFAULT_SEED),
+            random_ktype_sums(window, 20, 40, DEFAULT_SEED + 7),
         ):
-            report = dimension_identity_check(datum, v1, v2)
+            report = dimension_identity_check(window, v1, v2)
             assert report.passed
-            total = sum(d for _, d in boundary_block_dims(datum, v1, v2))
+            total = sum(d for _, d in boundary_block_dims(window, v1, v2))
             assert total == report.data["lhs"]
 
 
 def test_admissibility_examples(sl2r, so31, sp11):
-    report = admissibility_check(sp11, FormalSum({(3, 2): 1}))
+    report = admissibility_check(tempiric_window(sp11, 60), FormalSum({(3, 2): 1}))
     assert report.passed
     assert report.data["support"] == ["(1)", "(3)", "(5)"]
-    assert admissibility_check(so31, FormalSum({(0,): 1})).passed
-    assert admissibility_check(sl2r, FormalSum({(5,): 2, (0,): 1})).passed
+    assert admissibility_check(tempiric_window(so31, 1), FormalSum({(0,): 1})).passed
+    window = tempiric_window(sl2r, 36)
+    assert admissibility_check(window, FormalSum({(5,): 2, (0,): 1})).passed
 
 
 def test_blattner_consistency(sl2r, so31, sp11):
@@ -270,9 +273,9 @@ def test_ktheory_summary(sl2r, so31, sp11):
 def test_checks_on_sampled_grid(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         for bound in (0, 9, 35, 80, 143, 200):
-            matrix = mult_matrix(tempiric_window(datum, bound))
-            assert vogan_bijection_check(matrix).passed, (datum.name, bound)
-            assert triangularity_check(datum, matrix).passed, (datum.name, bound)
+            window = tempiric_window(datum, bound)
+            assert vogan_bijection_check(window).passed, (datum.name, bound)
+            assert triangularity_check(window).passed, (datum.name, bound)
 
 
 def test_failing_report_requires_counterexample():

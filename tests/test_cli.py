@@ -285,6 +285,34 @@ def test_huge_bound_is_refused_not_overflowed(capsys, argv):
     assert err.endswith(" labels, above the limit of 1000000\n")
 
 
+@pytest.mark.parametrize("command", ["ktypes", "tempiric-table"])
+def test_bound_past_the_int_digit_limit_is_refused(command):
+    # 10^5000 has more digits than Python converts to text by default; the
+    # refusal names it by its power of ten instead of failing on it.
+    result = _run_subprocess(command, "--group", "SL2R", "--bound", "1e5000")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: bound ~10^5000 needs a box of ")
+    assert result.stderr.endswith(" labels, above the limit of 1000000\n")
+
+
+@pytest.mark.parametrize(
+    "group, grid_bound, labels",
+    [
+        ("SL2R", "100000000000000000000000", "200000000000000000000001"),
+        ("SO31", "5000000", "5000001"),
+    ],
+)
+def test_oversize_figure_grid_exits_2_quickly(group, grid_bound, labels):
+    # The diagram grid is a label box like a window's: over the limit it is
+    # refused before any label is generated, not overflowed or scanned.
+    result = _run_subprocess("figure", "--group", group, "--grid-bound", grid_bound)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: bound {grid_bound} needs a box of {labels} labels, "
+        "above the limit of 1000000\n"
+    )
+
+
 def test_python_dash_m_tempiric_runs_the_cli(capsys):
     env = dict(os.environ, PYTHONPATH=str(Path(tempiric.__file__).parents[1]))
     argv = ("verify", "--group", "SO31", "--bound", "10")
@@ -436,7 +464,7 @@ def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, s
     monkeypatch.setattr(cktheory, "boundary_block_dims", unused)
     v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
     v2 = FormalSum({(1,): 2})
-    report = cktheory.dimension_identity_check(so31, v1, v2)
+    report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)
     assert not report.passed and report.data == {"lhs": 28, "rhs": 28}
     assert report.counterexample == {
         "v1": [((0,), 2), ((2,), 3), ((3,), 1)],
@@ -461,7 +489,7 @@ def test_hom_pairing_mismatch_fails_the_identity_check(capsys, monkeypatch, so31
     monkeypatch.setattr(cktheory, "isotypic_pairing", lambda *args: pairing(*args) + 1)
     v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
     v2 = FormalSum({(1,): 2})
-    report = cktheory.dimension_identity_check(so31, v1, v2)
+    report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)
     assert not report.passed and report.data == {"lhs": 29, "rhs": 28}
     assert report.counterexample == {
         "v1": [((0,), 2), ((2,), 3), ((3,), 1)],
@@ -478,14 +506,15 @@ def test_hom_pairing_mismatch_fails_the_identity_check(capsys, monkeypatch, so31
 
 
 def _count_matrix_builds(monkeypatch):
+    # Window.matrix builds through tempered's mult_matrix.
     builds = []
-    build = cktheory.mult_matrix
+    build = tempered.mult_matrix
 
     def counted(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(cktheory, "mult_matrix", counted)
+    monkeypatch.setattr(tempered, "mult_matrix", counted)
     return builds
 
 

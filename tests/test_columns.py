@@ -154,7 +154,9 @@ def _refused_at_limit(monkeypatch, limit, build):
 
     with monkeypatch.context() as patch:
         patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit - 1)
-        for name in ("blattner_kernel", "blattner_mult", "restrict_sum", "_column"):
+        for name in ("blattner_kernel", "blattner_mult", "_column"):
+            patch.setattr(tempered, name, no_entries)
+        for name in ("blattner_kernel", "blattner_mult"):
             patch.setattr(cktheory, name, no_entries)
         with pytest.raises(WindowTooLargeError, match="window entries"):
             build()
@@ -281,7 +283,8 @@ def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
 
         return planted_entry
 
-    monkeypatch.setattr(cktheory, "blattner_kernel", planted_kernel)
+    for module in (tempered, cktheory):
+        monkeypatch.setattr(module, "blattner_kernel", planted_kernel)
     counterexample = {
         "representative": first.describe(),
         "ktype": format_label(planted),

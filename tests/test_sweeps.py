@@ -1,9 +1,9 @@
-"""verify's randomized sweeps against the public checks.
+"""verify's randomized sweeps and the window restriction they read.
 
-The sweeps read their sums, restrictions and orbits off the command's
-``Window``; every per-sum report they compute must equal the report of
-the public check, which restricts its arguments itself, on the same
-inputs.
+The sweeps are loops over the public ``dimension_identity_check`` and
+``admissibility_check`` on the command's ``Window``.  Each check reads a
+sum's restriction off the window (``Window.restriction``), which must
+equal the restriction ``restrict_sum`` computes from the branching rule.
 """
 
 import json
@@ -12,14 +12,10 @@ from fractions import Fraction
 import pytest
 
 from tempiric import cli, cktheory
+from tempiric.branching import restrict_sum
 from tempiric.catalog import builtin, load, serialize
-from tempiric.cktheory import (
-    DEFAULT_SEED,
-    admissibility_check,
-    dimension_identity_check,
-    random_ktype_sums,
-)
-from tempiric.tempered import principal_class_of, tempiric_window
+from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
+from tempiric.tempered import WindowError, principal_class_of, tempiric_window
 from tempiric.weights import FormalSum, enumerate_ktypes
 
 
@@ -38,10 +34,10 @@ DATA = {
 BOUNDS = (Fraction(0), Fraction(1, 3), Fraction(10), Fraction(41), Fraction(100))
 
 
-def _recorded(monkeypatch, core, run):
-    # The (arguments, report) of every call of a check core during run().
+def _recorded(monkeypatch, check, run):
+    # The (arguments, report) of every call of a public check during run().
     calls = []
-    real = getattr(cktheory, core)
+    real = getattr(cktheory, check)
 
     def recording(*args):
         report = real(*args)
@@ -49,43 +45,89 @@ def _recorded(monkeypatch, core, run):
         return report
 
     with monkeypatch.context() as patch:
-        patch.setattr(cktheory, core, recording)
+        patch.setattr(cktheory, check, recording)
         final = run()
     return final, calls
+
+
+def _restricts_like_the_branching_rule(window, v):
+    return FormalSum(window.restriction(v)) == restrict_sum(window.datum, v)
 
 
 @pytest.mark.parametrize("bound", BOUNDS, ids=str)
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_identity_sweep_equals_the_public_check(monkeypatch, name, bound):
-    datum = DATA[name]()
-    window = tempiric_window(datum, bound)
+    window = tempiric_window(DATA[name](), bound)
     final, calls = _recorded(
-        monkeypatch, "_identity_report", lambda: cli._identity_sweep(window, DEFAULT_SEED)
+        monkeypatch, "dimension_identity_check",
+        lambda: cli._identity_sweep(window, DEFAULT_SEED),
     )
     cap = min(bound, Fraction(cli.VERIFY_NORM_CAP))
-    sums = random_ktype_sums(datum, 2 * cli.VERIFY_PAIRS, cap, DEFAULT_SEED)
+    sums = random_ktype_sums(window, 2 * cli.VERIFY_PAIRS, cap, DEFAULT_SEED)
     pairs = list(zip(sums[0::2], sums[1::2]))
-    assert [(FormalSum(args[1]), FormalSum(args[2])) for args, _ in calls] == pairs
-    for (v1, v2), (_, report) in zip(pairs, calls):
-        assert report == dimension_identity_check(datum, v1, v2)
+    assert [args for args, _ in calls] == [(window, v1, v2) for v1, v2 in pairs]
+    assert all(report.passed for _, report in calls)
+    assert all(_restricts_like_the_branching_rule(window, v) for v in sums)
     assert final.passed and final.data == {"pairs": cli.VERIFY_PAIRS}
 
 
 @pytest.mark.parametrize("bound", BOUNDS, ids=str)
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_admissibility_sweep_equals_the_public_check(monkeypatch, name, bound):
-    datum = DATA[name]()
-    window = tempiric_window(datum, bound)
+    window = tempiric_window(DATA[name](), bound)
     final, calls = _recorded(
-        monkeypatch, "_admissibility_report",
+        monkeypatch, "admissibility_check",
         lambda: cli._admissibility_sweep(window, DEFAULT_SEED),
     )
     cap = min(bound, Fraction(cli.VERIFY_NORM_CAP))
-    sums = random_ktype_sums(datum, cli.VERIFY_ADMISSIBILITY, cap, DEFAULT_SEED + 1)
-    assert [FormalSum(args[0]) for args, _ in calls] == sums
-    for v, (_, report) in zip(sums, calls):
-        assert report == admissibility_check(datum, v)
+    sums = random_ktype_sums(window, cli.VERIFY_ADMISSIBILITY, cap, DEFAULT_SEED + 1)
+    assert [args for args, _ in calls] == [(window, v) for v in sums]
+    assert all(report.passed for _, report in calls)
+    assert all(_restricts_like_the_branching_rule(window, v) for v in sums)
     assert final.passed and final.data == {"samples": cli.VERIFY_ADMISSIBILITY}
+
+
+@pytest.mark.parametrize("bound", BOUNDS, ids=str)
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_window_restriction_equals_restrict_sum(name, bound):
+    window = tempiric_window(DATA[name](), bound)
+    for i, tau in enumerate(window.rows):
+        assert _restricts_like_the_branching_rule(window, FormalSum({tau: i + 1}))
+    everything = FormalSum({tau: 1 + i % 3 for i, tau in enumerate(window.rows)})
+    assert _restricts_like_the_branching_rule(window, everything)
+
+
+def test_a_ktype_outside_the_window_is_refused(sl2r, sp11):
+    window = tempiric_window(sl2r, 9)
+    for tau in ((4,), (1, 0), (0.5,), ("0",)):
+        v = FormalSum({(0,): 1, tau: 1})
+        with pytest.raises(WindowError, match="is not in the window of bound 9"):
+            window.restriction(v)
+        with pytest.raises(WindowError):
+            cktheory.dimension_identity_check(window, FormalSum({(0,): 1}), v)
+        with pytest.raises(WindowError):
+            cktheory.admissibility_check(window, v)
+    with pytest.raises(WindowError):
+        cktheory.boundary_block_dims(tempiric_window(sp11, 10), FormalSum({(-1, 0): 1}), FormalSum())
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_verify_sweeps_call_the_public_checks(capsys, monkeypatch, group):
+    counts = {}
+    for check in ("dimension_identity_check", "admissibility_check"):
+        real = getattr(cktheory, check)
+
+        def counted(*args, check=check, real=real):
+            counts[check] = counts.get(check, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(cktheory, check, counted)
+    assert cli.main(["verify", "--group", group, "--bound", "41"]) == 0
+    capsys.readouterr()
+    assert counts == {
+        "dimension_identity_check": cli.VERIFY_PAIRS,
+        "admissibility_check": cli.VERIFY_ADMISSIBILITY,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(DATA))
@@ -118,7 +160,7 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     report = cli._identity_sweep(window, DEFAULT_SEED)
     assert report.passed
     v = FormalSum({(0,): 1})
-    blocks = cktheory.boundary_block_dims(sl2r, v, v)
+    blocks = cktheory.boundary_block_dims(window, v, v)
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
         "discrete-series", ((0,),), ((1,),),
     ]

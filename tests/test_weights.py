@@ -210,6 +210,39 @@ def test_oversize_windows_refused_before_enumeration(sl2r, sp11):
         enumerate_ktypes(sl2r, 10**14)
 
 
+@pytest.mark.parametrize(
+    "bound, text",
+    [
+        (10**40, str(10**40)),
+        (Fraction(10**40, 3), f"{10**40}/3"),
+        (10**5000 - 1, "~10^4999"),
+        (10**5000, "~10^5000"),
+        (Fraction(10**5000, 3), "~10^4999"),
+    ],
+    ids=["1e40", "1e40/3", "1e5000-1", "1e5000", "1e5000/3"],
+)
+def test_box_refusal_names_any_bound(bound, text):
+    # Past Python's int-to-str digit limit the message gives the power of
+    # ten, exactly, instead of failing to format the refusal.
+    box = [range(int(bound) + 1)]
+    with pytest.raises(WindowTooLargeError) as refusal:
+        weights.require_box_within_limit(box, bound)
+    size = weights._decimal(int(bound) + 1)
+    assert str(refusal.value) == (
+        f"bound {text} needs a box of {size} labels, above the limit of 1000000"
+    )
+
+
+@pytest.mark.parametrize("group", [(TORUS1,), (SO3,), (SU2, CYCLIC2), (TORUS1, SU2)])
+def test_labels_in_box_refuses_an_oversize_box(group):
+    group = CompactGroup(group)
+    cap = 10**6 if group.lattice_dim == 1 else 10**3
+    with pytest.raises(WindowTooLargeError, match=f"bound {cap} needs a box of"):
+        weights.labels_in_box(group, cap)
+    with pytest.raises(WindowTooLargeError, match="bound 10000000000000000000000 needs"):
+        weights.labels_in_box(group, 10**22)
+
+
 class _BoxChecked(Exception):
     pass
 
