@@ -175,10 +175,7 @@ def _validate_ds(datum: GroupDatum, dim: int):
     for root in noncompact:
         if tuple(-c for c in root) not in noncompact:
             raise CatalogError(f"ds.noncompact_roots: set is not closed under negation ({root})")
-    identity = tuple(
-        tuple(int(i == j) for j in range(dim)) for i in range(dim)
-    )
-    if identity not in ds.weyl_k:
+    if _identity_matrices(dim, False)[0] not in ds.weyl_k:
         raise CatalogError("ds.wk_elements: the identity matrix is missing")
     compact_set = set(ds.compact_pos_roots) | {
         tuple(-c for c in r) for r in ds.compact_pos_roots
@@ -201,15 +198,11 @@ def _validate_ds(datum: GroupDatum, dim: int):
 
 
 def _identity_matrices(dim: int, sign_flips: bool):
-    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    if not sign_flips:
-        return (identity,)
-    out = []
-    for signs in itertools.product((1, -1), repeat=dim):
-        out.append(
-            tuple(tuple(signs[i] * int(i == j) for j in range(dim)) for i in range(dim))
-        )
-    return tuple(out)
+    # The diagonal sign matrices, the identity first; only it without flips.
+    return tuple(
+        tuple(tuple(signs[i] * int(i == j) for j in range(dim)) for i in range(dim))
+        for signs in itertools.product((1, -1) if sign_flips else (1,), repeat=dim)
+    )
 
 
 def _builtin_sl2r() -> GroupDatum:

@@ -31,8 +31,6 @@ from .tempered import (
     TempiricRep,
     Window,
     WindowError,
-    _column,
-    blattner_kernel,
     blattner_mult,
     format_label,
     mult_matrix,
@@ -187,16 +185,17 @@ def composite_map(window: Window, tau) -> FormalSum:
     """Image of a K-type in the free group on window representatives.
 
     The coefficients are the matrix entries of the K-type's row, and only
-    that row is evaluated, by ``mult_matrix``'s own ``_column``.  The
-    window must contain the K-type; triangularity then guarantees every
-    representative it meets is present, so nothing is silently truncated.
+    that row is evaluated, through the ``Window.columns`` that
+    ``mult_matrix`` reads.  The window must contain the K-type;
+    triangularity then guarantees every representative it meets is
+    present, so nothing is silently truncated.
     """
     if vogan_norm(window.datum, tau) > window.bound:
         raise WindowError(
             f"K-type {format_label(tau)} has norm above the window bound {window.bound}"
         )
     i = window.row_index[tuple(tau)]
-    return FormalSum({rep: _column(window, rep)[1](i) for rep in window.reps})
+    return FormalSum({rep: window.columns[rep][1](i) for rep in window.reps})
 
 
 def _sparse_product_is_identity(a_rows, b_rows) -> bool:
@@ -437,11 +436,10 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     Recomputes two_rho_c from the positive compact roots, then checks
     that every series of the window has multiplicity one at its lowest
     K-type and zero at every window K-type of strictly smaller norm.
-    Those rows are a prefix of the window's rows; ``blattner_kernel``
-    evaluates it with the window's memo in row order, stopping at the
-    first nonzero; a series whose prefix was evaluated to its end is
-    added to ``Window.below_minimum`` for ``mult_matrix``.  It reads only
-    the window's rows, with their coordinates and norms, and its series.
+    Those rows are a prefix of the window's rows; the series'
+    ``Window.columns`` column evaluates it in row order, stopping at the
+    first nonzero.  It reads only the window's rows, with their
+    coordinates and norms, and its series, never the class pass.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
     exceeds ``MAX_WINDOW_ENTRIES``.
@@ -464,8 +462,7 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                 "reason": "two_rho_c differs from the sum of positive compact roots",
             },
         )
-    rows, shifted = window.rows, window.shifted
-    series = window.series
+    rows, series = window.rows, window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:
         if blattner_mult(datum, rep, rep.min_ktype, window.memo) != 1:
@@ -477,9 +474,9 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                     "reason": "lowest K-type multiplicity differs from 1",
                 },
             )
-        kernel = blattner_kernel(datum, rep, window.memo)
+        entry = window.columns[rep][1]
         for i in range(window.rows_below(rep.min_ktype)):
-            if kernel(shifted[i], rows[i]) != 0:
+            if entry(i) != 0:
                 return VerificationReport(
                     name,
                     False,
@@ -489,7 +486,6 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                         "reason": "nonzero multiplicity below the lowest K-type",
                     },
                 )
-        window.below_minimum.add(rep)
     return VerificationReport(name, True, data={"series": len(series)})
 
 

@@ -142,23 +142,22 @@ def cmd_catalog(args) -> tuple[int, str]:
 def cmd_ktypes(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
-    window = enumerate_ktypes(datum, args.bound)
     records = [
-        (format_label(tau), str(vogan_norm(datum, tau)), weyl_dim(datum.k, tau))
-        for tau in window
+        (tau, str(vogan_norm(datum, tau)), weyl_dim(datum.k, tau))
+        for tau in enumerate_ktypes(datum, args.bound)
     ]
     if fmt == "json":
         payload = {
             "group": datum.name,
             "bound": str(args.bound),
             "ktypes": [
-                {"label": list(tau), "norm": str(vogan_norm(datum, tau)),
-                 "dim": weyl_dim(datum.k, tau)}
-                for tau in window
+                {"label": list(tau), "norm": norm, "dim": dim} for tau, norm, dim in records
             ],
         }
         return 0, _json_text(payload)
-    return 0, _csv_text(("label", "norm", "dim"), records)
+    return 0, _csv_text(
+        ("label", "norm", "dim"), [(format_label(t), n, d) for t, n, d in records]
+    )
 
 
 def cmd_branch(args) -> tuple[int, str]:

@@ -11,19 +11,17 @@ Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 and supports, the class of every M-type they meet, the classes, the
-series, the multiplicity matrix, and the below-minimum block of each
-series' Blattner column once a check has evaluated it.  One column
-kernel, ``blattner_kernel``, evaluates every Blattner multiplicity from
-a row's coordinates; ``blattner_column`` and ``blattner_mult`` are its
-lazy wrappers over K-type labels.
+series, each representative's matrix column and the multiplicity
+matrix.  One column kernel, ``blattner_kernel``, evaluates every
+Blattner multiplicity from a row's coordinates; ``blattner_column`` and
+``blattner_mult`` are its lazy wrappers over K-type labels.
 
 Every matrix entry comes from one per-column code path, ``_column``,
-which ``mult_matrix`` runs over all rows and ``cktheory.composite_map``
-over one.  Its discrete-series columns run ``blattner_kernel`` on the
-window's row coordinates.  The below-minimum block of those columns is
-evaluated once: ``cktheory.blattner_consistency_check`` marks on the
-window each series whose block it evaluated to the end, and
-``mult_matrix`` skips that block for it.
+built once per representative as ``Window.columns`` and read by
+``mult_matrix`` over all rows, by ``cktheory.composite_map`` at one and
+by ``cktheory.blattner_consistency_check`` below each lowest K-type.
+Its discrete-series columns run ``blattner_kernel`` on the window's row
+coordinates.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -44,6 +42,8 @@ from .weights import (
     FormalSum,
     dual_rule,
     enumerate_ktypes,
+    is_label_entry,
+    ktype_axes,
     label_lattice_coords,
     lattice_coords_to_label,
     require_box_within_limit,
@@ -273,25 +273,18 @@ def _signed_image(perm, signs, vec) -> tuple[int, ...]:
     return tuple(s * vec[c] for c, s in zip(perm, signs))
 
 
-def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
-    """Discrete series with lowest K-type norm <= bound, one per Weyl orbit.
+def parameter_box(datum: GroupDatum, bound: Fraction) -> list[range]:
+    """The parameter box ``ds_enumerate`` scans at a nonnegative bound.
 
-    Deterministic order: by (norm of lowest K-type, lowest K-type,
-    parameter).  Raises ``WindowTooLargeError`` before scanning when the
-    parameter box exceeds ``MAX_BOX_LABELS``.
+    Wide enough that any parameter mapping into the window lies inside:
+    |Lambda_i| <= cap_i + |2rho_c_i|, and the chamber shift is bounded by
+    half the total coordinate mass of the noncompact roots.  Raises
+    ``WindowTooLargeError`` when it exceeds ``MAX_BOX_LABELS``.
     """
-    ds = _require_ds(datum)
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
     dim = datum.k.lattice_dim
     caps = _coordinate_caps(datum, bound)
-    limit = scaled_bound(datum, bound)
-    # box wide enough that any parameter mapping into the window lies inside:
-    # |Lambda_i| <= cap_i + |2rho_c_i| and the chamber shift is bounded by
-    # half the total coordinate mass of the noncompact roots.
     half_shift = [
-        (sum(abs(beta[i]) for beta in ds.noncompact_roots) + 1) // 2
+        (sum(abs(beta[i]) for beta in datum.ds.noncompact_roots) + 1) // 2
         for i in range(dim)
     ]
     radii = [
@@ -299,6 +292,23 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     ]
     box = [range(-r, r + 1) for r in radii]
     require_box_within_limit(box, bound)
+    return box
+
+
+def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
+    """Discrete series with lowest K-type norm <= bound, one per Weyl orbit.
+
+    Deterministic order: by (norm of lowest K-type, lowest K-type,
+    parameter).  Raises ``WindowTooLargeError`` before scanning when the
+    ``parameter_box`` exceeds ``MAX_BOX_LABELS``.
+    """
+    ds = _require_ds(datum)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    dim = datum.k.lattice_dim
+    box = parameter_box(datum, bound)
+    limit = scaled_bound(datum, bound)
     # A root's wall functional w with w . lambda = D <alpha, lambda>, so
     # regularity (``is_regular``) is one dot product per root, and the
     # signs of the noncompact ones give the chamber's positive roots.
@@ -491,11 +501,12 @@ class MultMatrix:
 def _column(window: Window, rep: TempiricRep):
     """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
 
-    Discrete-series columns run ``blattner_kernel`` with the window's
-    memo on the row's ``Window.shifted`` coordinates.  Principal-series
-    columns read the window's restriction of the row at the dual of the
-    class representative (which is ``induced_ktype_mult``), then apply
-    the split rules.
+    Read through ``Window.columns``, which builds it once per
+    representative.  Discrete-series columns run ``blattner_kernel``
+    with the window's memo on the row's ``Window.shifted`` coordinates.
+    Principal-series columns read the window's restriction of the row at
+    the dual of the class representative (which is
+    ``induced_ktype_mult``), then apply the split rules.
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
@@ -520,10 +531,8 @@ def _column(window: Window, rep: TempiricRep):
 def mult_matrix(window: Window) -> MultMatrix:
     """Multiplicity matrix of the window; ``Window.matrix`` is it, built once.
 
-    Built one ``_column`` at a time, and every (row, column) entry is
-    evaluated, in row order.  A series in ``Window.below_minimum``
-    (``blattner_consistency_check`` evaluated its below-minimum prefix
-    and found it zero) is evaluated only at the remaining rows.  Raises
+    Read one ``Window.columns`` column at a time, and every (row,
+    column) entry is evaluated, in row order.  Raises
     ``WindowTooLargeError`` before evaluating any entry when rows x
     columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
@@ -532,10 +541,9 @@ def mult_matrix(window: Window) -> MultMatrix:
     entries: dict = {}
     resolution = []
     for j, rep in enumerate(reps):
-        flag, entry = _column(window, rep)
+        flag, entry = window.columns[rep]
         resolution.append(flag)
-        start = window.rows_below(rep.min_ktype) if rep in window.below_minimum else 0
-        for i in range(start, len(rows)):
+        for i in range(len(rows)):
             v = entry(i)
             if v:
                 entries[(i, j)] = v
@@ -565,18 +573,11 @@ class Window:
 
     Each part is computed on first read and shared by every reader.
     ``memo`` holds the partition counts of this window's Blattner columns.
-    ``below_minimum`` holds the series whose column is certified zero at
-    every row of norm below its lowest K-type (a prefix of ``rows``,
-    which are sorted by norm); a series is added once every entry of
-    that prefix has been evaluated: ``blattner_consistency_check``
-    evaluates it, and ``matrix`` then evaluates only the rest of the
-    column.
     """
 
     datum: GroupDatum
     bound: Fraction
     memo: dict = field(default_factory=dict, init=False, repr=False)
-    below_minimum: set = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
@@ -626,13 +627,15 @@ class Window:
 
         The multiplicity-weighted sum of its rows' ``restrictions``.
         Raises ``WindowError`` at a K-type that is not a row, an invalid
-        label included.
+        label included: a key equal to a row must also pass
+        ``is_label_entry`` at every entry, so ``(1.0,)`` and ``(True,)``
+        are refused although they hash like the row ``(1,)``.
         """
         index, restrictions = self.row_index, self.restrictions
         restricted: dict = {}
         for tau, mult in v.items():
             i = index.get(tau)
-            if i is None:
+            if i is None or not all(map(is_label_entry, tau)):
                 raise WindowError(
                     f"K-type {format_label(tau)} is not in the window of bound {self.bound}"
                 )
@@ -699,7 +702,16 @@ class Window:
 
     @cached_property
     def reps(self) -> list[TempiricRep]:
-        """The representatives minimal in the window, aligned with its rows."""
+        """The representatives minimal in the window, aligned with its rows.
+
+        For equal rank, an oversize label box is refused before the class
+        pass runs: first the rows' ``ktype_axes`` (so the refusal names
+        the box the rows would have been refused for), then the series'
+        ``parameter_box``.
+        """
+        if self.datum.equal_rank and self.bound >= 0:
+            ktype_axes(self.datum, self.bound)
+            parameter_box(self.datum, self.bound)
         reps: list[TempiricRep] = []
         for cls, minima in self.classes.items():
             reps.extend(_constituents(cls, minima))
@@ -707,6 +719,11 @@ class Window:
         norm_of = dict(zip(self.rows, self.norms))
         reps.sort(key=lambda r: (norm_of[r.min_ktype],) + r.sort_key())
         return reps
+
+    @cached_property
+    def columns(self) -> _Memo:
+        """``{representative: its _column}``, each built once, on first read."""
+        return _Memo(lambda rep: _column(self, rep))
 
     @cached_property
     def matrix(self) -> MultMatrix:

@@ -54,6 +54,11 @@ class CompactGroup:
         return sum(1 for kind in self.atoms if kind != CYCLIC2)
 
 
+def is_label_entry(v) -> bool:
+    """``validate_label``'s entry rule: an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_label(group: CompactGroup, label) -> tuple[int, ...]:
     """Check that ``label`` is a valid irreducible label for ``group``."""
     label = tuple(label)
@@ -62,7 +67,7 @@ def validate_label(group: CompactGroup, label) -> tuple[int, ...]:
             f"label {label!r} has {len(label)} entries, group has {len(group.atoms)} atoms"
         )
     for kind, v in zip(group.atoms, label):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_label_entry(v):
             raise ValueError(f"label entry {v!r} for {kind} atom is not an integer")
         if kind == CYCLIC2 and v not in (0, 1):
             raise ValueError(f"Cyclic2 label must be 0 or 1, got {v}")
@@ -172,9 +177,6 @@ class FormalSum:
         except TypeError:
             body = ", ".join(f"{k!r}: {v}" for k, v in self._terms.items())
         return f"FormalSum({{{body}}})"
-
-    def has_negative(self) -> bool:
-        return any(v < 0 for v in self._terms.values())
 
 
 def weyl_dim(group: CompactGroup, tau) -> int:
@@ -432,7 +434,7 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     if bound < 0:
         return []
     limit = scaled_bound(datum, bound)
-    axes = _label_axes(group, _coordinate_caps(datum, bound), datum.two_rho_c, bound)
+    axes = ktype_axes(datum, bound)
     positions = [p for p, kind in enumerate(group.atoms) if kind != CYCLIC2]
     lattice = list(zip(positions, datum.two_rho_c))
     window = []
@@ -443,6 +445,14 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
             window.append((norm, label))
     window.sort()
     return [label for _, label in window]
+
+
+def ktype_axes(datum, bound: Fraction) -> list:
+    """The label axes ``enumerate_ktypes`` scans at a nonnegative bound.
+
+    Raises ``WindowTooLargeError`` when their box exceeds ``MAX_BOX_LABELS``.
+    """
+    return _label_axes(datum.k, _coordinate_caps(datum, bound), datum.two_rho_c, bound)
 
 
 def _label_axes(group: CompactGroup, caps, shifts, bound) -> list:

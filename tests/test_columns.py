@@ -148,16 +148,15 @@ def test_column_raises_at_the_same_entry_as_the_pointwise_path():
 def _refused_at_limit(monkeypatch, limit, build):
     # One entry over the limit is refused before any entry is evaluated;
     # at the limit itself the build runs.  _column is the one path to
-    # the entries of both kinds of column.
+    # the entries of both kinds of column, and blattner_kernel the one
+    # path to every Blattner entry, blattner_mult's included.
     def no_entries(*args):
         raise AssertionError("an entry was evaluated")
 
     with monkeypatch.context() as patch:
         patch.setattr(weights, "MAX_WINDOW_ENTRIES", limit - 1)
-        for name in ("blattner_kernel", "blattner_mult", "_column"):
+        for name in ("blattner_kernel", "_column"):
             patch.setattr(tempered, name, no_entries)
-        for name in ("blattner_kernel", "blattner_mult"):
-            patch.setattr(cktheory, name, no_entries)
         with pytest.raises(WindowTooLargeError, match="window entries"):
             build()
     with monkeypatch.context() as patch:
@@ -188,13 +187,13 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
     low = scaled_norm(sp11, first.min_ktype)
     lower = [tau for tau in enumerate_ktypes(sp11, 60) if scaled_norm(sp11, tau) < low]
     planted = lower[position]
-    real = cktheory.blattner_kernel
+    real = tempered.blattner_kernel
 
     def planted_kernel(datum, rep, memo=None):
         entry = real(datum, rep, memo)
         return lambda shifted, tau: entry(shifted, tau) + (rep == first and tau == planted)
 
-    monkeypatch.setattr(cktheory, "blattner_kernel", planted_kernel)
+    monkeypatch.setattr(tempered, "blattner_kernel", planted_kernel)
     report = cktheory.blattner_consistency_check(tempiric_window(sp11, 60))
     assert not report.passed
     assert report.counterexample == {
@@ -205,12 +204,13 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
 
 
 def _count_kernel_entries(monkeypatch):
-    # Counts every Blattner kernel evaluation, per (series, K-type),
-    # through both modules that build kernels.
-    evaluated = Counter()
+    # Counts every Blattner kernel built, per series, and every kernel
+    # evaluation, per (series, K-type).  Every kernel is built in tempered.
+    built, evaluated = Counter(), Counter()
     real = tempered.blattner_kernel
 
     def counted(datum, rep, memo=None):
+        built[rep] += 1
         entry = real(datum, rep, memo)
 
         def counted_entry(shifted, tau):
@@ -219,17 +219,18 @@ def _count_kernel_entries(monkeypatch):
 
         return counted_entry
 
-    for module in (tempered, cktheory):
-        monkeypatch.setattr(module, "blattner_kernel", counted)
-    return evaluated
+    monkeypatch.setattr(tempered, "blattner_kernel", counted)
+    return built, evaluated
 
 
 @pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
-def test_verify_evaluates_each_below_minimum_entry_once(monkeypatch, name):
-    # blattner_consistency evaluates the below-minimum block and the matrix
-    # reuses it; blattner_mult evaluates each lowest K-type once more.
+def test_verify_evaluates_rows_below_each_lowest_ktype_twice(monkeypatch, name):
+    # The matrix evaluates every column in full; blattner_consistency
+    # evaluates each series' rows below its lowest K-type once more
+    # through the same column, and blattner_mult its lowest K-type once
+    # more with a kernel of its own.
     datum = DATA[name]()
-    evaluated = _count_kernel_entries(monkeypatch)
+    built, evaluated = _count_kernel_entries(monkeypatch)
     reports = cli._verify_reports(datum, Fraction(60), cktheory.DEFAULT_SEED)
     assert [r.name for r in reports if r.passed] == [
         "blattner_consistency", "vogan_bijection", "triangularity",
@@ -240,14 +241,16 @@ def test_verify_evaluates_each_below_minimum_entry_once(monkeypatch, name):
         (rep, tau) for rep in window.series for tau in window.rows
         if scaled_norm(datum, tau) < scaled_norm(datum, rep.min_ktype)
     ]
-    assert below and all(evaluated[key] == 1 for key in below)
+    assert below and all(evaluated[key] == 2 for key in below)
     expected = Counter((rep, tau) for rep in window.series for tau in window.rows)
+    expected.update(below)
     expected.update((rep, rep.min_ktype) for rep in window.series)
     assert evaluated == expected
+    assert built == Counter({rep: 2 for rep in window.series})
 
 
 def test_ck_matrix_evaluates_every_entry_once(capsys, monkeypatch):
-    evaluated = _count_kernel_entries(monkeypatch)
+    built, evaluated = _count_kernel_entries(monkeypatch)
     assert cli.main(["ck-matrix", "--group", "Sp11", "--bound", "60"]) == 0
     capsys.readouterr()
     window = tempiric_window(builtin("Sp11"), 60)
@@ -255,6 +258,31 @@ def test_ck_matrix_evaluates_every_entry_once(capsys, monkeypatch):
     assert evaluated == Counter(
         (rep, tau) for rep in window.series for tau in window.rows
     )
+    assert built == Counter(window.series)
+
+
+@pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
+def test_each_column_is_built_once_per_window(monkeypatch, name):
+    # The check, the matrix and composite_map all read Window.columns, so
+    # each representative's column (and a series' kernel with it) is
+    # built once; blattner_mult builds one more kernel per series.
+    datum = DATA[name]()
+    built, _ = _count_kernel_entries(monkeypatch)
+    columns = Counter()
+    real = tempered._column
+
+    def counted(window, rep):
+        columns[rep] += 1
+        return real(window, rep)
+
+    monkeypatch.setattr(tempered, "_column", counted)
+    window = tempiric_window(datum, 60)
+    assert cktheory.blattner_consistency_check(window).passed
+    assert window.matrix.cols and window.series
+    for tau in window.rows[::7]:
+        cktheory.composite_map(window, tau)
+    assert columns == Counter(window.reps)
+    assert built == Counter({rep: 2 for rep in window.series})
 
 
 def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
@@ -262,14 +290,14 @@ def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
 ):
     # A nonzero planted at the first row below a series' lowest K-type and
     # a raising entry at the last one: the check stops at the nonzero, and
-    # keeps no prefix for the series, so the matrix still evaluates (and
-    # raises at) the later entry.
+    # the matrix evaluates the whole column, so it still raises at the
+    # later entry.
     window = tempiric_window(sp11, 60)
     first = window.series[0]
     lower = window.rows[: window.rows_below(first.min_ktype)]
     assert len(lower) >= 2
     planted, raising = lower[0], lower[-1]
-    real = cktheory.blattner_kernel
+    real = tempered.blattner_kernel
 
     def planted_kernel(datum, rep, memo=None):
         entry = real(datum, rep, memo)
@@ -283,8 +311,7 @@ def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
 
         return planted_entry
 
-    for module in (tempered, cktheory):
-        monkeypatch.setattr(module, "blattner_kernel", planted_kernel)
+    monkeypatch.setattr(tempered, "blattner_kernel", planted_kernel)
     counterexample = {
         "representative": first.describe(),
         "ktype": format_label(planted),
@@ -297,6 +324,5 @@ def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
     ]
     report = cktheory.blattner_consistency_check(window)
     assert report.counterexample == counterexample
-    assert first not in window.below_minimum
     with pytest.raises(InternalInconsistencyError, match="negative multiplicity -1"):
         mult_matrix(window)

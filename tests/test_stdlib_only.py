@@ -1,0 +1,33 @@
+"""tempiric imports nothing outside the Python standard library.
+
+The package, its CLI and ``python -m tempiric``'s entry module are
+imported in a fresh interpreter run with ``-E -S -B``: no environment
+variables, no ``site`` (so no site-packages) and no bytecode written into
+``src/``.  Every top-level module they load must be a standard-library
+module or ``tempiric`` itself.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import tempiric, tempiric.cli, tempiric.__main__
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_the_package_imports_only_the_standard_library():
+    result = subprocess.run(
+        [sys.executable, "-E", "-S", "-B", "-c", PROBE, str(SRC)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == ["tempiric"]

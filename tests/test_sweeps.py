@@ -111,6 +111,29 @@ def test_a_ktype_outside_the_window_is_refused(sl2r, sp11):
         cktheory.boundary_block_dims(tempiric_window(sp11, 10), FormalSum({(-1, 0): 1}), FormalSum())
 
 
+@pytest.mark.parametrize("group, tau", [
+    ("SL2R", (1.0,)),
+    ("SL2R", (True,)),
+    ("SL2R", (Fraction(1),)),
+    ("Sp11", (0.0, 0)),
+    ("Sp11", (0, False)),
+])
+def test_an_invalid_label_equal_to_a_row_is_refused(group, tau):
+    # The label hashes and compares like a row, but an entry is not an
+    # int (or is a bool), so every check reading Window.restriction refuses it.
+    window = tempiric_window(builtin(group), 10)
+    assert tau in window.row_index
+    v, valid = FormalSum({tau: 1}), FormalSum({window.rows[0]: 1})
+    for check in (
+        lambda: cktheory.dimension_identity_check(window, valid, v),
+        lambda: cktheory.boundary_block_dims(window, v, valid),
+        lambda: cktheory.admissibility_check(window, v),
+    ):
+        with pytest.raises(WindowError, match="is not in the window of bound 10"):
+            check()
+    assert cktheory.admissibility_check(window, valid).passed
+
+
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
 def test_verify_sweeps_call_the_public_checks(capsys, monkeypatch, group):
     counts = {}

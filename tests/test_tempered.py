@@ -1,7 +1,10 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
+from tempiric import tempered, weights
 from tempiric.tempered import (
     blattner_mult,
     constituents,
@@ -9,9 +12,10 @@ from tempiric.tempered import (
     induced_ktype_mult,
     make_principal_class,
     minimal_ktypes,
+    parameter_box,
     tempiric_window,
 )
-from tempiric.weights import enumerate_ktypes, vogan_norm
+from tempiric.weights import WindowTooLargeError, enumerate_ktypes, ktype_axes, vogan_norm
 
 import oracles
 
@@ -130,6 +134,32 @@ def test_ds_enumerate_sorted(sp11):
     reps = ds_enumerate(sp11, 100)
     keys = [(vogan_norm(sp11, rep.min_ktype), rep.min_ktype) for rep in reps]
     assert keys == sorted(keys)
+
+
+def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatch):
+    # At bound 41 the series' parameter box is larger than the rows' label
+    # box.  With the limit between the two, Window.reps refuses the
+    # parameter box, as ds_enumerate does, before any row is restricted;
+    # with the limit below both, the rows' box is refused first, as the
+    # class pass would have refused it.
+    bound = Fraction(41)
+    labels = math.prod(len(axis) for axis in ktype_axes(sp11, bound))
+    params = math.prod(len(axis) for axis in parameter_box(sp11, bound))
+    assert labels < params
+
+    def no_restriction(*args):
+        raise AssertionError("a row was restricted")
+
+    monkeypatch.setattr(tempered, "restrict_sum", no_restriction)
+    for limit, size in ((params - 1, params), (labels - 1, labels)):
+        monkeypatch.setattr(weights, "MAX_BOX_LABELS", limit)
+        with pytest.raises(WindowTooLargeError, match=f"needs a box of {size} labels"):
+            tempiric_window(sp11, bound).reps
+    monkeypatch.setattr(weights, "MAX_BOX_LABELS", params - 1)
+    with pytest.raises(WindowTooLargeError, match=f"needs a box of {params} labels"):
+        ds_enumerate(sp11, bound)
+    monkeypatch.setattr(weights, "MAX_BOX_LABELS", params)
+    assert tempiric_window(sp11, bound).series == ds_enumerate(sp11, bound)
 
 
 def test_blattner_examples(sl2r, sp11):
