@@ -1,7 +1,8 @@
 """Restriction from K to M for the catalog pairs.
 
 Branching is template based: each catalog entry names one of three rules,
-and the rule fixes how a K-label decomposes over M.  Multiplicity-space
+and the rule fixes how a K-label decomposes over M and which K-label
+witnesses each M-type (``witness_ktype``).  Multiplicity-space
 dimensions come from the restriction via the dual convention of the
 weights module (circle characters dualize by sign flip).
 """
@@ -44,6 +45,24 @@ def _restricted_labels(datum, tau):
     if rule == CLEBSCH_DIAGONAL:
         a, b = tau
         return [(c,) for c in range(abs(a - b), a + b + 1, 2)]
+    raise ValueError(f"no branching rule {rule!r} for this group pair")
+
+
+def witness_ktype(datum, sigma) -> tuple[int, ...]:
+    """A K-type whose restriction to M contains the dual of sigma.
+
+    Its Vogan norm bounds the minimal norm of sigma's class from above.
+    """
+    sigma = validate_label(datum.m, sigma)
+    rule = datum.branching_rule
+    if rule == PARITY:
+        return sigma
+    if rule == TORUS_RESTRICTION:
+        (n,) = sigma
+        return (abs(n),)
+    if rule == CLEBSCH_DIAGONAL:
+        (c,) = sigma
+        return (c, 0)
     raise ValueError(f"no branching rule {rule!r} for this group pair")
 
 

@@ -422,6 +422,8 @@ def load(source) -> GroupDatum:
         raise CatalogError("load expects a path or JSON text")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past Python's digit limit,
+        # or arrays nested past the recursion limit.
         raise CatalogError(f"parse error: {exc}") from None
     return _from_document(doc)

@@ -35,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .branching import mult_space_dim, restrict_sum, restricted_support
+from .branching import mult_space_dim, restrict_sum, restricted_support, witness_ktype
 from .catalog import GroupDatum, weyl_image
 from .weights import (
     TORUS1,
@@ -52,6 +52,7 @@ from .weights import (
     scaled_norm,
     scaled_pairing,
     validate_label,
+    vogan_norm,
     _coordinate_caps,
 )
 
@@ -145,23 +146,28 @@ def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
     return mult_space_dim(datum, cls.representative, FormalSum.single(tau))
 
 
-def _first_minima(datum: GroupDatum, cls: PrincipalClass):
-    # Every M-type occurs in some K-type, so the doubling ends; the
-    # label-box limit refuses a class too large to reach.
-    bound = Fraction(16)
-    while not (minima := Window(datum, bound).classes.get(cls)):
-        bound *= 2
+def _certified_minima(datum: GroupDatum, cls: PrincipalClass):
+    # The witness K-type occurs in the class, so the class's minima lie
+    # at or below its norm, in the one window complete up to that norm.
+    witness = witness_ktype(datum, cls.representative)
+    minima = Window(datum, vogan_norm(datum, witness)).classes.get(cls)
+    if not minima:
+        raise InternalInconsistencyError(
+            f"class {cls.describe()} does not occur in the window of its "
+            f"witness K-type {format_label(witness)}"
+        )
     return minima
 
 
 def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, ...], ...]:
     """The K-types of minimal Vogan norm occurring in the class.
 
-    Windows from norm 16 up, doubling the bound, are each complete below
-    their bound; the first window in which the class occurs holds all of
-    its minima, so the minimum is certified rather than heuristic.
+    Read off one window, at the norm of the class's witness K-type
+    (``branching.witness_ktype``), which occurs in the class.  The window
+    is complete below its bound, so it holds every K-type of smaller
+    norm and the minimum is certified rather than heuristic.
     """
-    return tuple(tau for tau, _ in _first_minima(datum, cls))
+    return tuple(tau for tau, _ in _certified_minima(datum, cls))
 
 
 def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
@@ -186,7 +192,7 @@ def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
 
 def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
     """One constituent per minimal K-type of the class (one or two)."""
-    return _constituents(cls, _first_minima(datum, cls))
+    return _constituents(cls, _certified_minima(datum, cls))
 
 
 def partner_minimum(rep: TempiricRep, reps) -> tuple[int, ...]:

@@ -342,11 +342,10 @@ def integer_det(rows) -> int:
 
 
 # Largest label box a window enumeration may scan; a larger request is
-# refused before any label is generated, which also ends the doubling of
-# a standalone ``minimal_ktypes`` for a class too large to reach.  Among
-# the built-ins, a window at norm 40,000 scans at most 170,569 labels (the
-# Sp11 discrete-series parameter box), while Sp11 at bound 10^8 would scan
-# about 10^8 K-type labels.
+# refused before any label is generated.  Among the built-ins, a window at
+# norm 40,000 scans at most 170,569 labels (the Sp11 discrete-series
+# parameter box), while Sp11 at bound 10^8 would scan about 10^8 K-type
+# labels.
 MAX_BOX_LABELS = 10**6
 
 

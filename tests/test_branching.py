@@ -1,9 +1,17 @@
 import itertools
+import json
 
 import pytest
 
-from tempiric.branching import mult_space_dim, restrict_decompose, support_sigmas
-from tempiric.weights import FormalSum, enumerate_ktypes, weyl_dim
+from tempiric.branching import (
+    mult_space_dim,
+    restrict_decompose,
+    support_sigmas,
+    witness_ktype,
+)
+from tempiric.catalog import builtin, load, serialize
+from tempiric.tempered import make_principal_class, minimal_ktypes
+from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, weyl_dim
 
 import oracles
 
@@ -97,3 +105,35 @@ def test_missing_rule_rejected(sl2r):
     broken = dataclasses.replace(sl2r, branching_rule="mystery")
     with pytest.raises(ValueError):
         restrict_decompose(broken, (1,))
+
+
+def _identity_weyl_so31():
+    # The document behind tests/golden/verify-so31-identity-weyl-41.*: every
+    # class is a singleton, so negative M-types are representatives.
+    doc = serialize(builtin("SO31"))
+    doc["weyl_on_mhat"] = "identity"
+    return load(json.dumps(doc))
+
+
+WITNESS_DATA = {
+    "SL2R": builtin("SL2R"),
+    "SO31": builtin("SO31"),
+    "Sp11": builtin("Sp11"),
+    "SO31-identity-weyl": _identity_weyl_so31(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DATA))
+def test_witness_restriction_contains_the_dual(name):
+    datum = WITNESS_DATA[name]
+    for sigma in labels_in_box(datum.m, 40):
+        witness = witness_ktype(datum, sigma)
+        assert oracles.mult_in_induced_oracle(datum, sigma, witness) > 0, (sigma, witness)
+
+
+def test_negative_representative_reaches_its_minimum():
+    datum = WITNESS_DATA["SO31-identity-weyl"]
+    cls = make_principal_class(datum, (-5,))
+    assert cls.representative == (-5,)
+    assert witness_ktype(datum, (-5,)) == (5,)
+    assert minimal_ktypes(datum, cls) == ((5,),)

@@ -10,6 +10,7 @@ from tempiric.catalog import (
     serialize,
     weyl_image,
 )
+from tempiric.cli import main
 
 
 def test_builtin_names():
@@ -155,3 +156,25 @@ def test_load_unreadable_path(tmp_path):
     binary.write_bytes(b"\xff\xfe{")
     with pytest.raises(CatalogError, match="not UTF-8"):
         load(binary)
+
+
+def _catalog_group_file(capsys, tmp_path, text):
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    code = main(["catalog", "--group-file", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_refuses_an_integer_past_the_digit_limit(capsys, tmp_path):
+    # Python refuses to parse an integer literal of more than 4,300 digits.
+    code, out, err = _catalog_group_file(capsys, tmp_path, '{"name": ' + "1" * 5000 + "}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: ") and "Traceback" not in err
+
+
+def test_cli_refuses_arrays_nested_past_the_recursion_limit(capsys, tmp_path):
+    depth = 100_000
+    code, out, err = _catalog_group_file(capsys, tmp_path, "[" * depth + "]" * depth)
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: ") and "Traceback" not in err

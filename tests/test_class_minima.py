@@ -61,7 +61,8 @@ def test_window_minima_match_the_sweeps(name, bound):
 def test_window_certifies_minima_above_the_sweep_ceiling():
     # The class {(-181)|(181)} has its minimum (181) at norm 182^2 = 33,124,
     # above norm 32,768: the window reads it off its own rows, and the
-    # standalone minimal_ktypes doubles its window until the class occurs.
+    # standalone minimal_ktypes reads it off the one window at the norm of
+    # its witness K-type (181), which here is the minimum itself.
     so31 = DATA["SO31"]
     (rep,) = [
         rep for rep in tempiric_window(so31, 33124).reps
@@ -101,11 +102,16 @@ def test_tempiric_table_enumerates_once(monkeypatch, capsys):
     assert len(enumerations) == 1
 
 
-def test_standalone_minimal_ktypes_is_unchanged(monkeypatch):
-    # Called on its own, minimal_ktypes doubles its window from norm 16
-    # until the class occurs: Sp11's class {(9)} first occurs at norm 85.
+def test_standalone_minimal_ktypes_enumerates_once_at_the_witness_norm(monkeypatch):
+    # Called on its own, minimal_ktypes (and constituents) builds one
+    # window, at the norm of the class's witness K-type: for Sp11's class
+    # {(9)} the witness is (9,0), of norm 11^2 + 2^2 = 125, and the minima
+    # (4,5) and (5,4) lie at norm 85.
     sp11 = DATA["Sp11"]
     enumerations = _count_calls(monkeypatch, "enumerate_ktypes", [tempered])
     cls = tempered.make_principal_class(sp11, (9,))
     assert minimal_ktypes(sp11, cls) == ((4, 5), (5, 4))
-    assert [Fraction(args[1]) for args in enumerations] == [16, 32, 64, 128]
+    assert [Fraction(args[1]) for args in enumerations] == [125]
+    reps = tempered.constituents(sp11, cls)
+    assert [rep.min_ktype for rep in reps] == [(4, 5), (5, 4)]
+    assert [Fraction(args[1]) for args in enumerations] == [125, 125]

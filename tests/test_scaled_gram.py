@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempiric import weights
+from tempiric import tempered, weights
 from tempiric.catalog import BUILTIN_NAMES, apply_matrix, builtin, load, serialize
 from tempiric.cktheory import mult_matrix
 from tempiric.tempered import (
@@ -25,6 +25,8 @@ from tempiric.tempered import (
     blattner_parameter,
     ds_enumerate,
     is_regular,
+    make_principal_class,
+    minimal_ktypes,
     tempiric_window,
 )
 from tempiric.weights import (
@@ -141,6 +143,28 @@ def test_enumerate_ktypes_off_diagonal_gram(sp11, a, d, t, bound):
         if oracles.norm_oracle(datum, tau) <= bound
     )
     assert enumerate_ktypes(datum, bound) == [tau for _, tau in expected]
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_ENTRY, d=_ENTRY, t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
+       c=st.integers(min_value=0, max_value=6))
+def test_standalone_minimal_ktypes_on_rational_grams(sp11, a, d, t, c):
+    # The witness (c,0) has norm at most 252 on these Grams, so every
+    # K-type at or below it has coordinates below 30, inside the sweep.
+    b = t * min(a, d) / 2
+    datum = _with_gram(sp11, [[a, b], [b, d]])
+    cls = make_principal_class(datum, (c,))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_ktypes(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempered, "enumerate_ktypes", counted)
+        minima = minimal_ktypes(datum, cls)
+    assert minima == oracles.minimal_ktypes_by_sweep(datum, (c,))
+    assert len(calls) == 1
 
 
 def _skew_gram(datum):
