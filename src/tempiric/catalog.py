@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -275,13 +276,24 @@ def builtin(name: str) -> GroupDatum:
 
 
 def serialize(datum: GroupDatum) -> dict:
-    """JSON-ready document describing the datum (round-trips through load)."""
+    """JSON-ready document describing the datum (round-trips through load).
+
+    Raises ``CatalogError`` for a Gram entry too long for Python to write
+    as text (more than 4,300 digits).
+    """
+    try:
+        gram = [str(v) for row in datum.gram for v in row]
+    except ValueError:
+        raise CatalogError(
+            f"gram: an entry has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be written as text"
+        ) from None
     doc = {
         "name": datum.name,
         "k_atoms": list(datum.k.atoms),
         "m_atoms": list(datum.m.atoms),
         "branching_rule": datum.branching_rule,
-        "gram": [str(v) for row in datum.gram for v in row],
+        "gram": gram,
         "two_rho_c": list(datum.two_rho_c),
         "weyl_on_mhat": datum.weyl_on_mhat,
         "equal_rank": datum.equal_rank,

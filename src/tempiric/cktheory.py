@@ -137,13 +137,14 @@ def vogan_bijection_check(window: Window) -> VerificationReport:
 def triangularity_check(window: Window) -> VerificationReport:
     """Unit entries at minima and vanishing strictly below them in norm.
 
-    Reads every entry of ``Window.matrix``, zeros included, against the
-    rows' ``Window.norms``.  Aggregate entries of unresolved split
-    columns are held to the same vanishing requirement, which is
+    Reads every entry of ``Window.matrix`` it asserts, zeros included:
+    each column's pivot and the rows below its minimum in norm, a prefix
+    of the rows (``Window.rows_below``).  Aggregate entries of unresolved
+    split columns are held to the same vanishing requirement, which is
     stronger than resolving them would demand.
     """
     name = "triangularity"
-    matrix, norms, row_index = window.matrix, window.norms, window.row_index
+    matrix, row_index = window.matrix, window.row_index
     for j, rep in enumerate(matrix.cols):
         pivot = row_index.get(rep.min_ktype)
         if pivot is None:
@@ -165,15 +166,14 @@ def triangularity_check(window: Window) -> VerificationReport:
                     "reason": "diagonal entry differs from 1",
                 },
             )
-        min_norm = norms[pivot]
-        for i, tau in enumerate(matrix.rows):
-            if norms[i] < min_norm and matrix.entry(i, j) != 0:
+        for i in range(window.rows_below(rep.min_ktype)):
+            if matrix.entry(i, j) != 0:
                 return VerificationReport(
                     name,
                     False,
                     counterexample={
                         "representative": rep.describe(),
-                        "ktype": format_label(tau),
+                        "ktype": format_label(matrix.rows[i]),
                         "entry": matrix.entry(i, j),
                         "reason": "nonzero entry below the minimal norm",
                     },

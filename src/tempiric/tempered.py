@@ -7,6 +7,14 @@ two in rank one).  Equal-rank groups also carry discrete series,
 enumerated by regular lattice parameters up to the compact Weyl group,
 with K-type multiplicities from the alternating partition-count formula.
 
+A parameter's chamber is decided in one place, ``_chamber``: a root
+alpha pairs with lambda as alpha . (int_gram . lambda), the chamber's
+positive noncompact roots are those pairing positively, and exactly half
+of the listed noncompact roots must be positive.  ``_base`` turns them
+into 2 lambda + 2 rho_n, which ``ds_enumerate`` reads less 2 rho_c as the
+doubled lowest K-type and ``blattner_kernel`` reads as the base point of
+its partition counts.
+
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
@@ -50,7 +58,6 @@ from .weights import (
     require_entries_within_limit,
     scaled_bound,
     scaled_norm,
-    scaled_pairing,
     validate_label,
     vogan_norm,
     _coordinate_caps,
@@ -215,53 +222,36 @@ def _require_ds(datum: GroupDatum):
     return datum.ds
 
 
-def is_regular(datum: GroupDatum, lam) -> bool:
-    """No compact or noncompact root vanishes on the parameter."""
-    ds = _require_ds(datum)
-    roots = list(ds.compact_pos_roots) + list(ds.noncompact_roots)
-    return all(scaled_pairing(datum, alpha, lam) != 0 for alpha in roots)
+def _functional(datum: GroupDatum, lam) -> list[int]:
+    # int_gram . lambda: alpha . functional is D <alpha, lambda> for any root.
+    return [sum(map(mul, row, lam)) for row in datum.int_gram]
 
 
-def positive_noncompact_roots(datum: GroupDatum, lam) -> tuple[tuple[int, ...], ...]:
-    """The noncompact roots positive on the parameter's chamber."""
-    ds = _require_ds(datum)
-    pos = tuple(
-        sorted(
-            beta
-            for beta in ds.noncompact_roots
-            if scaled_pairing(datum, beta, lam) > 0
-        )
-    )
-    return _require_half(ds, lam, pos)
-
-
-def _require_half(ds, lam, pos):
-    # A chamber makes exactly half the noncompact roots positive; anything
-    # else (a wall, or a root listed twice) is inconsistent catalog data.
-    if 2 * len(pos) != len(ds.noncompact_roots):
+def _chamber(datum: GroupDatum, lam, functional) -> tuple[tuple[int, ...], ...]:
+    # The noncompact roots positive on lambda, sorted; functional is
+    # _functional(datum, lam).  A chamber makes exactly half of them
+    # positive; anything else (a wall, or a root listed twice) is
+    # inconsistent catalog data.
+    noncompact = datum.ds.noncompact_roots
+    pos = tuple(sorted([beta for beta in noncompact if sum(map(mul, beta, functional)) > 0]))
+    if 2 * len(pos) != len(noncompact):
         raise InternalInconsistencyError(
             f"parameter {lam} lies on a noncompact root wall"
         )
     return pos
 
 
-def blattner_parameter(datum: GroupDatum, lam) -> tuple[int, ...]:
-    """Lowest K-type label of the discrete series with the given parameter.
-
-    Computed per chamber as lambda + rho_n - rho_c; the result must be a
-    dominant label, which is checked.
-    """
-    return _lowest_ktype(datum, lam, positive_noncompact_roots(datum, lam))
+def _base(lam, pos) -> tuple[int, ...]:
+    # 2 lambda + 2 rho_n, for the chamber's positive noncompact roots pos
+    # (pos is never empty: the loader asks for noncompact roots, and half
+    # of them are positive.)
+    return tuple(2 * c + r for c, r in zip(lam, map(sum, zip(*pos))))
 
 
-def _lowest_ktype(datum: GroupDatum, lam, pos) -> tuple[int, ...]:
-    # blattner_parameter, given the chamber's positive noncompact roots
-    dim = datum.k.lattice_dim
-    # doubled coordinates keep everything integral
-    two_rho_n = tuple(sum(beta[i] for beta in pos) for i in range(dim))
-    doubled = tuple(
-        2 * lam[i] + two_rho_n[i] - datum.two_rho_c[i] for i in range(dim)
-    )
+def _lowest_ktype(datum: GroupDatum, lam, base) -> tuple[int, ...]:
+    # lambda + rho_n - rho_c, read doubled off the chamber's _base so that
+    # everything stays integral; it must be an integral dominant label.
+    doubled = tuple(b - r for b, r in zip(base, datum.two_rho_c))
     if any(c % 2 for c in doubled):
         raise InternalInconsistencyError(
             f"lowest K-type of parameter {lam} is not integral"
@@ -272,11 +262,6 @@ def _lowest_ktype(datum: GroupDatum, lam, pos) -> tuple[int, ...]:
         raise InternalInconsistencyError(
             f"lowest K-type of parameter {lam} is not dominant: {exc}"
         ) from None
-
-
-def _signed_image(perm, signs, vec) -> tuple[int, ...]:
-    # w . vec for the signed permutation matrix w = (perm, signs)
-    return tuple(s * vec[c] for c, s in zip(perm, signs))
 
 
 def parameter_box(datum: GroupDatum, bound: Fraction) -> list[range]:
@@ -312,30 +297,25 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     bound = Fraction(bound)
     if bound < 0:
         return []
-    dim = datum.k.lattice_dim
     box = parameter_box(datum, bound)
     limit = scaled_bound(datum, bound)
-    # A root's wall functional w with w . lambda = D <alpha, lambda>, so
-    # regularity (``is_regular``) is one dot product per root, and the
-    # signs of the noncompact ones give the chamber's positive roots.
-    walls = [
-        tuple(sum(a * row[j] for a, row in zip(alpha, datum.int_gram)) for j in range(dim))
-        for alpha in (*ds.compact_pos_roots, *ds.noncompact_roots)
-    ]
-    compact = len(ds.compact_pos_roots)
+    roots = (*ds.compact_pos_roots, *ds.noncompact_roots)
     moves = [(perm, signs) for perm, signs, _ in ds.signed_weyl_k]
     found: dict[tuple[int, ...], TempiricRep] = {}
     order = []
     for lam in itertools.product(*box):
         # One parameter per compact Weyl orbit: the largest image.  The
-        # identity is among the images, so that is lam >= every image.
-        if not all(lam >= _signed_image(perm, signs, lam) for perm, signs in moves):
+        # identity is among the images w . lam of the signed permutations
+        # w = (perm, signs), so that is lam >= every image.
+        if not all(
+            lam >= tuple(s * lam[c] for c, s in zip(perm, signs)) for perm, signs in moves
+        ):
             continue
-        pairings = [sum(map(mul, wall, lam)) for wall in walls]
-        if not all(pairings):
+        # A singular parameter (some root vanishes on it) is skipped.
+        functional = _functional(datum, lam)
+        if 0 in [sum(map(mul, alpha, functional)) for alpha in roots]:
             continue
-        pos = [beta for beta, p in zip(ds.noncompact_roots, pairings[compact:]) if p > 0]
-        lowest = _lowest_ktype(datum, lam, _require_half(ds, lam, pos))
+        lowest = _lowest_ktype(datum, lam, _base(lam, _chamber(datum, lam, functional)))
         norm = scaled_norm(datum, lowest)
         if norm > limit:
             continue
@@ -386,25 +366,6 @@ def _count_expressions(roots, target, pairings, budget, memo) -> int:
     return rec(0, target, budget)
 
 
-def _chamber_data(datum: GroupDatum, lam):
-    # Per-parameter data reused across every K-type of a column: doubled
-    # positive noncompact roots, the bounding functional (D G).lambda
-    # evaluated on them, the shifted base point, and the functional itself.
-    # The functional is integral and positive on the chamber's roots.
-    pos = positive_noncompact_roots(datum, lam)
-    dim = datum.k.lattice_dim
-    doubled_roots = tuple(tuple(2 * c for c in beta) for beta in pos)
-    functional = tuple(
-        sum(g * l for g, l in zip(row, lam)) for row in datum.int_gram
-    )
-    pairings = tuple(
-        sum(b * f for b, f in zip(beta, functional)) for beta in doubled_roots
-    )
-    two_rho_n = tuple(sum(beta[i] for beta in pos) for i in range(dim))
-    base = tuple(2 * lam[i] + two_rho_n[i] for i in range(dim))
-    return doubled_roots, pairings, base, functional
-
-
 def doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
     """2 mu + 2 rho_c: lattice coordinates mu, doubled and rho_c-shifted."""
     return tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
@@ -426,7 +387,14 @@ def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
     if ds_rep.kind != "ds":
         raise ValueError("Blattner's formula needs a discrete-series representative")
     ds = _require_ds(datum)
-    doubled_roots, pairings, base, functional = _chamber_data(datum, ds_rep.hc_param)
+    lam = ds_rep.hc_param
+    functional = _functional(datum, lam)
+    pos = _chamber(datum, lam, functional)
+    base = _base(lam, pos)
+    # The functional is integral and positive on the chamber's roots, so
+    # it bounds the partition counts over their doubles.
+    doubled_roots = tuple(tuple(2 * c for c in beta) for beta in pos)
+    pairings = tuple(sum(map(mul, beta, functional)) for beta in doubled_roots)
     counts = {} if memo is None else memo.setdefault(doubled_roots, {})
     # The budget functional . (w shifted - base) is read as
     # (w^T functional) . shifted - functional . base.  A negative budget
@@ -542,7 +510,9 @@ def mult_matrix(window: Window) -> MultMatrix:
     ``WindowTooLargeError`` before evaluating any entry when rows x
     columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
-    rows, reps = window.rows, window.reps
+    # reps first: it refuses an oversize label box before the rows exist.
+    reps = window.reps
+    rows = window.rows
     require_entries_within_limit(len(rows), len(reps), window.bound)
     entries: dict = {}
     resolution = []

@@ -1,14 +1,16 @@
 """Independent brute-force reimplementations used as test oracles.
 
-Nothing here calls into the package's decomposition or multiplicity
-routines; everything is recomputed from first principles (weight
-multisets, character sums, exhaustive sweeps, direct enumeration of
-partitions) so that agreement is evidence and not tautology.
+Nothing here calls into the package: only its atom-kind constants are
+imported, which ``tests/test_oracles_independent.py`` enforces.
+Everything is recomputed from first principles (weight multisets,
+character sums, exhaustive sweeps, direct enumeration of partitions) so
+that agreement is evidence and not tautology.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 from tempiric.weights import CYCLIC2, SO3, SU2, TORUS1
 
@@ -194,6 +196,92 @@ def blattner_by_enumeration(datum, lam, tau):
         target = tuple(m - b for m, b in zip(moved, base))
         total += det * _partition_count(doubled, target, gram, lam)
     return total
+
+
+class InconsistentDatum(Exception):
+    """The datum breaks a discrete-series invariant at the named parameter."""
+
+
+def chamber_by_pairing(datum, lam):
+    """The noncompact roots positive on lam under the Fraction Gram, sorted.
+
+    Raises ``InconsistentDatum`` unless exactly half of the listed roots
+    are positive (a wall, or a root listed twice).
+    """
+    roots = datum.ds.noncompact_roots
+    pos = sorted(beta for beta in roots if _pairing(datum.gram, beta, lam) > 0)
+    if 2 * len(pos) != len(roots):
+        raise InconsistentDatum(f"parameter {lam} lies on a noncompact root wall")
+    return pos
+
+
+def _parameter_radii(datum, bound):
+    # max x_i^2 subject to <x, x> <= bound is bound * (gram^-1)_ii, for
+    # x = Lambda + 2 rho_c.  For lambda = Lambda - rho_n + rho_c the radius
+    # adds 2 |2 rho_c_i|, which covers 2 rho_c and rho_c, and half the
+    # noncompact roots' coordinate mass for rho_n.  This is the package's
+    # box: it raises at the first inconsistent parameter scanned, whatever
+    # its norm, so the scan visits the same parameters in the same order.
+    inverse = invert_rational_matrix(datum.gram)
+    return [
+        isqrt(int(bound * inverse[i][i]))
+        + 2 * abs(datum.two_rho_c[i])
+        + (sum(abs(beta[i]) for beta in datum.ds.noncompact_roots) + 1) // 2
+        for i in range(len(inverse))
+    ]
+
+
+def ds_enumerate_by_scan(datum, bound):
+    """Discrete series by a pointwise scan, as ``[(parameter, lowest K-type)]``.
+
+    Each parameter of the box is tested on its own: it is kept when no
+    root pairs to zero with it under the Fraction Gram and it is the
+    largest of its compact Weyl images (matrix products).  Its lowest
+    K-type is lambda + rho_n - rho_c over ``chamber_by_pairing``, with
+    the norm of ``norm_oracle``.  Sorted by (norm, lowest K-type,
+    parameter); for groups whose K has no Cyclic2 atom and a bound >= 0.
+    Raises ``InconsistentDatum`` at the first inconsistent parameter.
+    """
+    ds = datum.ds
+    bound = Fraction(bound)
+    dim = len(datum.gram)
+    roots = ds.compact_pos_roots + ds.noncompact_roots
+    found, order = {}, []
+    boxes = [range(-r, r + 1) for r in _parameter_radii(datum, bound)]
+    for lam in itertools.product(*boxes):
+        if any(_pairing(datum.gram, alpha, lam) == 0 for alpha in roots):
+            continue
+        images = [
+            tuple(sum(w[i][j] * lam[j] for j in range(dim)) for i in range(dim))
+            for w in ds.weyl_k
+        ]
+        if lam != max(images):
+            continue
+        pos = chamber_by_pairing(datum, lam)
+        doubled = [
+            2 * lam[i] + sum(beta[i] for beta in pos) - datum.two_rho_c[i]
+            for i in range(dim)
+        ]
+        if any(c % 2 for c in doubled):
+            raise InconsistentDatum(f"lowest K-type of parameter {lam} is not integral")
+        lowest = tuple(c // 2 for c in doubled)
+        for kind, c in zip(datum.k.atoms, lowest):
+            if kind in (SU2, SO3) and c < 0:
+                raise InconsistentDatum(
+                    f"lowest K-type of parameter {lam} is not dominant: "
+                    f"coordinate {c} is not dominant for a {kind} atom"
+                )
+        norm = norm_oracle(datum, lowest)
+        if norm > bound:
+            continue
+        if lowest in found:
+            raise InconsistentDatum(
+                f"parameters {found[lowest]} and {lam} share lowest K-type "
+                f"({','.join(map(str, lowest))})"
+            )
+        found[lowest] = lam
+        order.append((norm, lowest, lam))
+    return [(lam, lowest) for _, lowest, lam in sorted(order)]
 
 
 def _signed_perm_det(matrix):

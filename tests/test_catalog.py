@@ -178,3 +178,18 @@ def test_cli_refuses_arrays_nested_past_the_recursion_limit(capsys, tmp_path):
     code, out, err = _catalog_group_file(capsys, tmp_path, "[" * depth + "]" * depth)
     assert code == 2 and out == ""
     assert err.startswith("error: parse error: ") and "Traceback" not in err
+
+
+def test_cli_refuses_to_write_a_gram_entry_past_the_digit_limit(capsys, tmp_path):
+    # "1e5000" loads as a 5,001-digit integer, which Python will not write
+    # as text; the group still verifies, but its JSON cannot be written.
+    doc = serialize(builtin("SL2R"))
+    doc["gram"] = ["1e5000"]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code = main(["catalog", "--group-file", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: gram: an entry has more than ")
+    assert main(["verify", "--group-file", str(path), "--bound", "10"]) == 0
+    assert capsys.readouterr().out.endswith("# all checks passed\n")

@@ -19,7 +19,7 @@ from tempiric.cktheory import (
     vogan_bijection_check,
     WindowError,
 )
-from tempiric.tempered import make_principal_class, tempiric_window
+from tempiric.tempered import format_label, make_principal_class, tempiric_window
 from tempiric.weights import FormalSum
 
 
@@ -99,6 +99,28 @@ def test_triangularity_examples(sl2r, so31, sp11):
     assert triangularity_check(tempiric_window(so31, 16)).passed
     assert triangularity_check(tempiric_window(sl2r, 9)).passed
     assert triangularity_check(tempiric_window(sp11, 20)).passed
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_triangularity_reports_a_nonzero_below_the_minimum(sp11, position):
+    # Plant a nonzero in the last column at the first or last row below
+    # its minimal K-type's norm; every earlier entry is consistent.
+    window = tempiric_window(sp11, 20)
+    matrix = window.matrix
+    j = len(matrix.cols) - 1
+    rep = matrix.cols[j]
+    below = window.rows_below(rep.min_ktype)
+    assert below > 1
+    i = 0 if position == "first" else below - 1
+    matrix.entries[(i, j)] = 5
+    report = triangularity_check(window)
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": rep.describe(),
+        "ktype": format_label(matrix.rows[i]),
+        "entry": 5,
+        "reason": "nonzero entry below the minimal norm",
+    }
 
 
 def test_sp11_blattner_vanishing_rows(sp11):

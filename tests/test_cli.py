@@ -272,11 +272,24 @@ def test_oversize_window_entries_exit_2_quickly(command):
 def test_oversize_parameter_box_exits_2_before_the_class_pass(command):
     # Sp11 at bound 10^6 has a 998,001-label K-type box, under the limit,
     # but a discrete-series parameter box over it; the window refuses that
-    # box before its class pass over about 785,000 rows.  ck-matrix still
-    # enumerates the rows first, which takes a few seconds.
+    # box before its class pass over about 785,000 rows, and ck-matrix
+    # reads the window's representatives before its rows.
     result = _run_subprocess(command, "--group", "Sp11", "--bound", "1e6")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
+        "error: bound 1000000 needs a box of 4052169 labels, "
+        "above the limit of 1000000\n"
+    )
+
+
+def test_ck_matrix_refuses_the_parameter_box_before_enumerating_rows(capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("enumerate_ktypes called")
+
+    monkeypatch.setattr(tempered, "enumerate_ktypes", no_rows)
+    code, out, err = run(capsys, "ck-matrix", "--group", "Sp11", "--bound", "1e6")
+    assert (code, out) == (2, "")
+    assert err == (
         "error: bound 1000000 needs a box of 4052169 labels, "
         "above the limit of 1000000\n"
     )

@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempiric import tempered, weights
-from tempiric.catalog import BUILTIN_NAMES, apply_matrix, builtin, load, serialize
+from tempiric import tempered
+from tempiric.catalog import BUILTIN_NAMES, builtin, load, serialize
 from tempiric.cktheory import mult_matrix
 from tempiric.tempered import (
     InternalInconsistencyError,
     TempiricRep,
     blattner_mult,
-    blattner_parameter,
+    blattner_kernel,
     ds_enumerate,
-    is_regular,
     make_principal_class,
     minimal_ktypes,
     tempiric_window,
@@ -186,46 +185,17 @@ def _assert_window_coordinates(datum, bound):
         assert norm == scaled_norm(datum, tau)
 
 
-def _ds_enumerate_pointwise(datum, bound):
-    # ds_enumerate as it read before its loop was hoisted: the same box,
-    # with the pointwise is_regular, the matrix images of the compact
-    # Weyl group and blattner_parameter at every parameter.
-    ds = datum.ds
-    dim = datum.k.lattice_dim
-    bound = Fraction(bound)
-    caps = weights._coordinate_caps(datum, bound)
-    half_shift = [
-        (sum(abs(beta[i]) for beta in ds.noncompact_roots) + 1) // 2
-        for i in range(dim)
-    ]
-    radii = [caps[i] + 2 * abs(datum.two_rho_c[i]) + half_shift[i] for i in range(dim)]
-    found, order = {}, []
-    for lam in itertools.product(*(range(-r, r + 1) for r in radii)):
-        if not is_regular(datum, lam):
-            continue
-        if lam != max(apply_matrix(w, lam) for w in ds.weyl_k):
-            continue
-        lowest = blattner_parameter(datum, lam)
-        norm = scaled_norm(datum, lowest)
-        if norm > weights.scaled_bound(datum, bound):
-            continue
-        if lowest in found:
-            raise InternalInconsistencyError(f"{lowest} shared")
-        found[lowest] = TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam)
-        order.append((norm, lowest, lam))
-    return [found[lowest] for _, lowest, _ in sorted(order)]
-
-
-def _assert_ds_enumerate_unchanged(datum, bound):
+def _assert_ds_enumerate_matches_the_scan(datum, bound):
     try:
-        expected = _ds_enumerate_pointwise(datum, bound)
-    except InternalInconsistencyError as exc:
+        expected = oracles.ds_enumerate_by_scan(datum, bound)
+    except oracles.InconsistentDatum as exc:
         with pytest.raises(InternalInconsistencyError) as raised:
             ds_enumerate(datum, bound)
-        if "shared" not in str(exc):
-            assert str(raised.value) == str(exc)
+        assert str(raised.value) == str(exc)
         return
-    assert ds_enumerate(datum, bound) == expected
+    assert ds_enumerate(datum, bound) == [
+        TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam) for lam, lowest in expected
+    ]
 
 
 @pytest.mark.parametrize("gram", sorted(_GRAMS))
@@ -239,19 +209,23 @@ def test_ds_enumerate_matches_the_pointwise_scan(name):
     datum = builtin(group)
     if gram:
         datum = _GRAMS[gram](datum)
-    _assert_ds_enumerate_unchanged(datum, 60)
+    _assert_ds_enumerate_matches_the_scan(datum, 60)
+
+
+def _noncompact_roots(group, roots):
+    doc = serialize(builtin(group))
+    doc["ds"]["noncompact_roots"] = roots
+    return load(json.dumps(doc))
 
 
 def test_ds_enumerate_refuses_a_noncompact_root_listed_twice():
     # The loader only asks the noncompact roots to be closed under
     # negation, so (2) may be listed twice; no chamber then makes half
     # of them positive.
-    doc = serialize(builtin("SL2R"))
-    doc["ds"]["noncompact_roots"] = [[2], [2], [-2]]
-    datum = load(json.dumps(doc))
+    datum = _noncompact_roots("SL2R", [[2], [2], [-2]])
     with pytest.raises(InternalInconsistencyError, match="noncompact root wall"):
         ds_enumerate(datum, 60)
-    _assert_ds_enumerate_unchanged(datum, 60)
+    _assert_ds_enumerate_matches_the_scan(datum, 60)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,4 +235,37 @@ def test_window_parts_and_series_on_rational_grams(sp11, a, d, t, bound):
     b = t * min(a, d) / 2
     datum = _with_gram(sp11, [[a, b], [b, d]])
     _assert_window_coordinates(datum, 60)
-    _assert_ds_enumerate_unchanged(datum, bound)
+    _assert_ds_enumerate_matches_the_scan(datum, bound)
+
+
+_CHAMBER_DATA = {
+    "SL2R": lambda: builtin("SL2R"),
+    "Sp11": lambda: builtin("Sp11"),
+    "Sp11-half": lambda: _GRAMS["half"](builtin("Sp11")),
+    "Sp11-skew": lambda: _GRAMS["skew"](builtin("Sp11")),
+    "SL2R-twice": lambda: _noncompact_roots("SL2R", [[2], [2], [-2]]),
+    # (-1,-1) listed three times: at lambda = (1,1) one root pairs
+    # positively, three negatively and two to zero, so a chamber that
+    # counted the zeros as positive would pass the half rule there.
+    "Sp11-thrice": lambda: _noncompact_roots(
+        "Sp11", [[1, 1], [1, -1], [-1, 1], [-1, -1], [-1, -1], [-1, -1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAMBER_DATA))
+def test_blattner_kernel_raises_only_off_a_chamber(name):
+    # On any parameter, singular ones included, the kernel raises exactly
+    # where the oracle's chamber breaks the half rule; a compact wall alone
+    # is never refused.
+    datum = _CHAMBER_DATA[name]()
+    for lam in itertools.product(range(-3, 4), repeat=datum.k.lattice_dim):
+        rep = TempiricRep(kind="ds", min_ktype=lam, hc_param=lam)
+        try:
+            oracles.chamber_by_pairing(datum, lam)
+        except oracles.InconsistentDatum as exc:
+            with pytest.raises(InternalInconsistencyError) as raised:
+                blattner_kernel(datum, rep)
+            assert str(raised.value) == str(exc)
+        else:
+            blattner_kernel(datum, rep)
