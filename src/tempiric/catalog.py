@@ -1,15 +1,16 @@
 """Catalog of rank-one group data and the JSON group-definition loader.
 
 The structure constants (identification of M, two_rho_c, root data, the
-restricted Weyl action on the M-dual) are shipped as data, validated
-eagerly on construction.  External definitions use the same JSON schema
-that ``serialize`` emits; everything in the format is exact (integers and
-"p/q" rational strings; floats are refused).
+restricted Weyl action on the M-dual) are shipped as data.  Each built-in
+is stored as the document ``catalog --group NAME --format json`` prints
+(the JSON schema that ``serialize`` emits) and is read by the same loader
+as a ``--group-file``, which checks every field and invariant eagerly.
+Everything in the format is exact (integers and "p/q" rational strings;
+floats are refused).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .branching import BRANCHING_RULES
-from .weights import CYCLIC2, SO3, SU2, TORUS1, CompactGroup, integer_det
+from .weights import CYCLIC2, TORUS1, CompactGroup, integer_det
 
 WEYL_RULES = ("identity", "negate-torus")
 
@@ -100,10 +101,6 @@ def weyl_image(datum: GroupDatum, sigma) -> tuple[int, ...]:
     )
 
 
-def apply_matrix(matrix, vec) -> tuple:
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
-
-
 def signed_permutation(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(perm, signs)`` of a signed permutation matrix.
 
@@ -176,16 +173,17 @@ def _validate_ds(datum: GroupDatum, dim: int):
     for root in noncompact:
         if tuple(-c for c in root) not in noncompact:
             raise CatalogError(f"ds.noncompact_roots: set is not closed under negation ({root})")
-    if _identity_matrices(dim, False)[0] not in ds.weyl_k:
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    if identity not in ds.weyl_k:
         raise CatalogError("ds.wk_elements: the identity matrix is missing")
     compact_set = set(ds.compact_pos_roots) | {
         tuple(-c for c in r) for r in ds.compact_pos_roots
     }
     elements = set(ds.weyl_k)
     for w in ds.weyl_k:
-        signed_permutation(w)
+        perm, signs = signed_permutation(w)
         for alpha in compact_set:
-            if apply_matrix(w, alpha) not in compact_set:
+            if tuple(s * alpha[p] for p, s in zip(perm, signs)) not in compact_set:
                 raise CatalogError("ds.wk_elements: element does not permute the compact roots")
         for v in ds.weyl_k:
             prod = tuple(
@@ -198,68 +196,32 @@ def _validate_ds(datum: GroupDatum, dim: int):
                 raise CatalogError("ds.wk_elements: set is not closed under composition")
 
 
-def _identity_matrices(dim: int, sign_flips: bool):
-    # The diagonal sign matrices, the identity first; only it without flips.
-    return tuple(
-        tuple(tuple(signs[i] * int(i == j) for j in range(dim)) for i in range(dim))
-        for signs in itertools.product((1, -1) if sign_flips else (1,), repeat=dim)
-    )
-
-
-def _builtin_sl2r() -> GroupDatum:
-    return GroupDatum(
-        name="SL2R",
-        k=CompactGroup((TORUS1,)),
-        m=CompactGroup((CYCLIC2,)),
-        branching_rule="parity",
-        gram=((Fraction(1),),),
-        two_rho_c=(0,),
-        weyl_on_mhat="identity",
-        equal_rank=True,
-        ds=DiscreteSeriesDatum(
-            compact_pos_roots=(),
-            noncompact_roots=((2,), (-2,)),
-            weyl_k=_identity_matrices(1, sign_flips=False),
-        ),
-    )
-
-
-def _builtin_so31() -> GroupDatum:
-    return GroupDatum(
-        name="SO31",
-        k=CompactGroup((SO3,)),
-        m=CompactGroup((TORUS1,)),
-        branching_rule="torus-restriction",
-        gram=((Fraction(1),),),
-        two_rho_c=(1,),
-        weyl_on_mhat="negate-torus",
-        equal_rank=False,
-        ds=None,
-    )
-
-
-def _builtin_sp11() -> GroupDatum:
-    return GroupDatum(
-        name="Sp11",
-        k=CompactGroup((SU2, SU2)),
-        m=CompactGroup((SU2,)),
-        branching_rule="clebsch-diagonal",
-        gram=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        two_rho_c=(2, 2),
-        weyl_on_mhat="identity",
-        equal_rank=True,
-        ds=DiscreteSeriesDatum(
-            compact_pos_roots=((2, 0), (0, 2)),
-            noncompact_roots=((1, 1), (1, -1), (-1, 1), (-1, -1)),
-            weyl_k=_identity_matrices(2, sign_flips=True),
-        ),
-    )
-
-
+# Each built-in is the document ``catalog --group NAME --format json``
+# prints, read by the same loader as a group file.
 _BUILTINS = {
-    "SL2R": _builtin_sl2r,
-    "SO31": _builtin_so31,
-    "Sp11": _builtin_sp11,
+    "SL2R": {
+        "name": "SL2R", "k_atoms": ["Torus1"], "m_atoms": ["Cyclic2"],
+        "branching_rule": "parity", "gram": ["1"], "two_rho_c": [0],
+        "weyl_on_mhat": "identity", "equal_rank": True,
+        "ds": {"compact_roots": [], "noncompact_roots": [[2], [-2]], "wk_elements": [[[1]]]},
+    },
+    "SO31": {
+        "name": "SO31", "k_atoms": ["SO3"], "m_atoms": ["Torus1"],
+        "branching_rule": "torus-restriction", "gram": ["1"], "two_rho_c": [1],
+        "weyl_on_mhat": "negate-torus", "equal_rank": False, "ds": None,
+    },
+    "Sp11": {
+        "name": "Sp11", "k_atoms": ["SU2", "SU2"], "m_atoms": ["SU2"],
+        "branching_rule": "clebsch-diagonal", "gram": ["1", "0", "0", "1"],
+        "two_rho_c": [2, 2], "weyl_on_mhat": "identity", "equal_rank": True,
+        "ds": {
+            "compact_roots": [[2, 0], [0, 2]],
+            "noncompact_roots": [[1, 1], [1, -1], [-1, 1], [-1, -1]],
+            "wk_elements": [
+                [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[-1, 0], [0, -1]],
+            ],
+        },
+    },
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
@@ -267,12 +229,12 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 def builtin(name: str) -> GroupDatum:
     """The catalog datum for one of the built-in groups."""
-    factory = _BUILTINS.get(name)
-    if factory is None:
+    document = _BUILTINS.get(name)
+    if document is None:
         raise CatalogError(
             f"unknown group {name!r}; built-ins are {', '.join(BUILTIN_NAMES)}"
         )
-    return _validate(factory())
+    return _from_document(document)
 
 
 def serialize(datum: GroupDatum) -> dict:

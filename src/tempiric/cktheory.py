@@ -374,22 +374,18 @@ def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
 
     Sweeps every M-label within a coordinate box extending well past the
     support and confirms no multiplicity space survives outside it.  The
-    dimensions are read from one ``Window.restriction`` of v, so the
-    sweep costs one lookup per label.  Raises ``WindowError`` at a K-type
-    outside the window.
+    dimensions are read from one ``Window.restriction`` of v and the box's
+    labels with their duals from ``Window.boxes``, so the sweep costs one
+    lookup per label.  Raises ``WindowError`` at a K-type outside the
+    window.
     """
     restricted = window.restriction(v)
-    duals = window.duals
-    support = sorted(_support(restricted, duals))
-    cap = 8
-    for sigma in support:
-        cap = max(cap, max((abs(c) for c in sigma), default=0) + 8)
-    for tau in v:
-        cap = max(cap, max((abs(c) for c in tau), default=0) + 8)
+    support = sorted(_support(restricted, window.duals))
+    cap = 8 + max((abs(c) for label in (*support, *v) for c in label), default=0)
     members = set(support)
     stray = [
-        sigma for sigma in labels_in_box(window.datum.m, cap)
-        if (restricted.get(duals[sigma], 0) > 0) != (sigma in members)
+        sigma for sigma, dual in window.boxes[cap]
+        if (restricted.get(dual, 0) > 0) != (sigma in members)
     ]
     passed = not stray
     return VerificationReport(
@@ -465,6 +461,7 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     rows, series = window.rows, window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:
+        # Equal to the column's entry at this row; perfbench asserts verify calls blattner_mult.
         if blattner_mult(datum, rep, rep.min_ktype, window.memo) != 1:
             return VerificationReport(
                 name,

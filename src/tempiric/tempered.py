@@ -53,6 +53,7 @@ from .weights import (
     is_label_entry,
     ktype_axes,
     label_lattice_coords,
+    labels_in_box,
     lattice_coords_to_label,
     require_box_within_limit,
     require_entries_within_limit,
@@ -623,6 +624,12 @@ class Window:
     def duals(self) -> _Memo:
         """``{M-label: its dual}`` (``dual_rule``), each computed once, on first read."""
         return _Memo(dual_rule(self.datum.m))
+
+    @cached_property
+    def boxes(self) -> _Memo:
+        """``{cap: ((M-label, its dual), ...)}`` in ``labels_in_box`` order, each built once."""
+        m, duals = self.datum.m, self.duals
+        return _Memo(lambda cap: tuple((sigma, duals[sigma]) for sigma in labels_in_box(m, cap)))
 
     @cached_property
     def supports(self) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from tempiric import catalog
 from tempiric.catalog import (
     BUILTIN_NAMES,
     CatalogError,
@@ -193,3 +195,23 @@ def test_cli_refuses_to_write_a_gram_entry_past_the_digit_limit(capsys, tmp_path
     assert captured.err.startswith("error: gram: an entry has more than ")
     assert main(["verify", "--group-file", str(path), "--bound", "10"]) == 0
     assert capsys.readouterr().out.endswith("# all checks passed\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_is_its_stored_document(name):
+    # builtin() reads the stored document through the group-file loader.
+    document = catalog._BUILTINS[name]
+    assert document == serialize(builtin(name))
+    assert load(json.dumps(document)) == builtin(name)
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_catalog_output_is_pinned(capsys, name, fmt):
+    code = main(["catalog", "--group", name, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (GOLDEN / f"catalog-{name.lower()}.{fmt}").read_text()
