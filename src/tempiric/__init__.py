@@ -16,15 +16,11 @@ from .weights import (
     TORUS1,
     CompactGroup,
     FormalSum,
-    dual_label,
     enumerate_ktypes,
-    hom_invariant_dim,
-    tensor_decompose,
     vogan_norm,
-    weights_of,
     weyl_dim,
 )
-from .branching import mult_space_dim, restrict_decompose, support_sigmas
+from .branching import restrict_decompose
 from .catalog import (
     BUILTIN_NAMES,
     CatalogError,
@@ -39,11 +35,11 @@ from .tempered import (
     PrincipalClass,
     TempiricRep,
     Window,
-    blattner_column,
+    blattner_kernel,
     blattner_mult,
     constituents,
     ds_enumerate,
-    induced_ktype_mult,
+    make_principal_class,
     minimal_ktypes,
     tempiric_window,
 )
@@ -59,7 +55,6 @@ from .cktheory import (
     composite_map,
     dimension_identity_check,
     invert_window,
-    ktheory_summary,
     mult_matrix,
     random_ktype_sums,
     triangularity_check,

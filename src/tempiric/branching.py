@@ -2,9 +2,10 @@
 
 Branching is template based: each catalog entry names one of three rules,
 and the rule fixes how a K-label decomposes over M and which K-label
-witnesses each M-type (``witness_ktype``).  Multiplicity-space
-dimensions come from the restriction via the dual convention of the
-weights module (circle characters dualize by sign flip).
+witnesses each M-type (``witness_ktype``).  The multiplicity-space
+dimension of an M-type sigma against V is the multiplicity of the dual
+of sigma in V's restriction, under the dual convention of the weights
+module (circle characters dualize by sign flip).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .weights import (
     SU2,
     TORUS1,
     FormalSum,
-    dual_label,
-    dual_rule,
     validate_label,
 )
 
@@ -80,29 +79,13 @@ def restrict_sum(datum, v: FormalSum) -> FormalSum:
     return FormalSum(acc)
 
 
-def mult_space_dim(datum, sigma, v: FormalSum) -> int:
-    """dim of the M-invariants of L_sigma (x) V.
+def restricted_support(duals, restricted) -> tuple[tuple[int, ...], ...]:
+    """The M-types whose duals occur with positive multiplicity, sorted.
 
-    Equals the multiplicity of the dual of sigma in the restriction of V.
-    """
-    sigma = validate_label(datum.m, sigma)
-    sdual = dual_label(datum.m, sigma)
-    return restrict_sum(datum, v)[sdual]
-
-
-def support_sigmas(datum, v: FormalSum) -> tuple[tuple[int, ...], ...]:
-    """The finitely many M-types with a nonzero multiplicity space against V.
-
-    Returned sorted for determinism.
-    """
-    return restricted_support(datum, restrict_sum(datum, v))
-
-
-def restricted_support(datum, restricted: FormalSum) -> tuple[tuple[int, ...], ...]:
-    """``support_sigmas`` read off a restriction already computed.
-
-    The M-types whose duals occur with positive multiplicity, sorted.
+    ``restricted`` is a restriction to M, as a ``FormalSum`` or a
+    ``{M-label: multiplicity}`` dict, and ``duals`` maps each of its
+    labels to the dual label (``Window.duals``); the result is the
+    M-types with a nonzero multiplicity space against the restricted sum.
     The branching rules produced its labels, so they are not revalidated.
     """
-    dual = dual_rule(datum.m)
-    return tuple(sorted({dual(w) for w, mult in restricted.items() if mult > 0}))
+    return tuple(sorted({duals[w] for w, mult in restricted.items() if mult > 0}))

@@ -50,10 +50,10 @@ class DiscreteSeriesDatum:
         """``(perm, signs, det)`` of each ``weyl_k`` element, in order.
 
         The loader certifies every element a signed permutation matrix
-        (``signed_permutation``); this is that certificate, read once, with
+        (``_signed_permutation``); this is that certificate, read once, with
         the element's ``integer_det``.
         """
-        return tuple((*signed_permutation(w), integer_det(w)) for w in self.weyl_k)
+        return tuple((*_signed_permutation(w), integer_det(w)) for w in self.weyl_k)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def weyl_image(datum: GroupDatum, sigma) -> tuple[int, ...]:
     )
 
 
-def signed_permutation(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _signed_permutation(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(perm, signs)`` of a signed permutation matrix.
 
     Row r holds ``signs[r]`` in column ``perm[r]`` and zeros elsewhere, so
@@ -181,7 +181,7 @@ def _validate_ds(datum: GroupDatum, dim: int):
     }
     elements = set(ds.weyl_k)
     for w in ds.weyl_k:
-        perm, signs = signed_permutation(w)
+        perm, signs = _signed_permutation(w)
         for alpha in compact_set:
             if tuple(s * alpha[p] for p, s in zip(perm, signs)) not in compact_set:
                 raise CatalogError("ds.wk_elements: element does not permute the compact roots")

@@ -5,10 +5,16 @@ unit-diagonal lower-triangularity of the induced map on representation
 rings, inverts exact windows over the integers, and checks the boundary
 dimension identities behind the rank-one Fourier decomposition.
 
+On a window, the paper's K-theoretic form of Vogan's theorem is what
+``verify`` and ``ck-matrix`` report from these routines: the
+minimal-K-type bijection, unit lower-triangularity and the exact integer
+inverse.  Nothing here computes a K-group.
+
 Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
 ``EXACT``, ``AGGREGATE_ONLY`` and ``WindowError``), and the M-side
-checks its restrictions, duals and orbits.  ``verify``'s randomized
+checks its restrictions, duals and orbits, with each restriction's
+M-types read by ``branching.restricted_support``.  ``verify``'s randomized
 sweeps, ``identity_sweep`` and ``admissibility_sweep``, are loops over
 the public ``dimension_identity_check`` and ``admissibility_check``.
 
@@ -22,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .branching import restricted_support
 from .tempered import (
     AGGREGATE_ONLY,
     EXACT,
@@ -287,27 +294,23 @@ def invert_window(matrix: MultMatrix):
     return [[row.get(j, 0) for j in range(n)] for row in inverse]
 
 
-def _support(restricted: dict, duals) -> set:
-    # The set of restricted_support, with each dual read from duals.
-    return {duals[w] for w, mult in restricted.items() if mult > 0}
-
-
 def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
-    Left side: invariant Hom dimension of the two restrictions over M.
-    Right side: sum over M-types of the product of multiplicity-space
-    dimensions, each read off the restriction at the dual M-type (the
-    definition of ``mult_space_dim``).  The two are computed by
-    independent routes from one ``Window.restriction`` of each sum and
-    must agree exactly; the total of ``boundary_block_dims``, read off
-    the same two restrictions and their supports, must then equal the
-    left side too.  Raises ``WindowError`` at a K-type outside the window.
+    Left side: invariant Hom dimension of the two restrictions over M
+    (``weights.isotypic_pairing``).  Right side: sum over the M-types of
+    their supports (``branching.restricted_support``) of the product of
+    multiplicity-space dimensions, each read off the restriction at the
+    dual M-type.  The two are computed by independent routes from one
+    ``Window.restriction`` of each sum and must agree exactly; the total
+    of ``boundary_block_dims``, read off the same two restrictions and
+    their supports, must then equal the left side too.  Raises
+    ``WindowError`` at a K-type outside the window.
     """
     r1, r2 = window.restriction(v1), window.restriction(v2)
     duals = window.duals
     lhs = isotypic_pairing(r1, r2)
-    sigmas = _support(r1, duals) | _support(r2, duals)
+    sigmas = {*restricted_support(duals, r1), *restricted_support(duals, r2)}
     rhs = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in sigmas)
     payload = {"lhs": lhs, "rhs": rhs}
     failure = payload if lhs != rhs else None
@@ -342,7 +345,7 @@ def boundary_block_dims(window: Window, v1: FormalSum, v2: FormalSum):
     Each argument is restricted once, by ``Window.restriction``.
     """
     r1, r2 = window.restriction(v1), window.restriction(v2)
-    sigmas = _support(r1, window.duals) | _support(r2, window.duals)
+    sigmas = {*restricted_support(window.duals, r1), *restricted_support(window.duals, r2)}
     return _boundary_blocks(window, r1, r2, sigmas)
 
 
@@ -380,7 +383,7 @@ def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     window.
     """
     restricted = window.restriction(v)
-    support = sorted(_support(restricted, window.duals))
+    support = restricted_support(window.duals, restricted)
     cap = 8 + max((abs(c) for label in (*support, *v) for c in label), default=0)
     members = set(support)
     stray = [
@@ -502,30 +505,3 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[F
         labels = rng.sample(pool, size)
         sums.append(FormalSum({tau: rng.randint(1, 3) for tau in labels}))
     return sums
-
-
-def ktheory_summary(window: Window) -> dict:
-    """Window basis, matrix status, and the vanishing odd-degree note.
-
-    The odd K-group is reported as zero because that is a known analytic
-    fact about this category; nothing here computes it.
-    """
-    matrix = window.matrix
-    triangular = triangularity_check(window).passed
-    refused: list[str] = []
-    status = "inverted"
-    try:
-        invert_window(matrix)
-    except UnresolvedColumnsError as exc:
-        status = "refused"
-        refused = list(exc.columns)
-    return {
-        "group": window.datum.name,
-        "bound": str(window.bound),
-        "generator_count": len(matrix.cols),
-        "generators": [rep.describe() for rep in matrix.cols],
-        "triangular": triangular,
-        "inverse": status,
-        "refused_columns": refused,
-        "k1": "0 (vanishes; reported as a known fact, not computed)",
-    }

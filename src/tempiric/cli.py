@@ -27,8 +27,20 @@ VERIFY_ADMISSIBILITY = 100
 VERIFY_NORM_CAP = 60
 
 
-class UsageError(ValueError):
+class _UsageError(ValueError):
     pass
+
+
+def _number(value) -> str:
+    # str(value), refused like catalog.serialize refuses a Gram entry when
+    # it has more digits than Python's int-to-str limit allows.
+    try:
+        return str(value)
+    except ValueError:
+        raise _UsageError(
+            f"a number to print has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be written as text"
+        ) from None
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -39,7 +51,7 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempiric",
         description="Exact tempered-dual multiplicity structure for rank-one groups",
@@ -85,20 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_datum(args):
     if getattr(args, "bound", None) is not None and args.bound < 0:
-        raise UsageError("bound must be nonnegative")
+        raise _UsageError("bound must be nonnegative")
     if getattr(args, "grid_bound", None) is not None and args.grid_bound < 0:
-        raise UsageError("grid bound must be nonnegative")
+        raise _UsageError("grid bound must be nonnegative")
     if args.group_file:
         return load(args.group_file)
     if args.group:
         return builtin(args.group)
-    raise UsageError("one of --group or --group-file is required")
+    raise _UsageError("one of --group or --group-file is required")
 
 
 def _pick_format(args, allowed, default):
     fmt = args.format or default
     if fmt not in allowed:
-        raise UsageError(
+        raise _UsageError(
             f"format {fmt!r} not supported here; choose from {', '.join(allowed)}"
         )
     return fmt
@@ -116,7 +128,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_catalog(args) -> tuple[int, str]:
+def _cmd_catalog(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("txt", "json"), "txt")
     if not (args.group or args.group_file):
         if fmt == "json":
@@ -139,17 +151,17 @@ def cmd_catalog(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def cmd_ktypes(args) -> tuple[int, str]:
+def _cmd_ktypes(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
     records = [
-        (tau, str(vogan_norm(datum, tau)), weyl_dim(datum.k, tau))
+        (tau, _number(vogan_norm(datum, tau)), weyl_dim(datum.k, tau))
         for tau in enumerate_ktypes(datum, args.bound)
     ]
     if fmt == "json":
         payload = {
             "group": datum.name,
-            "bound": str(args.bound),
+            "bound": _number(args.bound),
             "ktypes": [
                 {"label": list(tau), "norm": norm, "dim": dim} for tau, norm, dim in records
             ],
@@ -160,7 +172,7 @@ def cmd_ktypes(args) -> tuple[int, str]:
     )
 
 
-def cmd_branch(args) -> tuple[int, str]:
+def _cmd_branch(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
     window = enumerate_ktypes(datum, args.bound)
@@ -172,7 +184,7 @@ def cmd_branch(args) -> tuple[int, str]:
     if fmt == "json":
         payload = {
             "group": datum.name,
-            "bound": str(args.bound),
+            "bound": _number(args.bound),
             "branchings": [
                 {"ktype": list(tau), "mtype": list(sigma), "multiplicity": mult}
                 for tau, sigma, mult in rows
@@ -197,18 +209,18 @@ def _rep_record(datum, rep) -> dict:
         "parameters": params,
         "minimal_ktype": list(rep.min_ktype),
         "split": rep.split,
-        "vogan_norm": str(vogan_norm(datum, rep.min_ktype)),
+        "vogan_norm": _number(vogan_norm(datum, rep.min_ktype)),
     }
 
 
-def cmd_tempiric_table(args) -> tuple[int, str]:
+def _cmd_tempiric_table(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
     reps = tempiric_window(datum, args.bound).reps
     records = [_rep_record(datum, rep) for rep in reps]
     if fmt == "json":
         return 0, _json_text(
-            {"group": datum.name, "bound": str(args.bound), "records": records}
+            {"group": datum.name, "bound": _number(args.bound), "records": records}
         )
     rows = [
         (
@@ -241,7 +253,7 @@ def _column_descriptor(rep) -> dict:
     }
 
 
-def cmd_ck_matrix(args) -> tuple[int, str]:
+def _cmd_ck_matrix(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("json", "csv"), "json")
     datum = _resolve_datum(args)
     matrix = tempiric_window(datum, args.bound).matrix
@@ -255,7 +267,7 @@ def cmd_ck_matrix(args) -> tuple[int, str]:
     if fmt == "json":
         payload = {
             "group": datum.name,
-            "bound": str(args.bound),
+            "bound": _number(args.bound),
             "rows": [list(tau) for tau in matrix.rows],
             "cols": [_column_descriptor(rep) for rep in matrix.cols],
             "entries": [[i, j, v] for i, j, v in entries],
@@ -327,7 +339,7 @@ def _verify_reports(datum, bound, seed):
     return reports
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("txt", "json"), "txt")
     datum = _resolve_datum(args)
     reports = _verify_reports(datum, args.bound, args.seed)
@@ -335,7 +347,7 @@ def cmd_verify(args) -> tuple[int, str]:
     if fmt == "json":
         payload = {
             "group": datum.name,
-            "bound": str(args.bound),
+            "bound": _number(args.bound),
             "seed": args.seed,
             "checks": [
                 {
@@ -348,7 +360,7 @@ def cmd_verify(args) -> tuple[int, str]:
             "all_passed": ok,
         }
         return (0 if ok else 1), _json_text(payload)
-    lines = [f"# verify group={datum.name} bound={args.bound} seed={args.seed}"]
+    lines = [f"# verify group={datum.name} bound={_number(args.bound)} seed={args.seed}"]
     for r in reports:
         if r.passed:
             lines.append(f"{r.name}: pass")
@@ -358,13 +370,13 @@ def cmd_verify(args) -> tuple[int, str]:
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def cmd_figure(args) -> tuple[int, str]:
+def _cmd_figure(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("txt", "dot", "svg"), "txt")
     datum = _resolve_datum(args)
     try:
         spec = figures.build_diagram(datum, args.grid_bound)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
     renderer = {
         "txt": figures.render_text,
         "dot": figures.render_dot,
@@ -374,22 +386,22 @@ def cmd_figure(args) -> tuple[int, str]:
 
 
 _COMMANDS = {
-    "catalog": cmd_catalog,
-    "ktypes": cmd_ktypes,
-    "branch": cmd_branch,
-    "tempiric-table": cmd_tempiric_table,
-    "ck-matrix": cmd_ck_matrix,
-    "verify": cmd_verify,
-    "figure": cmd_figure,
+    "catalog": _cmd_catalog,
+    "ktypes": _cmd_ktypes,
+    "branch": _cmd_branch,
+    "tempiric-table": _cmd_tempiric_table,
+    "ck-matrix": _cmd_ck_matrix,
+    "verify": _cmd_verify,
+    "figure": _cmd_figure,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         code, text = _COMMANDS[args.command](args)
-    except (UsageError, CatalogError, WindowError, WindowTooLargeError) as exc:
+    except (_UsageError, CatalogError, WindowError, WindowTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

@@ -126,10 +126,6 @@ def render_text(spec: DiagramSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_id(node) -> str:
-    return format_label(node)
-
-
 def render_dot(spec: DiagramSpec) -> str:
     lines = ["graph tempered_markers {"]
     for line in _header_lines(spec):
@@ -137,12 +133,12 @@ def render_dot(spec: DiagramSpec) -> str:
     shapes = {CIRCLE: "circle", SQUARE: "box", TRIANGLE: "triangle"}
     for node in spec.nodes:
         lines.append(
-            f'  "{_node_id(node)}" [shape={shapes[spec.markers[node]]}];'
+            f'  "{format_label(node)}" [shape={shapes[spec.markers[node]]}];'
         )
     for node in sorted(spec.partners):
         partner = spec.partners[node]
         if node < partner:
-            lines.append(f'  "{_node_id(node)}" -- "{_node_id(partner)}";')
+            lines.append(f'  "{format_label(node)}" -- "{format_label(partner)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

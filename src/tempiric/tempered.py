@@ -21,8 +21,8 @@ doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 and supports, the class of every M-type they meet, the classes, the
 series, each representative's matrix column and the multiplicity
 matrix.  One column kernel, ``blattner_kernel``, evaluates every
-Blattner multiplicity from a row's coordinates; ``blattner_column`` and
-``blattner_mult`` are its lazy wrappers over K-type labels.
+Blattner multiplicity from a row's coordinates; ``blattner_mult`` reads
+it at one K-type label.
 
 Every matrix entry comes from one per-column code path, ``_column``,
 built once per representative as ``Window.columns`` and read by
@@ -43,7 +43,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .branching import mult_space_dim, restrict_sum, restricted_support, witness_ktype
+from .branching import restrict_sum, restricted_support, witness_ktype
 from .catalog import GroupDatum, weyl_image
 from .weights import (
     TORUS1,
@@ -142,16 +142,6 @@ def principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
     """``make_principal_class`` of a label already known to be valid."""
     orbit = tuple(sorted({sigma, weyl_image(datum, sigma)}))
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
-
-
-def induced_ktype_mult(datum: GroupDatum, cls: PrincipalClass, tau) -> int:
-    """Multiplicity of tau in the parameter-zero principal series of the class.
-
-    By Frobenius reciprocity this is the multiplicity-space dimension
-    against the fixed orbit representative, independent of the continuous
-    parameter.
-    """
-    return mult_space_dim(datum, cls.representative, FormalSum.single(tau))
 
 
 def _certified_minima(datum: GroupDatum, cls: PrincipalClass):
@@ -265,7 +255,7 @@ def _lowest_ktype(datum: GroupDatum, lam, base) -> tuple[int, ...]:
         ) from None
 
 
-def parameter_box(datum: GroupDatum, bound: Fraction) -> list[range]:
+def _parameter_box(datum: GroupDatum, bound: Fraction) -> list[range]:
     """The parameter box ``ds_enumerate`` scans at a nonnegative bound.
 
     Wide enough that any parameter mapping into the window lies inside:
@@ -292,13 +282,13 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
 
     Deterministic order: by (norm of lowest K-type, lowest K-type,
     parameter).  Raises ``WindowTooLargeError`` before scanning when the
-    ``parameter_box`` exceeds ``MAX_BOX_LABELS``.
+    ``_parameter_box`` exceeds ``MAX_BOX_LABELS``.
     """
     ds = _require_ds(datum)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    box = parameter_box(datum, bound)
+    box = _parameter_box(datum, bound)
     limit = scaled_bound(datum, bound)
     roots = (*ds.compact_pos_roots, *ds.noncompact_roots)
     moves = [(perm, signs) for perm, signs, _ in ds.signed_weyl_k]
@@ -367,7 +357,7 @@ def _count_expressions(roots, target, pairings, budget, memo) -> int:
     return rec(0, target, budget)
 
 
-def doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
+def _doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
     """2 mu + 2 rho_c: lattice coordinates mu, doubled and rho_c-shifted."""
     return tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
 
@@ -376,7 +366,7 @@ def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
     """The Blattner column kernel of one discrete series.
 
     Returns ``entry(shifted, tau)``: the multiplicity of the K-type
-    ``tau``, whose ``doubled_shifted`` coordinates are ``shifted``, in the
+    ``tau``, whose ``_doubled_shifted`` coordinates are ``shifted``, in the
     series.  The chamber data and each compact Weyl element's signed
     permutation are read once, here; each entry is then the alternating
     sum over the compact Weyl group of partition counts over the
@@ -431,20 +421,10 @@ def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
     return entry
 
 
-def blattner_column(datum: GroupDatum, ds_rep: TempiricRep, ktypes, memo=None):
-    """K-type multiplicities in a discrete series, one per K-type, in order.
-
-    A generator over ``blattner_kernel``: each K-type's multiplicity is
-    yielded as it is reached, so a raise happens at that K-type.
-    """
-    entry = blattner_kernel(datum, ds_rep, memo)
-    for tau in ktypes:
-        yield entry(doubled_shifted(datum, label_lattice_coords(datum.k, tau)), tau)
-
-
 def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau, memo=None) -> int:
-    """K-type multiplicity in a discrete series: ``blattner_column`` at tau."""
-    return next(blattner_column(datum, ds_rep, (tau,), memo))
+    """K-type multiplicity in a discrete series: ``blattner_kernel`` at tau."""
+    entry = blattner_kernel(datum, ds_rep, memo)
+    return entry(_doubled_shifted(datum, label_lattice_coords(datum.k, tau)), tau)
 
 
 @dataclass
@@ -480,8 +460,9 @@ def _column(window: Window, rep: TempiricRep):
     representative.  Discrete-series columns run ``blattner_kernel``
     with the window's memo on the row's ``Window.shifted`` coordinates.
     Principal-series columns read the window's restriction of the row at
-    the dual of the class representative (which is
-    ``induced_ktype_mult``), then apply the split rules.
+    the dual of the class representative (the row's multiplicity in the
+    class's principal series, by Frobenius reciprocity), then apply the
+    split rules.
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
@@ -563,10 +544,10 @@ class Window:
 
     @cached_property
     def shifted(self) -> list[tuple[int, ...]]:
-        """Each row's ``doubled_shifted`` coordinates, read by the Blattner kernel."""
+        """Each row's ``_doubled_shifted`` coordinates, read by the Blattner kernel."""
         datum = self.datum
         return [
-            doubled_shifted(datum, label_lattice_coords(datum.k, tau))
+            _doubled_shifted(datum, label_lattice_coords(datum.k, tau))
             for tau in self.rows
         ]
 
@@ -634,7 +615,7 @@ class Window:
     @cached_property
     def supports(self) -> list[tuple[tuple[int, ...], ...]]:
         """Each row's ``restricted_support``: the M-types the row meets."""
-        return [restricted_support(self.datum, r) for r in self.restrictions]
+        return [restricted_support(self.duals, r) for r in self.restrictions]
 
     @cached_property
     def class_of(self) -> dict[tuple[int, ...], PrincipalClass]:
@@ -656,9 +637,9 @@ class Window:
         """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
 
         One pass over the rows' supports.  A row meets the classes of
-        the M-types in its support, and occurs in a class (with multiplicity
-        ``induced_ktype_mult``) exactly when the representative is one of
-        them; the minima are the rows at the first norm where it does,
+        the M-types in its support, and occurs in a class (with its
+        multiplicity in the class's principal series) exactly when the
+        representative is one of them; the minima are the rows at the first norm where it does,
         which on a complete window are global.  Representative order.
         """
         duals, class_of = self.duals, self.class_of
@@ -690,11 +671,11 @@ class Window:
         For equal rank, an oversize label box is refused before the class
         pass runs: first the rows' ``ktype_axes`` (so the refusal names
         the box the rows would have been refused for), then the series'
-        ``parameter_box``.
+        ``_parameter_box``.
         """
         if self.datum.equal_rank and self.bound >= 0:
             ktype_axes(self.datum, self.bound)
-            parameter_box(self.datum, self.bound)
+            _parameter_box(self.datum, self.bound)
         reps: list[TempiricRep] = []
         for cls, minima in self.classes.items():
             reps.extend(_constituents(cls, minima))

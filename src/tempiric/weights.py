@@ -18,7 +18,6 @@ no coordination.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, log10, prod
@@ -82,26 +81,6 @@ def _atom_dim(kind: str, v: int) -> int:
     if kind == SO3:
         return 2 * v + 1
     return 1
-
-
-def _atom_weights(kind: str, v: int):
-    # Weight values in the atom's own coordinate; for Cyclic2 the "weight"
-    # is the parity bit itself, constant across the (1-dimensional) irrep.
-    if kind == SU2:
-        return range(-v, v + 1, 2)
-    if kind == SO3:
-        return range(-v, v + 1)
-    return (v,)
-
-
-def _atom_tensor(kind: str, a: int, b: int) -> dict[int, int]:
-    if kind == TORUS1:
-        return {a + b: 1}
-    if kind == CYCLIC2:
-        return {(a + b) % 2: 1}
-    if kind == SU2:
-        return {c: 1 for c in range(abs(a - b), a + b + 1, 2)}
-    return {j: 1 for j in range(abs(a - b), a + b + 1)}
 
 
 class FormalSum:
@@ -188,34 +167,6 @@ def weyl_dim(group: CompactGroup, tau) -> int:
     return d
 
 
-def weights_of(group: CompactGroup, tau) -> Counter:
-    """Full weight multiset of ``tau`` as a Counter of per-atom tuples.
-
-    Cyclic2 entries carry the parity bit, constant across the irrep; the
-    total count equals ``weyl_dim``.
-    """
-    tau = validate_label(group, tau)
-    axes = [_atom_weights(kind, v) for kind, v in zip(group.atoms, tau)]
-    return Counter(itertools.product(*axes))
-
-
-def tensor_decompose(group: CompactGroup, tau1, tau2) -> FormalSum:
-    """Decomposition of the tensor product of two irreducibles."""
-    tau1 = validate_label(group, tau1)
-    tau2 = validate_label(group, tau2)
-    factors = [
-        _atom_tensor(kind, a, b) for kind, a, b in zip(group.atoms, tau1, tau2)
-    ]
-    out: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*(f.items() for f in factors)):
-        label = tuple(k for k, _ in combo)
-        mult = 1
-        for _, m in combo:
-            mult *= m
-        out[label] = out.get(label, 0) + mult
-    return FormalSum(out)
-
-
 def dual_rule(group: CompactGroup):
     """The dual as a function on labels already known to be valid.
 
@@ -227,34 +178,15 @@ def dual_rule(group: CompactGroup):
     return lambda label: tuple(map(mul, signs, label))
 
 
-def dual_label(group: CompactGroup, tau) -> tuple[int, ...]:
-    """Label of the dual irreducible: ``dual_rule`` after validation."""
-    return dual_rule(group)(validate_label(group, tau))
-
-
-def hom_invariant_dim(group: CompactGroup, v1: FormalSum, v2: FormalSum) -> int:
-    """dim Hom(V1, V2)^G for two nonnegative formal sums of irreducibles.
-
-    By Schur's lemma this is the pairing of isotypic multiplicities.  It
-    equals the invariant dimension of dual(V1) (x) V2, with the circle
-    duality n -> -n applied to the first argument.  Every label is
-    validated, then the two are paired by ``isotypic_pairing``.
-    """
-    for v in (v1, v2):
-        for tau in v:
-            validate_label(group, tau)
-    return isotypic_pairing(dict(v1.items()), dict(v2.items()))
-
-
 def isotypic_pairing(m1: dict, m2: dict) -> int:
-    """``hom_invariant_dim`` of two ``{label: multiplicity}`` dicts.
+    """dim Hom(V1, V2)^G for two ``{label: multiplicity}`` dicts.
 
-    For labels known to be valid, such as those the branching rules
-    produce, so none is revalidated; negative multiplicities are still
-    refused.
+    By Schur's lemma this is the pairing of isotypic multiplicities.  The
+    labels are taken as valid, such as those the branching rules produce,
+    so none is revalidated; negative multiplicities are refused.
     """
     if min(m1.values(), default=0) < 0 or min(m2.values(), default=0) < 0:
-        raise ValueError("hom_invariant_dim requires nonnegative multiplicities")
+        raise ValueError("isotypic_pairing requires nonnegative multiplicities")
     return sum(m * m2.get(label, 0) for label, m in m1.items())
 
 
@@ -285,7 +217,7 @@ def lattice_coords_to_label(group: CompactGroup, coords) -> tuple[int, ...]:
     return validate_label(group, label)
 
 
-def scaled_pairing(datum, x, y) -> int:
+def _scaled_pairing(datum, x, y) -> int:
     """D * <x, y>: the bilinear form on the datum's integer Gram matrix."""
     return sum(
         xi * sum(g * yj for g, yj in zip(row, y))
@@ -298,7 +230,7 @@ def scaled_norm(datum, tau) -> int:
     """D * (Vogan norm of ``tau``), an integer; see ``vogan_norm``."""
     mu = label_lattice_coords(datum.k, tau)
     x = tuple(m + r for m, r in zip(mu, datum.two_rho_c))
-    return scaled_pairing(datum, x, x)
+    return _scaled_pairing(datum, x, x)
 
 
 def scaled_bound(datum, bound) -> int:
@@ -401,7 +333,7 @@ def require_entries_within_limit(rows: int, cols: int, bound) -> None:
     """Refuse a rows x cols window computation over ``MAX_WINDOW_ENTRIES``."""
     if rows * cols > MAX_WINDOW_ENTRIES:
         raise WindowTooLargeError(
-            f"bound {bound} needs {rows} x {cols} = {rows * cols} window entries, "
+            f"bound {_decimal(bound)} needs {rows} x {cols} = {rows * cols} window entries, "
             f"above the limit of {MAX_WINDOW_ENTRIES}"
         )
 
@@ -439,7 +371,7 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
     window = []
     for label in itertools.product(*axes):
         x = tuple(label[p] + shift for p, shift in lattice)
-        norm = scaled_pairing(datum, x, x)
+        norm = _scaled_pairing(datum, x, x)
         if norm <= limit:
             window.append((norm, label))
     window.sort()

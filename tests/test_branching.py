@@ -4,14 +4,14 @@ import json
 import pytest
 
 from tempiric.branching import (
-    mult_space_dim,
     restrict_decompose,
-    support_sigmas,
+    restrict_sum,
+    restricted_support,
     witness_ktype,
 )
 from tempiric.catalog import builtin, load, serialize
-from tempiric.tempered import make_principal_class, minimal_ktypes
-from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, weyl_dim
+from tempiric.tempered import make_principal_class, minimal_ktypes, tempiric_window
+from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, vogan_norm, weyl_dim
 
 import oracles
 
@@ -53,35 +53,46 @@ def test_clebsch_rule_against_weight_oracle(sp11):
         assert got == expected, (a, b)
 
 
+def _mult_space_dim(datum, sigma, v):
+    # dim (L_sigma (x) V)^M: the multiplicity of sigma's dual in the
+    # restriction of V, read off one window as the checks read it.
+    window = tempiric_window(datum, max(vogan_norm(datum, tau) for tau in v))
+    return window.restriction(v).get(window.duals[sigma], 0)
+
+
+def _support(datum, v):
+    return restricted_support(tempiric_window(datum, 0).duals, restrict_sum(datum, v))
+
+
 def test_mult_space_dim_examples(sl2r, so31, sp11):
-    assert mult_space_dim(sl2r, (1,), FormalSum({(1,): 1})) == 1
-    assert mult_space_dim(sp11, (1,), FormalSum({(1, 0): 1})) == 1
-    assert mult_space_dim(so31, (2,), FormalSum({(1,): 1})) == 0
+    assert _mult_space_dim(sl2r, (1,), FormalSum({(1,): 1})) == 1
+    assert _mult_space_dim(sp11, (1,), FormalSum({(1, 0): 1})) == 1
+    assert _mult_space_dim(so31, (2,), FormalSum({(1,): 1})) == 0
     # circle duality is observable: sigma must match the dual weight
-    assert mult_space_dim(so31, (2,), FormalSum({(3,): 1})) == 1
-    assert mult_space_dim(so31, (-2,), FormalSum({(3,): 1})) == 1
+    assert _mult_space_dim(so31, (2,), FormalSum({(3,): 1})) == 1
+    assert _mult_space_dim(so31, (-2,), FormalSum({(3,): 1})) == 1
 
 
 def test_frobenius_consistency(sl2r, so31, sp11):
-    from tempiric.weights import dual_label
-
+    # The multiplicity space of sigma against tau, read off the window's
+    # restriction and off restrict_decompose at sigma's dual, is tau's
+    # multiplicity in the principal series of sigma, as the oracle counts it.
     for datum in (sl2r, so31, sp11):
-        window = enumerate_ktypes(datum, 100)
-        sigmas = support_sigmas(
-            datum, FormalSum({tau: 1 for tau in window})
-        )
-        for tau in window:
+        window = tempiric_window(datum, 100)
+        sigmas = _support(datum, FormalSum({tau: 1 for tau in window.rows}))
+        for tau in window.rows:
+            restricted = window.restriction(FormalSum({tau: 1}))
             restriction = restrict_decompose(datum, tau)
             for sigma in sigmas:
-                direct = mult_space_dim(datum, sigma, FormalSum({tau: 1}))
-                via_dual = restriction[dual_label(datum.m, sigma)]
-                assert direct == via_dual
+                dual = window.duals[sigma]
+                expected = oracles.mult_in_induced_oracle(datum, sigma, tau)
+                assert restricted.get(dual, 0) == restriction[dual] == expected
 
 
 def test_support_examples(sl2r, so31, sp11):
-    assert support_sigmas(sl2r, FormalSum({(0,): 1})) == ((0,),)
-    assert support_sigmas(sp11, FormalSum({(2, 0): 1})) == ((2,),)
-    assert support_sigmas(so31, FormalSum({(1,): 1, (0,): 2})) == (
+    assert _support(sl2r, FormalSum({(0,): 1})) == ((0,),)
+    assert _support(sp11, FormalSum({(2, 0): 1})) == ((2,),)
+    assert _support(so31, FormalSum({(1,): 1, (0,): 2})) == (
         (-1,),
         (0,),
         (1,),
@@ -92,10 +103,10 @@ def test_support_is_union_over_constituents(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         window = enumerate_ktypes(datum, 60)
         v = FormalSum({tau: 1 + i % 3 for i, tau in enumerate(window)})
-        combined = set(support_sigmas(datum, v))
+        combined = set(_support(datum, v))
         union = set()
         for tau in window:
-            union |= set(support_sigmas(datum, FormalSum({tau: 1})))
+            union |= set(_support(datum, FormalSum({tau: 1})))
         assert combined == union
 
 

@@ -12,7 +12,6 @@ from tempiric.cktheory import (
     composite_map,
     dimension_identity_check,
     invert_window,
-    ktheory_summary,
     mult_matrix,
     random_ktype_sums,
     triangularity_check,
@@ -21,6 +20,8 @@ from tempiric.cktheory import (
 )
 from tempiric.tempered import format_label, make_principal_class, tempiric_window
 from tempiric.weights import FormalSum
+
+import oracles
 
 
 def test_mult_matrix_so31_all_ones_triangle(so31):
@@ -55,11 +56,10 @@ def test_mult_matrix_split_columns_sum_to_aggregate(sl2r):
         if rep.kind == "ps" and rep.split
     ]
     assert len(split) == 2
-    from tempiric.tempered import induced_ktype_mult
-
+    sigma = sign_class.representative
     for i, tau in enumerate(matrix.rows):
         total = sum(matrix.entry(i, j) for j in split)
-        assert total == induced_ktype_mult(sl2r, sign_class, tau)
+        assert total == oracles.mult_in_induced_oracle(sl2r, sigma, tau)
 
 
 def test_mult_matrix_sp11_aggregate_columns(sp11):
@@ -77,14 +77,13 @@ def test_mult_matrix_sp11_aggregate_columns(sp11):
         assert matrix.entry(row[min_ktype], j) == 1
         assert matrix.entry(row[partner], j) == 0
     # away from the minima the split columns carry the class aggregate
-    cls = make_principal_class(sp11, (1,))
-    from tempiric.tempered import induced_ktype_mult
-
+    sigma = make_principal_class(sp11, (1,)).representative
     for tau in matrix.rows:
         if tau in split or (tau[1], tau[0]) in split:
             continue
         for j in split.values():
-            assert matrix.entry(row[tau], j) == induced_ktype_mult(sp11, cls, tau)
+            expected = oracles.mult_in_induced_oracle(sp11, sigma, tau)
+            assert matrix.entry(row[tau], j) == expected
 
 
 def test_bijection_examples(sl2r, so31, sp11):
@@ -274,22 +273,6 @@ def test_admissibility_examples(sl2r, so31, sp11):
 def test_blattner_consistency(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         assert blattner_consistency_check(tempiric_window(datum, 60)).passed
-
-
-def test_ktheory_summary(sl2r, so31, sp11):
-    summary = ktheory_summary(tempiric_window(so31, 16))
-    assert summary["generator_count"] == 4
-    assert summary["inverse"] == "inverted" and summary["triangular"]
-    summary = ktheory_summary(tempiric_window(sl2r, 9))
-    assert summary["generator_count"] == 7
-    assert summary["inverse"] == "inverted"
-    summary = ktheory_summary(tempiric_window(sp11, 8))
-    assert summary["generator_count"] == 1
-    assert summary["generators"] == ["PS(sigma={(0)},min=(0,0))"]
-    summary = ktheory_summary(tempiric_window(sp11, 20))
-    assert summary["inverse"] == "refused"
-    assert len(summary["refused_columns"]) == 2
-    assert summary["k1"].startswith("0")
 
 
 def test_checks_on_sampled_grid(sl2r, so31, sp11):

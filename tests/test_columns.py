@@ -17,7 +17,6 @@ from tempiric.catalog import builtin, load, serialize
 from tempiric.cktheory import AGGREGATE_ONLY, mult_matrix
 from tempiric.tempered import (
     InternalInconsistencyError,
-    blattner_column,
     blattner_mult,
     ds_enumerate,
     format_label,
@@ -105,39 +104,25 @@ def test_windows_never_share_a_memo(sp11):
 
 @pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
 def test_column_equals_pointwise_multiplicities(name):
-    datum = DATA[name]()
-    rows = enumerate_ktypes(datum, 60)
-    for rep in ds_enumerate(datum, 60):
-        assert list(blattner_column(datum, rep, rows)) == [
-            blattner_mult(datum, rep, tau) for tau in rows
+    window = tempiric_window(DATA[name](), 60)
+    for rep in window.series:
+        entry = window.columns[rep][1]
+        assert [entry(i) for i in range(len(window.rows))] == [
+            blattner_mult(window.datum, rep, tau) for tau in window.rows
         ]
-
-
-def test_column_is_lazy(sp11):
-    rep = ds_enumerate(sp11, 20)[0]
-    pulled = []
-
-    def ktypes():
-        for tau in enumerate_ktypes(sp11, 20):
-            pulled.append(tau)
-            yield tau
-
-    column = blattner_column(sp11, rep, ktypes())
-    assert pulled == []
-    next(column)
-    assert len(pulled) == 1
 
 
 def test_column_raises_at_the_same_entry_as_the_pointwise_path():
     # With every noncompact root doubled, the first series of Sp11 has a
     # negative Blattner total inside the window.
-    datum = _doubled_noncompact_sp11()
-    rows = enumerate_ktypes(datum, 60)
-    rep = ds_enumerate(datum, 60)[0]
+    window = tempiric_window(_doubled_noncompact_sp11(), 60)
+    datum, rows = window.datum, window.rows
+    rep = window.series[0]
+    entry = window.columns[rep][1]
     good = []
     with pytest.raises(InternalInconsistencyError) as from_column:
-        for value in blattner_column(datum, rep, rows):
-            good.append(value)
+        for i in range(len(rows)):
+            good.append(entry(i))
     assert good == [blattner_mult(datum, rep, tau) for tau in rows[: len(good)]]
     with pytest.raises(InternalInconsistencyError) as pointwise:
         blattner_mult(datum, rep, rows[len(good)])

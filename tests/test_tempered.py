@@ -9,10 +9,8 @@ from tempiric.tempered import (
     blattner_mult,
     constituents,
     ds_enumerate,
-    induced_ktype_mult,
     make_principal_class,
     minimal_ktypes,
-    parameter_box,
     tempiric_window,
 )
 from tempiric.weights import WindowTooLargeError, enumerate_ktypes, ktype_axes, vogan_norm
@@ -44,12 +42,17 @@ def test_principal_classes_sp11(sp11):
 
 
 def test_induced_mult_examples(sl2r, so31, sp11):
-    sign = make_principal_class(sl2r, (1,))
-    assert induced_ktype_mult(sl2r, sign, (-3,)) == 1
-    c2 = make_principal_class(sp11, (2,))
-    assert induced_ktype_mult(sp11, c2, (1, 1)) == 1
-    pm2 = make_principal_class(so31, (2,))
-    assert induced_ktype_mult(so31, pm2, (1,)) == 0
+    # A K-type's multiplicity in a class's principal series is the
+    # window's restriction of its row at the dual of the representative.
+    for datum, sigma, tau, mult in (
+        (sl2r, (1,), (-3,), 1),
+        (sp11, (2,), (1, 1), 1),
+        (so31, (2,), (1,), 0),
+    ):
+        sigma = make_principal_class(datum, sigma).representative
+        window = tempiric_window(datum, vogan_norm(datum, tau))
+        got = window.restrictions[window.row_index[tau]][window.duals[sigma]]
+        assert got == mult == oracles.mult_in_induced_oracle(datum, sigma, tau)
 
 
 def test_minimal_ktypes_examples(sl2r, so31, sp11):
@@ -78,9 +81,11 @@ def test_minimal_ktypes_match_exhaustive_sweep(sl2r, so31, sp11):
 
 def test_minimal_multiplicity_is_one(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
-        for cls in tempiric_window(datum, 100).classes:
-            for tau in minimal_ktypes(datum, cls):
-                assert induced_ktype_mult(datum, cls, tau) == 1
+        for cls, minima in tempiric_window(datum, 100).classes.items():
+            assert minimal_ktypes(datum, cls) == tuple(tau for tau, _ in minima)
+            for tau, mult in minima:
+                expected = oracles.mult_in_induced_oracle(datum, cls.representative, tau)
+                assert mult == expected == 1
 
 
 def test_constituent_counts(sl2r, so31, sp11):
@@ -144,7 +149,7 @@ def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatc
     # class pass would have refused it.
     bound = Fraction(41)
     labels = math.prod(len(axis) for axis in ktype_axes(sp11, bound))
-    params = math.prod(len(axis) for axis in parameter_box(sp11, bound))
+    params = math.prod(len(axis) for axis in tempered._parameter_box(sp11, bound))
     assert labels < params
 
     def no_restriction(*args):

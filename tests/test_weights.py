@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -18,12 +17,9 @@ from tempiric.weights import (
     CompactGroup,
     FormalSum,
     WindowTooLargeError,
-    dual_label,
     enumerate_ktypes,
-    hom_invariant_dim,
-    tensor_decompose,
+    isotypic_pairing,
     vogan_norm,
-    weights_of,
     weyl_dim,
 )
 
@@ -45,19 +41,11 @@ def test_weyl_dim_atoms():
     assert weyl_dim(C2, (1,)) == 1
 
 
-def test_weights_of_examples():
-    assert weights_of(A1, (2,)) == Counter({(-2,): 1, (0,): 1, (2,): 1})
-    assert weights_of(B1, (1,)) == Counter({(-1,): 1, (0,): 1, (1,): 1})
-    assert weights_of(A1A1, (1, 1)) == Counter(
-        {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
-    )
-    assert weights_of(T1, (5,)) == Counter({(5,): 1})
-
-
 def test_weight_count_equals_dimension():
     for group in (A1, B1, A1A1, MIXED):
         for label in itertools.islice(_labels(group, 5), 200):
-            assert sum(weights_of(group, label).values()) == weyl_dim(group, label)
+            multiset = oracles.weight_multiset(group.atoms, label)
+            assert sum(multiset.values()) == weyl_dim(group, label)
 
 
 def _labels(group, cap):
@@ -72,38 +60,10 @@ def _labels(group, cap):
     return itertools.product(*axes)
 
 
-def test_tensor_examples():
-    assert tensor_decompose(A1, (1,), (1,)) == {(0,): 1, (2,): 1}
-    assert tensor_decompose(T1, (4,), (-7,)) == {(-3,): 1}
-    assert tensor_decompose(C2, (1,), (1,)) == {(0,): 1}
-    assert tensor_decompose(B1, (1,), (2,)) == {(1,): 1, (2,): 1, (3,): 1}
-
-
-def test_tensor_preserves_dimension():
-    for group in (A1, B1, A1A1):
-        labels = [l for l in _labels(group, 8) if weyl_dim(group, l) <= 20]
-        for l1, l2 in itertools.product(labels, repeat=2):
-            product = tensor_decompose(group, l1, l2)
-            total = sum(
-                mult * weyl_dim(group, label) for label, mult in product.items()
-            )
-            assert total == weyl_dim(group, l1) * weyl_dim(group, l2)
-
-
-@pytest.mark.parametrize("group", [T1, A1, B1, A1A1, MIXED])
-def test_tensor_matches_peeling_oracle(group):
-    cap = 8 if len(group.atoms) == 1 else 4
-    labels = list(_labels(group, cap))
-    for l1, l2 in itertools.product(labels, repeat=2):
-        expected = oracles.tensor_by_peeling(group.atoms, l1, l2)
-        got = {label: mult for label, mult in tensor_decompose(group, l1, l2).items()}
-        assert got == expected, (l1, l2)
-
-
 def test_dual_label():
-    assert dual_label(T1, (3,)) == (-3,)
-    assert dual_label(A1, (4,)) == (4,)
-    assert dual_label(MIXED, (-2, 3)) == (2, 3)
+    assert weights.dual_rule(T1)((3,)) == (-3,)
+    assert weights.dual_rule(A1)((4,)) == (4,)
+    assert weights.dual_rule(MIXED)((-2, 3)) == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -118,29 +78,29 @@ def test_dual_rule_equals_dual_label(group):
     labels = list(weights.labels_in_box(group, 6))
     assert labels
     for label in labels:
-        assert dual(label) == dual_label(group, label) == tuple(
-            -v if kind == TORUS1 else v for kind, v in zip(group.atoms, label)
-        )
+        assert dual(label) == _dual_label(group, label)
+
+
+def _dual_label(group, label):
+    return tuple(-v if kind == TORUS1 else v for kind, v in zip(group.atoms, label))
 
 
 def test_hom_invariant_dim():
-    assert hom_invariant_dim(A1, FormalSum({(1,): 1}), FormalSum({(1,): 1})) == 1
-    assert hom_invariant_dim(
-        A1, FormalSum({(0,): 1, (2,): 2}), FormalSum({(2,): 1})
-    ) == 2
-    assert hom_invariant_dim(T1, FormalSum({(3,): 1}), FormalSum({(3,): 1})) == 1
-    with pytest.raises(ValueError):
-        hom_invariant_dim(A1, FormalSum({(1,): -1}), FormalSum({(1,): 1}))
+    # isotypic_pairing is dim Hom(V1, V2)^G on {label: multiplicity} dicts.
+    assert isotypic_pairing({(1,): 1}, {(1,): 1}) == 1
+    assert isotypic_pairing({(0,): 1, (2,): 2}, {(2,): 1}) == 2
+    assert isotypic_pairing({(3,): 1}, {(-3,): 1}) == 0
+    with pytest.raises(ValueError, match="^isotypic_pairing requires"):
+        isotypic_pairing({(1,): -1}, {(1,): 1})
 
 
 def test_hom_dim_agrees_with_dual_tensor_route():
-    # Hom(V1,V2)^G is the invariant part of dual(V1) (x) V2.
+    # Hom(V1,V2)^G is the invariant part of dual(V1) (x) V2, decomposed
+    # here by the peeling oracle.
     for l1, l2 in itertools.product(_labels(MIXED, 3), repeat=2):
-        direct = hom_invariant_dim(
-            MIXED, FormalSum({l1: 1}), FormalSum({l2: 1})
-        )
-        product = tensor_decompose(MIXED, dual_label(MIXED, l1), l2)
-        assert direct == product[(0, 0)]
+        direct = isotypic_pairing({l1: 1}, {l2: 1})
+        product = oracles.tensor_by_peeling(MIXED.atoms, _dual_label(MIXED, l1), l2)
+        assert direct == product.get((0, 0), 0)
 
 
 def test_formal_sum_algebra():
