@@ -35,8 +35,8 @@ from .tempered import (
     PrincipalClass,
     TempiricRep,
     Window,
-    blattner_kernel,
     blattner_mult,
+    blattner_scatter,
     constituents,
     ds_enumerate,
     make_principal_class,

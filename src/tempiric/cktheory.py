@@ -50,6 +50,7 @@ from .weights import (
     labels_in_box,
     require_entries_within_limit,
     vogan_norm,
+    _decimal,
 )
 
 DEFAULT_SEED = 1729
@@ -199,7 +200,8 @@ def composite_map(window: Window, tau) -> FormalSum:
     """
     if vogan_norm(window.datum, tau) > window.bound:
         raise WindowError(
-            f"K-type {format_label(tau)} has norm above the window bound {window.bound}"
+            f"K-type {format_label(tau)} has norm above the window bound "
+            f"{_decimal(window.bound)}"
         )
     i = window.row_index[tuple(tau)]
     return FormalSum({rep: window.columns[rep][1](i) for rep in window.reps})
@@ -435,10 +437,11 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     Recomputes two_rho_c from the positive compact roots, then checks
     that every series of the window has multiplicity one at its lowest
     K-type and zero at every window K-type of strictly smaller norm.
-    Those rows are a prefix of the window's rows; the series'
-    ``Window.columns`` column evaluates it in row order, stopping at the
-    first nonzero.  It reads only the window's rows, with their
-    coordinates and norms, and its series, never the class pass.
+    Those rows are a prefix of the window's rows.  The check reads them
+    in row order from the series' ``Window.columns`` column, the one the
+    matrix reads, and stops at the first nonzero.  It reads only the
+    window's rows, with their coordinates and norms, and its series,
+    never the class pass.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
     exceeds ``MAX_WINDOW_ENTRIES``.
@@ -464,8 +467,9 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     rows, series = window.rows, window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:
-        # Equal to the column's entry at this row; perfbench asserts verify calls blattner_mult.
-        if blattner_mult(datum, rep, rep.min_ktype, window.memo) != 1:
+        # The column holds this entry too; perfbench/test_perfbench.py asserts
+        # that verify calls blattner_mult, so the lowest K-type walks once more.
+        if blattner_mult(datum, rep, rep.min_ktype) != 1:
             return VerificationReport(
                 name,
                 False,

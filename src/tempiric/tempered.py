@@ -12,24 +12,25 @@ alpha pairs with lambda as alpha . (int_gram . lambda), the chamber's
 positive noncompact roots are those pairing positively, and exactly half
 of the listed noncompact roots must be positive.  ``_base`` turns them
 into 2 lambda + 2 rho_n, which ``ds_enumerate`` reads less 2 rho_c as the
-doubled lowest K-type and ``blattner_kernel`` reads as the base point of
-its partition counts.
+doubled lowest K-type and ``blattner_scatter`` reads as the apex of the
+series' cone.
 
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 and supports, the class of every M-type they meet, the classes, the
 series, each representative's matrix column and the multiplicity
-matrix.  One column kernel, ``blattner_kernel``, evaluates every
-Blattner multiplicity from a row's coordinates; ``blattner_mult`` reads
-it at one K-type label.
+matrix.  One function, ``blattner_scatter``, computes every Blattner
+multiplicity: it walks a series' cone once and adds each point's
+alternating contributions at the rows it lands on.  ``blattner_mult``
+is that walk over one K-type.
 
 Every matrix entry comes from one per-column code path, ``_column``,
 built once per representative as ``Window.columns`` and read by
 ``mult_matrix`` over all rows, by ``cktheory.composite_map`` at one and
 by ``cktheory.blattner_consistency_check`` below each lowest K-type.
-Its discrete-series columns run ``blattner_kernel`` on the window's row
-coordinates.
+Its discrete-series columns are one ``blattner_scatter`` walk each over
+the window's rows.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -62,6 +63,7 @@ from .weights import (
     validate_label,
     vogan_norm,
     _coordinate_caps,
+    _decimal,
 )
 
 EXACT = "exact"
@@ -322,58 +324,35 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     return [found[lowest] for _, lowest, _ in order]
 
 
-def _count_expressions(roots, target, pairings, budget, memo) -> int:
-    """Number of ways to write target as a nonnegative combination of roots.
-
-    ``pairings`` are strictly positive values of a linear functional on the
-    roots and ``budget`` its value on the target; they only bound the
-    search and do not affect the count.  ``memo`` holds the counts for
-    these roots, which depend only on (roots, target).
-    """
-
-    def rec(idx: int, vec, value: int) -> int:
-        if value < 0:
-            return 0
-        if idx == len(roots):
-            return 1 if all(c == 0 for c in vec) else 0
-        key = (idx, vec)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        beta = roots[idx]
-        step = pairings[idx]
-        total = 0
-        k = 0
-        current = vec
-        remaining = value
-        while remaining >= 0:
-            total += rec(idx + 1, current, remaining)
-            k += 1
-            current = tuple(c - b for c, b in zip(current, beta))
-            remaining = value - k * step
-        memo[key] = total
-        return total
-
-    return rec(0, target, budget)
-
-
 def _doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
     """2 mu + 2 rho_c: lattice coordinates mu, doubled and rho_c-shifted."""
     return tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
 
 
-def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
-    """The Blattner column kernel of one discrete series.
+def blattner_scatter(datum: GroupDatum, ds_rep: TempiricRep, rows, reach) -> dict:
+    """Blattner's alternating partition-count formula, walked once per series.
 
-    Returns ``entry(shifted, tau)``: the multiplicity of the K-type
-    ``tau``, whose ``_doubled_shifted`` coordinates are ``shifted``, in the
-    series.  The chamber data and each compact Weyl element's signed
-    permutation are read once, here; each entry is then the alternating
-    sum over the compact Weyl group of partition counts over the
-    chamber's positive noncompact roots, in doubled coordinates so that
-    all arithmetic stays integral.  A negative total signals inconsistent
-    catalog data and raises at that K-type.  ``memo`` is a ``Window.memo``,
-    shared by the window's columns; by default a new one.
+    ``rows`` maps the ``_doubled_shifted`` coordinates of each K-type
+    wanted to a key, and no coordinate of them exceeds ``reach`` in
+    absolute value.  Returns ``{key: total}`` for the keys the walk
+    reaches; a key it misses has multiplicity 0.  A negative total is
+    returned as it is, and signals inconsistent catalog data to the
+    reader.
+
+    The multiplicity at coordinates s is the sum over w in W_K of
+    det(w) P(w s - base), where P counts the tuples (n_beta) with
+    sum n_beta 2 beta = x over the chamber's positive noncompact roots
+    beta and base is ``_base``.  So each tuple is walked once: at its
+    cone point p = base + sum n_beta 2 beta, every w adds det(w) at the
+    row with coordinates w^-1 p.  Tuples are counted, not points, so a
+    root listed twice counts twice.  The loader certifies every W_K
+    element a signed permutation (``DiscreteSeriesDatum.signed_weyl_k``),
+    so w^-1 p has the coordinates of p up to order and sign, and only a
+    point with every coordinate within ``reach`` can land on a row.  The
+    functional f = int_gram . lambda is positive on every chamber root,
+    and f . p <= reach * sum |f_i| on such a point: that bounds the
+    multiples of all roots but the last, whose multiple runs over the
+    range that keeps the point in the box.
     """
     if ds_rep.kind != "ds":
         raise ValueError("Blattner's formula needs a discrete-series representative")
@@ -382,49 +361,57 @@ def blattner_kernel(datum: GroupDatum, ds_rep: TempiricRep, memo=None):
     functional = _functional(datum, lam)
     pos = _chamber(datum, lam, functional)
     base = _base(lam, pos)
-    # The functional is integral and positive on the chamber's roots, so
-    # it bounds the partition counts over their doubles.
-    doubled_roots = tuple(tuple(2 * c for c in beta) for beta in pos)
-    pairings = tuple(sum(map(mul, beta, functional)) for beta in doubled_roots)
-    counts = {} if memo is None else memo.setdefault(doubled_roots, {})
-    # The budget functional . (w shifted - base) is read as
-    # (w^T functional) . shifted - functional . base.  A negative budget
-    # admits no expression (every root pairs positively with the
-    # functional), so that term is 0 without building its target.
-    offset = sum(f * b for f, b in zip(functional, base))
-    moves = []
-    for perm, signs, det in ds.signed_weyl_k:
-        pulled = [0] * len(perm)
-        for c, sign, f in zip(perm, signs, functional):
-            pulled[c] = sign * f
-        moves.append((perm, signs, det, pulled))
+    *outer, last = [tuple(2 * c for c in beta) for beta in pos]
+    steps = [sum(map(mul, beta, functional)) for beta in outer]
+    # w^-1 p, for the signed permutation w = (perm, signs), has the
+    # coordinate signs[r] * p[r] at position perm[r].
+    pulls = [
+        (tuple((r, signs[r]) for r in sorted(range(len(perm)), key=perm.__getitem__)), det)
+        for perm, signs, det in ds.signed_weyl_k
+    ]
+    totals: dict = {}
 
-    def entry(shifted, tau) -> int:
-        total = 0
-        for perm, signs, det, pulled in moves:
-            budget = sum(map(mul, pulled, shifted)) - offset
-            if budget < 0:
-                continue
-            target = tuple(
-                s * shifted[c] - b for c, s, b in zip(perm, signs, base)
-            )
-            total += det * _count_expressions(
-                doubled_roots, target, pairings, budget, counts
-            )
-        if total < 0:
-            raise InternalInconsistencyError(
-                f"negative multiplicity {total} for {format_label(tau)} in "
-                f"{ds_rep.describe()}"
-            )
-        return total
+    def walk(k, point, budget):
+        if k < len(outer):
+            beta, step = outer[k], steps[k]
+            for n in range(budget // step + 1):
+                walk(k + 1, tuple(c + n * b for c, b in zip(point, beta)), budget - n * step)
+            return
+        lows, highs = [0], []
+        for c, b in zip(point, last):
+            if b < 0:
+                c, b = -c, -b
+            if b:
+                lows.append(-((reach + c) // b))
+                highs.append((reach - c) // b)
+            elif abs(c) > reach:
+                return
+        for t in range(max(lows), min(highs) + 1):
+            p = [c + t * b for c, b in zip(point, last)]
+            for pull, det in pulls:
+                key = rows.get(tuple([s * p[r] for r, s in pull]))
+                if key is not None:
+                    totals[key] = totals.get(key, 0) + det
 
-    return entry
+    walk(0, base, reach * sum(map(abs, functional)) - sum(map(mul, functional, base)))
+    return totals
 
 
-def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau, memo=None) -> int:
-    """K-type multiplicity in a discrete series: ``blattner_kernel`` at tau."""
-    entry = blattner_kernel(datum, ds_rep, memo)
-    return entry(_doubled_shifted(datum, label_lattice_coords(datum.k, tau)), tau)
+def _blattner_entry(totals: dict, key, tau, ds_rep: TempiricRep) -> int:
+    # The multiplicity of tau, read from blattner_scatter's totals at its key.
+    total = totals.get(key, 0)
+    if total < 0:
+        raise InternalInconsistencyError(
+            f"negative multiplicity {total} for {format_label(tau)} in {ds_rep.describe()}"
+        )
+    return total
+
+
+def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
+    """K-type multiplicity in a discrete series: ``blattner_scatter`` over tau alone."""
+    shifted = _doubled_shifted(datum, label_lattice_coords(datum.k, tau))
+    reach = max(map(abs, shifted), default=0)
+    return _blattner_entry(blattner_scatter(datum, ds_rep, {shifted: 0}, reach), 0, tau, ds_rep)
 
 
 @dataclass
@@ -457,8 +444,9 @@ def _column(window: Window, rep: TempiricRep):
     """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
 
     Read through ``Window.columns``, which builds it once per
-    representative.  Discrete-series columns run ``blattner_kernel``
-    with the window's memo on the row's ``Window.shifted`` coordinates.
+    representative.  A discrete-series column is one ``blattner_scatter``
+    walk over the window's ``shifted`` rows, and ``entry(i)`` reads its
+    totals, raising at a negative one.
     Principal-series columns read the window's restriction of the row at
     the dual of the class representative (the row's multiplicity in the
     class's principal series, by Frobenius reciprocity), then apply the
@@ -466,9 +454,8 @@ def _column(window: Window, rep: TempiricRep):
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
-        kernel = blattner_kernel(datum, rep, window.memo)
-        shifted = window.shifted
-        return EXACT, lambda i: kernel(shifted[i], rows[i])
+        totals = blattner_scatter(datum, rep, window.shifted, window.reach)
+        return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep)
     sdual = window.duals[rep.ps_class.representative]
     restrictions = window.restrictions
     if rep.split and datum.k.atoms == (TORUS1,):
@@ -530,12 +517,10 @@ class Window:
     """Everything derived from one ``(datum, bound)``, each part computed once.
 
     Each part is computed on first read and shared by every reader.
-    ``memo`` holds the partition counts of this window's Blattner columns.
     """
 
     datum: GroupDatum
     bound: Fraction
-    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
@@ -543,13 +528,22 @@ class Window:
         return enumerate_ktypes(self.datum, self.bound)
 
     @cached_property
-    def shifted(self) -> list[tuple[int, ...]]:
-        """Each row's ``_doubled_shifted`` coordinates, read by the Blattner kernel."""
+    def shifted(self) -> dict[tuple[int, ...], int]:
+        """``{a row's _doubled_shifted coordinates: its position}``, in row order.
+
+        Read by ``blattner_scatter``.  Coordinates determine the row when
+        K has no Cyclic2 atom, as for every datum with discrete series.
+        """
         datum = self.datum
-        return [
-            _doubled_shifted(datum, label_lattice_coords(datum.k, tau))
-            for tau in self.rows
-        ]
+        return {
+            _doubled_shifted(datum, label_lattice_coords(datum.k, tau)): i
+            for i, tau in enumerate(self.rows)
+        }
+
+    @cached_property
+    def reach(self) -> int:
+        """The largest absolute coordinate in ``shifted``; 0 without rows."""
+        return max((abs(c) for s in self.shifted for c in s), default=0)
 
     @cached_property
     def norms(self) -> list[int]:
@@ -572,7 +566,9 @@ class Window:
         the window's.
         """
         if Fraction(bound) > self.bound:
-            raise ValueError(f"bound {bound} exceeds the window bound {self.bound}")
+            raise ValueError(
+                f"bound {_decimal(bound)} exceeds the window bound {_decimal(self.bound)}"
+            )
         return self.rows[: bisect_right(self.norms, scaled_bound(self.datum, bound))]
 
     @cached_property
@@ -595,7 +591,8 @@ class Window:
             i = index.get(tau)
             if i is None or not all(map(is_label_entry, tau)):
                 raise WindowError(
-                    f"K-type {format_label(tau)} is not in the window of bound {self.bound}"
+                    f"K-type {format_label(tau)} is not in the window of bound "
+                    f"{_decimal(self.bound)}"
                 )
             for sigma, m in restrictions[i].items():
                 restricted[sigma] = restricted.get(sigma, 0) + mult * m

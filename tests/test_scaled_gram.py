@@ -22,7 +22,7 @@ from tempiric.tempered import (
     InternalInconsistencyError,
     TempiricRep,
     blattner_mult,
-    blattner_kernel,
+    blattner_scatter,
     ds_enumerate,
     make_principal_class,
     minimal_ktypes,
@@ -255,9 +255,10 @@ _CHAMBER_DATA = {
 
 @pytest.mark.parametrize("name", sorted(_CHAMBER_DATA))
 def test_blattner_kernel_raises_only_off_a_chamber(name):
-    # On any parameter, singular ones included, the kernel raises exactly
-    # where the oracle's chamber breaks the half rule; a compact wall alone
-    # is never refused.
+    # On any parameter, singular ones included, the Blattner kernel
+    # blattner_scatter raises exactly where the oracle's chamber breaks the
+    # half rule, even with no rows to walk; a compact wall alone is never
+    # refused.
     datum = _CHAMBER_DATA[name]()
     for lam in itertools.product(range(-3, 4), repeat=datum.k.lattice_dim):
         rep = TempiricRep(kind="ds", min_ktype=lam, hc_param=lam)
@@ -265,7 +266,7 @@ def test_blattner_kernel_raises_only_off_a_chamber(name):
             oracles.chamber_by_pairing(datum, lam)
         except oracles.InconsistentDatum as exc:
             with pytest.raises(InternalInconsistencyError) as raised:
-                blattner_kernel(datum, rep)
+                blattner_scatter(datum, rep, {}, 0)
             assert str(raised.value) == str(exc)
         else:
-            blattner_kernel(datum, rep)
+            assert blattner_scatter(datum, rep, {}, 0) == {}

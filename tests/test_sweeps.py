@@ -187,3 +187,29 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
         "discrete-series", ((0,),), ((1,),),
     ]
+
+
+def _huge_window():
+    # A Gram entry of 10^5000 puts the window bound past Python's 4,300-digit
+    # int-to-str limit; (7) has norm 49 * 10^5000, outside the window.
+    doc = serialize(builtin("SL2R"))
+    doc["gram"] = ["1e5000"]
+    return tempiric_window(load(json.dumps(doc)), 10**5001)
+
+
+def test_restriction_refusal_names_a_huge_bound():
+    with pytest.raises(WindowError) as refusal:
+        _huge_window().restriction(FormalSum({(7,): 1}))
+    assert str(refusal.value) == "K-type (7) is not in the window of bound ~10^5001"
+
+
+def test_rows_within_refusal_names_a_huge_bound():
+    with pytest.raises(ValueError) as refusal:
+        _huge_window().rows_within(10**5002)
+    assert str(refusal.value) == "bound ~10^5002 exceeds the window bound ~10^5001"
+
+
+def test_composite_map_refusal_names_a_huge_bound():
+    with pytest.raises(WindowError) as refusal:
+        cktheory.composite_map(_huge_window(), (7,))
+    assert str(refusal.value) == "K-type (7) has norm above the window bound ~10^5001"
