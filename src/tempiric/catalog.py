@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
 from .branching import BRANCHING_RULES
-from .weights import CYCLIC2, TORUS1, CompactGroup, integer_det
+from .weights import CYCLIC2, TORUS1, CompactGroup, integer_det, _Value
 
 WEYL_RULES = ("identity", "negate-torus")
 
@@ -29,8 +28,7 @@ class CatalogError(ValueError):
     """Raised for unknown groups, malformed documents, or invariant violations."""
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesDatum:
+class DiscreteSeriesDatum(_Value):
     """Root and Weyl data for the equal-rank (discrete series) case.
 
     ``compact_pos_roots`` lists the positive compact roots only; their sum
@@ -41,9 +39,18 @@ class DiscreteSeriesDatum:
     root (compact or noncompact) vanishes on them.
     """
 
-    compact_pos_roots: tuple[tuple[int, ...], ...]
-    noncompact_roots: tuple[tuple[int, ...], ...]
-    weyl_k: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(
+        self,
+        compact_pos_roots: tuple[tuple[int, ...], ...],
+        noncompact_roots: tuple[tuple[int, ...], ...],
+        weyl_k: tuple[tuple[tuple[int, ...], ...], ...],
+    ):
+        self.__dict__.update(
+            compact_pos_roots=compact_pos_roots, noncompact_roots=noncompact_roots, weyl_k=weyl_k
+        )
+
+    def _key(self) -> tuple:
+        return (self.compact_pos_roots, self.noncompact_roots, self.weyl_k)
 
     @cached_property
     def signed_weyl_k(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
@@ -56,8 +63,7 @@ class DiscreteSeriesDatum:
         return tuple((*_signed_permutation(w), integer_det(w)) for w in self.weyl_k)
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class GroupDatum(_Value):
     """Everything needed to compute with one rank-one group.
 
     ``gram_scale`` (D, the lcm of the Gram denominators) and ``int_gram``
@@ -67,26 +73,31 @@ class GroupDatum:
     sign and order.
     """
 
-    name: str
-    k: CompactGroup
-    m: CompactGroup
-    branching_rule: str
-    gram: tuple[tuple[Fraction, ...], ...]
-    two_rho_c: tuple[int, ...]
-    weyl_on_mhat: str
-    equal_rank: bool
-    ds: DiscreteSeriesDatum | None
-    a_dim: int = 1
-    gram_scale: int = field(init=False, repr=False, compare=False)
-    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        name: str,
+        k: CompactGroup,
+        m: CompactGroup,
+        branching_rule: str,
+        gram: tuple[tuple[Fraction, ...], ...],
+        two_rho_c: tuple[int, ...],
+        weyl_on_mhat: str,
+        equal_rank: bool,
+        ds: DiscreteSeriesDatum | None,
+        a_dim: int = 1,
+    ):
+        scale = math.lcm(*(Fraction(v).denominator for row in gram for v in row))
+        self.__dict__.update(
+            name=name, k=k, m=m, branching_rule=branching_rule, gram=gram,
+            two_rho_c=two_rho_c, weyl_on_mhat=weyl_on_mhat, equal_rank=equal_rank,
+            ds=ds, a_dim=a_dim, gram_scale=scale,
+            int_gram=tuple(tuple(int(v * scale) for v in row) for row in gram),
+        )
 
-    def __post_init__(self):
-        scale = math.lcm(*(Fraction(v).denominator for row in self.gram for v in row))
-        object.__setattr__(self, "gram_scale", scale)
-        object.__setattr__(
-            self,
-            "int_gram",
-            tuple(tuple(int(v * scale) for v in row) for row in self.gram),
+    def _key(self) -> tuple:
+        return (
+            self.name, self.k, self.m, self.branching_rule, self.gram, self.two_rho_c,
+            self.weyl_on_mhat, self.equal_rank, self.ds, self.a_dim,
         )
 
 

@@ -25,7 +25,6 @@ tolerance anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branching import restricted_support
@@ -51,6 +50,7 @@ from .weights import (
     require_entries_within_limit,
     vogan_norm,
     _decimal,
+    _Value,
 )
 
 DEFAULT_SEED = 1729
@@ -66,18 +66,21 @@ class UnresolvedColumnsError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one machine check; failures carry a counterexample."""
 
-    name: str
-    passed: bool
-    counterexample: dict | None = None
-    data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.passed and not self.counterexample:
+    def __init__(
+        self, name: str, passed: bool, counterexample: dict | None = None, data: dict | None = None
+    ):
+        if not passed and not counterexample:
             raise ValueError("a failing report must carry a counterexample")
+        self.__dict__.update(
+            name=name, passed=passed, counterexample=counterexample,
+            data={} if data is None else data,
+        )
+
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.counterexample, self.data)
 
 
 def vogan_bijection_check(window: Window) -> VerificationReport:

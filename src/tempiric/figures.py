@@ -10,7 +10,7 @@ headers say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .catalog import GroupDatum
 from .tempered import (
@@ -19,7 +19,7 @@ from .tempered import (
     partner_minimum,
     tempiric_window,
 )
-from .weights import CYCLIC2, labels_in_box, vogan_norm
+from .weights import CYCLIC2, labels_in_box, scaled_norm, _Record
 
 CIRCLE = "circle"
 SQUARE = "square"
@@ -28,13 +28,13 @@ TRIANGLE = "triangle"
 _TEXT_MARKS = {CIRCLE: "o", SQUARE: "s", TRIANGLE: "t"}
 
 
-@dataclass
-class DiagramSpec:
-    group: str
-    grid_bound: int
-    nodes: tuple
-    markers: dict
-    partners: dict
+class DiagramSpec(_Record):
+    def __init__(self, group: str, grid_bound: int, nodes: tuple, markers: dict, partners: dict):
+        self.group, self.grid_bound, self.nodes = group, grid_bound, nodes
+        self.markers, self.partners = markers, partners
+
+    def _key(self) -> tuple:
+        return (self.group, self.grid_bound, self.nodes, self.markers, self.partners)
 
     def counts(self) -> dict:
         out = {CIRCLE: 0, SQUARE: 0, TRIANGLE: 0}
@@ -60,7 +60,8 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
         raise ValueError("diagram grids are not defined for parity atoms")
     nodes = list(labels_in_box(datum.k, grid_bound))
     on_grid = set(nodes)
-    bound = max(vogan_norm(datum, node) for node in nodes)
+    # The largest Vogan norm on the grid, divided by D once.
+    bound = Fraction(max(scaled_norm(datum, node) for node in nodes), datum.gram_scale)
     reps = tempiric_window(datum, bound).reps
     by_min = {rep.min_ktype: rep for rep in reps}
     markers = {}

@@ -11,9 +11,11 @@ A parameter's chamber is decided in one place, ``_chamber``: a root
 alpha pairs with lambda as alpha . (int_gram . lambda), the chamber's
 positive noncompact roots are those pairing positively, and exactly half
 of the listed noncompact roots must be positive.  ``_base`` turns them
-into 2 lambda + 2 rho_n, which ``ds_enumerate`` reads less 2 rho_c as the
+into 2 lambda + 2 rho_n, which ``_lowest_ktype`` reads less 2 rho_c as the
 doubled lowest K-type and ``blattner_scatter`` reads as the apex of the
-series' cone.
+series' cone.  The chamber depends on lambda only through the signs of
+the noncompact pairings, so ``ds_enumerate`` decides it once per sign
+pattern.
 
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -47,6 +48,9 @@ from operator import mul
 from .branching import restrict_sum, restricted_support, witness_ktype
 from .catalog import GroupDatum, weyl_image
 from .weights import (
+    CYCLIC2,
+    SO3,
+    SU2,
     TORUS1,
     FormalSum,
     dual_rule,
@@ -64,6 +68,9 @@ from .weights import (
     vogan_norm,
     _coordinate_caps,
     _decimal,
+    _scaled_pairing,
+    _Record,
+    _Value,
 )
 
 EXACT = "exact"
@@ -78,16 +85,18 @@ class WindowError(ValueError):
     """The requested computation depends on data outside the window."""
 
 
-@dataclass(frozen=True)
-class PrincipalClass:
+class PrincipalClass(_Value):
     """An orbit {sigma, w.sigma} of M-types, with its stabilizer order.
 
     The stabilizer of the class in the rank-one restricted Weyl group
     (which is Z/2) has order 2 exactly when the orbit is a singleton.
     """
 
-    orbit: tuple[tuple[int, ...], ...]
-    w_sigma_order: int
+    def __init__(self, orbit: tuple[tuple[int, ...], ...], w_sigma_order: int):
+        self.__dict__.update(orbit=orbit, w_sigma_order=w_sigma_order)
+
+    def _key(self) -> tuple:
+        return (self.orbit, self.w_sigma_order)
 
     @property
     def representative(self) -> tuple[int, ...]:
@@ -98,8 +107,7 @@ class PrincipalClass:
         return f"{{{members}}}"
 
 
-@dataclass(frozen=True)
-class TempiricRep:
+class TempiricRep(_Value):
     """A tempered representative with real infinitesimal character.
 
     Either a discrete series (``kind == "ds"``, classified by its lattice
@@ -108,11 +116,20 @@ class TempiricRep:
     minimal K-type; ``split`` marks the two-constituent case).
     """
 
-    kind: str
-    min_ktype: tuple[int, ...]
-    hc_param: tuple[int, ...] | None = None
-    ps_class: PrincipalClass | None = None
-    split: bool = False
+    def __init__(
+        self,
+        kind: str,
+        min_ktype: tuple[int, ...],
+        hc_param: tuple[int, ...] | None = None,
+        ps_class: PrincipalClass | None = None,
+        split: bool = False,
+    ):
+        self.__dict__.update(
+            kind=kind, min_ktype=min_ktype, hc_param=hc_param, ps_class=ps_class, split=split
+        )
+
+    def _key(self) -> tuple:
+        return (self.kind, self.min_ktype, self.hc_param, self.ps_class, self.split)
 
     def describe(self) -> str:
         if self.kind == "ds":
@@ -285,6 +302,19 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     Deterministic order: by (norm of lowest K-type, lowest K-type,
     parameter).  Raises ``WindowTooLargeError`` before scanning when the
     ``_parameter_box`` exceeds ``MAX_BOX_LABELS``.
+
+    The box is scanned in product order.  A parameter is kept when it is
+    the largest of its compact Weyl images and no root vanishes on it.
+    A W_K element that negates exactly coordinate i and fixes the others
+    moves lambda only at i, to a larger image when lambda_i < 0; so that
+    axis is scanned from 0 and the element is not tested.  This drops
+    only parameters the largest-image test rejects and keeps the order
+    of the rest, so every raise comes at the parameter, and with the
+    text, of the full scan: ``_chamber`` runs at the first parameter of
+    each sign pattern of the noncompact pairings, and ``_lowest_ktype``
+    at once where its integrality or dominance check fails.  The norm is
+    read off the doubled lowest K-type, and only parameters within the
+    bound get a label.
     """
     ds = _require_ds(datum)
     bound = Fraction(bound)
@@ -292,33 +322,57 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
         return []
     box = _parameter_box(datum, bound)
     limit = scaled_bound(datum, bound)
-    roots = (*ds.compact_pos_roots, *ds.noncompact_roots)
-    moves = [(perm, signs) for perm, signs, _ in ds.signed_weyl_k]
+    two_rho_c = datum.two_rho_c
+    # (int_gram^T alpha) . lam is alpha . (int_gram lam), D <alpha, lam>.
+    columns = list(zip(*datum.int_gram))
+    compact, noncompact = (
+        [[sum(map(mul, column, alpha)) for column in columns] for alpha in roots]
+        for roots in (ds.compact_pos_roots, ds.noncompact_roots)
+    )
+    fixed = tuple(range(len(box)))
+    moves = []
+    for perm, signs, _ in ds.signed_weyl_k:
+        negated = [i for i, s in enumerate(signs) if s < 0]
+        if perm == fixed and len(negated) == 1:
+            box[negated[0]] = range(0, box[negated[0]].stop)
+        elif perm != fixed or negated:
+            moves.append((perm, signs))
+    # Without a Cyclic2 atom (as the loader requires) coordinates are labels.
+    parity = CYCLIC2 in datum.k.atoms
+    dominant = [i for i, kind in enumerate(datum.k.atoms) if kind in (SU2, SO3)]
+    chambers: dict = {}
     found: dict[tuple[int, ...], TempiricRep] = {}
     order = []
     for lam in itertools.product(*box):
-        # One parameter per compact Weyl orbit: the largest image.  The
-        # identity is among the images w . lam of the signed permutations
-        # w = (perm, signs), so that is lam >= every image.
-        if not all(
-            lam >= tuple(s * lam[c] for c, s in zip(perm, signs)) for perm, signs in moves
-        ):
+        # One parameter per compact Weyl orbit: the largest image w . lam
+        # of the signed permutations w = (perm, signs).
+        if any(lam < tuple(s * lam[c] for c, s in zip(perm, signs)) for perm, signs in moves):
             continue
         # A singular parameter (some root vanishes on it) is skipped.
-        functional = _functional(datum, lam)
-        if 0 in [sum(map(mul, alpha, functional)) for alpha in roots]:
+        pairings = [sum(map(mul, f, lam)) for f in noncompact]
+        if 0 in pairings or 0 in [sum(map(mul, f, lam)) for f in compact]:
             continue
-        lowest = _lowest_ktype(datum, lam, _base(lam, _chamber(datum, lam, functional)))
-        norm = scaled_norm(datum, lowest)
+        pattern = tuple([p > 0 for p in pairings])
+        if pattern not in chambers:
+            pos = _chamber(datum, lam, _functional(datum, lam))
+            # 2 rho_n - 2 rho_c: the doubled lowest K-type is 2 lambda + shift.
+            shift = [r - t for r, t in zip(map(sum, zip(*pos)), two_rho_c)]
+            chambers[pattern] = pos, shift
+        pos, shift = chambers[pattern]
+        doubled = [2 * c + r for c, r in zip(lam, shift)]
+        if parity or any(c % 2 for c in doubled) or any(doubled[i] < 0 for i in dominant):
+            _lowest_ktype(datum, lam, _base(lam, pos))  # raises its own text
+        x = [c // 2 + t for c, t in zip(doubled, two_rho_c)]
+        norm = _scaled_pairing(datum, x, x)
         if norm > limit:
             continue
-        rep = TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam)
+        lowest = _lowest_ktype(datum, lam, _base(lam, pos))
         if lowest in found:
             raise InternalInconsistencyError(
                 f"parameters {found[lowest].hc_param} and {lam} share lowest K-type "
                 f"{format_label(lowest)}"
             )
-        found[lowest] = rep
+        found[lowest] = TempiricRep(kind="ds", min_ktype=lowest, hc_param=lam)
         order.append((norm, lowest, lam))
     order.sort()
     return [found[lowest] for _, lowest, _ in order]
@@ -414,8 +468,7 @@ def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
     return _blattner_entry(blattner_scatter(datum, ds_rep, {shifted: 0}, reach), 0, tau, ds_rep)
 
 
-@dataclass
-class MultMatrix:
+class MultMatrix(_Record):
     """Sparse integer matrix over (K-type window) x (tempered window).
 
     Rows are ordered by (norm, label); columns align with rows through
@@ -425,10 +478,11 @@ class MultMatrix:
     they are exact (1 at the column's own minimum, 0 at the partner's).
     """
 
-    rows: tuple
-    cols: tuple
-    entries: dict
-    resolution: tuple
+    def __init__(self, rows: tuple, cols: tuple, entries: dict, resolution: tuple):
+        self.rows, self.cols, self.entries, self.resolution = rows, cols, entries, resolution
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries, self.resolution)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -441,43 +495,47 @@ class MultMatrix:
 
 
 def _column(window: Window, rep: TempiricRep):
-    """One matrix column as ``(resolution flag, entry)``, ``entry(i)`` at row i.
+    """One matrix column as ``(resolution flag, entry, support)``.
 
-    Read through ``Window.columns``, which builds it once per
-    representative.  A discrete-series column is one ``blattner_scatter``
-    walk over the window's ``shifted`` rows, and ``entry(i)`` reads its
-    totals, raising at a negative one.
+    ``entry(i)`` is the entry at row i, and it can be nonzero only at
+    the rows of ``support``, in row order.  Read through
+    ``Window.columns``, which builds it once per representative.  A
+    discrete-series column is one ``blattner_scatter`` walk over the
+    window's ``shifted`` rows: ``entry(i)`` reads its totals, raising at
+    a negative one, and ``support`` is the sorted rows the walk reached.
     Principal-series columns read the window's restriction of the row at
     the dual of the class representative (the row's multiplicity in the
     class's principal series, by Frobenius reciprocity), then apply the
-    split rules.
+    split rules; their support is every row.
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
         totals = blattner_scatter(datum, rep, window.shifted, window.reach)
-        return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep)
+        return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep), sorted(totals)
+    every = range(len(rows))
     sdual = window.duals[rep.ps_class.representative]
     restrictions = window.restrictions
     if rep.split and datum.k.atoms == (TORUS1,):
         # The two split constituents partition the odd character
         # ladder by sign exactly when K is a single circle.
         sign = 1 if rep.min_ktype[0] > 0 else -1
-        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0
+        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0, every
     if rep.split:
         # Unresolved: 0 only at the partner's minimum; the class pass
         # certified the entry at the column's own minimum to be 1.
         partner = partner_minimum(rep, window.reps)
-        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual]
-    return EXACT, lambda i: restrictions[i][sdual]
+        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual], every
+    return EXACT, lambda i: restrictions[i][sdual], every
 
 
 def mult_matrix(window: Window) -> MultMatrix:
     """Multiplicity matrix of the window; ``Window.matrix`` is it, built once.
 
-    Read one ``Window.columns`` column at a time, and every (row,
-    column) entry is evaluated, in row order.  Raises
-    ``WindowTooLargeError`` before evaluating any entry when rows x
-    columns exceeds ``MAX_WINDOW_ENTRIES``.
+    Read one ``Window.columns`` column at a time, at the rows of its
+    support in row order, so a discrete-series column raises at its
+    first negative entry.  Raises ``WindowTooLargeError`` before
+    evaluating any entry when rows x columns exceeds
+    ``MAX_WINDOW_ENTRIES``.
     """
     # reps first: it refuses an oversize label box before the rows exist.
     reps = window.reps
@@ -486,9 +544,9 @@ def mult_matrix(window: Window) -> MultMatrix:
     entries: dict = {}
     resolution = []
     for j, rep in enumerate(reps):
-        flag, entry = window.columns[rep]
+        flag, entry, support = window.columns[rep]
         resolution.append(flag)
-        for i in range(len(rows)):
+        for i in support:
             v = entry(i)
             if v:
                 entries[(i, j)] = v
@@ -512,15 +570,21 @@ class _Memo(dict):
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class Window:
+class Window(_Value):
     """Everything derived from one ``(datum, bound)``, each part computed once.
 
     Each part is computed on first read and shared by every reader.
+    Windows compare and hash by identity: each holds its own parts.
     """
 
-    datum: GroupDatum
-    bound: Fraction
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, datum: GroupDatum, bound: Fraction):
+        self.__dict__.update(datum=datum, bound=bound)
+
+    def _key(self) -> tuple:
+        return (self.datum, self.bound)
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:

@@ -18,7 +18,6 @@ no coordination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, log10, prod
 from operator import mul
@@ -31,22 +30,57 @@ SO3 = "SO3"
 ATOM_KINDS = (TORUS1, CYCLIC2, SU2, SO3)
 
 
-@dataclass(frozen=True)
-class CompactGroup:
+class _Record:
+    """A dataclass's ``==``: instances of one class compare by ``_key()``.
+
+    ``_key()`` is the tuple of the compared fields.  Defining ``__eq__``
+    leaves the class unhashable, as a mutable dataclass is.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class _Value(_Record):
+    """A frozen ``_Record``: it hashes as its key and refuses assignment.
+
+    So ``hash`` is a frozen dataclass's ``hash(tuple of compared
+    fields)``.  ``__init__`` sets the fields through ``__dict__``, where
+    ``functools.cached_property`` also writes.
+    """
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CompactGroup(_Value):
     """An ordered product of atom kinds.
 
     Cyclic2 atoms carry a parity bit instead of a weight-lattice
     coordinate, so the lattice dimension counts the other atoms only.
     """
 
-    atoms: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...]):
+        if not atoms:
             raise ValueError("atom list must be nonempty")
-        for kind in self.atoms:
+        for kind in atoms:
             if kind not in ATOM_KINDS:
                 raise ValueError(f"unknown atom kind {kind!r}")
+        self.__dict__["atoms"] = atoms
+
+    def _key(self) -> tuple:
+        return (self.atoms,)
 
     @property
     def lattice_dim(self) -> int:
@@ -219,11 +253,7 @@ def lattice_coords_to_label(group: CompactGroup, coords) -> tuple[int, ...]:
 
 def _scaled_pairing(datum, x, y) -> int:
     """D * <x, y>: the bilinear form on the datum's integer Gram matrix."""
-    return sum(
-        xi * sum(g * yj for g, yj in zip(row, y))
-        for xi, row in zip(x, datum.int_gram)
-        if xi
-    )
+    return sum(map(mul, x, [sum(map(mul, row, y)) for row in datum.int_gram]))
 
 
 def scaled_norm(datum, tau) -> int:

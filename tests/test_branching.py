@@ -9,7 +9,7 @@ from tempiric.branching import (
     restricted_support,
     witness_ktype,
 )
-from tempiric.catalog import builtin, load, serialize
+from tempiric.catalog import GroupDatum, builtin, load, serialize
 from tempiric.tempered import make_principal_class, minimal_ktypes, tempiric_window
 from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, vogan_norm, weyl_dim
 
@@ -111,9 +111,10 @@ def test_support_is_union_over_constituents(sl2r, so31, sp11):
 
 
 def test_missing_rule_rejected(sl2r):
-    import dataclasses
-
-    broken = dataclasses.replace(sl2r, branching_rule="mystery")
+    broken = GroupDatum(
+        sl2r.name, sl2r.k, sl2r.m, "mystery", sl2r.gram, sl2r.two_rho_c,
+        sl2r.weyl_on_mhat, sl2r.equal_rank, sl2r.ds, sl2r.a_dim,
+    )
     with pytest.raises(ValueError):
         restrict_decompose(broken, (1,))
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +12,12 @@ from tempiric.figures import (
     render_svg,
     render_text,
 )
-from tempiric.tempered import InternalInconsistencyError, ds_enumerate, tempiric_window
+from tempiric.tempered import (
+    InternalInconsistencyError,
+    TempiricRep,
+    ds_enumerate,
+    tempiric_window,
+)
 
 
 def test_sp11_grid_partition(sp11):
@@ -112,7 +116,8 @@ def test_split_node_without_partner_is_an_inconsistency(sl2r, monkeypatch):
     # leak StopIteration.
     def lone_split(datum, bound):
         return SimpleNamespace(reps=[
-            replace(rep, kind="ds", hc_param=(0,)) if rep.min_ktype == (-1,) else rep
+            TempiricRep("ds", rep.min_ktype, (0,), rep.ps_class, rep.split)
+            if rep.min_ktype == (-1,) else rep
             for rep in tempiric_window(datum, bound).reps
         ])
 

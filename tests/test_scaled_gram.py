@@ -212,6 +212,39 @@ def test_ds_enumerate_matches_the_pointwise_scan(name):
     _assert_ds_enumerate_matches_the_scan(datum, 60)
 
 
+def _sp11_with(field, value):
+    doc = serialize(builtin("Sp11"))
+    (doc["ds"] if field == "wk_elements" else doc)[field] = value
+    return load(json.dumps(doc))
+
+
+_ONE, _SWAP = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
+_SCAN_DATA = {
+    "SL2R": lambda: builtin("SL2R"),
+    "Sp11": lambda: builtin("Sp11"),
+    "Sp11-half": lambda: _GRAMS["half"](builtin("Sp11")),
+    # No element of these W_K negates one coordinate alone, so ds_enumerate
+    # narrows no axis of its box; with SU2 atoms, some kept parameter then
+    # has a lowest K-type that is not dominant.
+    "Sp11-minus-one": lambda: _sp11_with("wk_elements", [_ONE, [[-1, 0], [0, -1]]]),
+    "Sp11-swap": lambda: _sp11_with(
+        "wk_elements", [_ONE, _SWAP, [[-1, 0], [0, -1]], [[0, -1], [-1, 0]]]
+    ),
+    # Every lowest K-type is half-integral.
+    "Sp11-negative-rho": lambda: _sp11_with("two_rho_c", [-1, -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_DATA))
+def test_ds_enumerate_matches_the_scan_at_every_bound(name):
+    # Same series in the same order, or the same raise at the same
+    # parameter, at every bound: the narrowed box, the chamber per sign
+    # pattern and the norm before the label change nothing.
+    datum = _SCAN_DATA[name]()
+    for bound in [*range(61), 400]:
+        _assert_ds_enumerate_matches_the_scan(datum, bound)
+
+
 def _noncompact_roots(group, roots):
     doc = serialize(builtin(group))
     doc["ds"]["noncompact_roots"] = roots

@@ -4,7 +4,9 @@ The package, its CLI and ``python -m tempiric``'s entry module are
 imported in a fresh interpreter run with ``-E -S -B``: no environment
 variables, no ``site`` (so no site-packages) and no bytecode written into
 ``src/``.  Every top-level module they load must be a standard-library
-module or ``tempiric`` itself.
+module or ``tempiric`` itself, and none of the slow-to-import modules
+``dataclasses`` and its ``inspect`` chain may be loaded: every command
+would pay for them.
 """
 
 import json
@@ -20,14 +22,23 @@ before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 import tempiric, tempiric.cli, tempiric.__main__
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+slow = [name for name in ("dataclasses", "inspect", "ast", "dis", "tokenize") if name in sys.modules]
+print(json.dumps([sorted(loaded - set(sys.stdlib_module_names)), slow]))
 """
 
 
-def test_the_package_imports_only_the_standard_library():
+def _probe():
     result = subprocess.run(
         [sys.executable, "-E", "-S", "-B", "-c", PROBE, str(SRC)],
         capture_output=True, text=True, timeout=30,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == ["tempiric"]
+    return json.loads(result.stdout)
+
+
+def test_the_package_imports_only_the_standard_library():
+    assert _probe()[0] == ["tempiric"]
+
+
+def test_the_package_never_imports_dataclasses_or_inspect():
+    assert _probe()[1] == []
