@@ -20,7 +20,7 @@ from .weights import (
     vogan_norm,
     weyl_dim,
 )
-from .branching import restrict_decompose
+from .branching import restricted_range
 from .catalog import (
     BUILTIN_NAMES,
     CatalogError,

@@ -15,7 +15,6 @@ from .weights import (
     SO3,
     SU2,
     TORUS1,
-    FormalSum,
     validate_label,
 )
 
@@ -31,19 +30,25 @@ BRANCHING_RULES = {
 }
 
 
-def _restricted_labels(datum, tau):
-    # The M-labels of tau's restriction, each with multiplicity one.
+def restricted_range(datum, tau) -> range:
+    """The c whose M-label ``(c,)`` occurs in tau's restriction to M, each once.
+
+    Every rule is multiplicity-free with M a single atom, and restricts
+    to an arithmetic progression: ``parity`` to tau's parity bit,
+    ``torus-restriction`` to -j..j and ``clebsch-diagonal`` to
+    |a-b|..a+b in steps of 2.  The range ascends, as labels sort.
+    """
     tau = validate_label(datum.k, tau)
     rule = datum.branching_rule
     if rule == PARITY:
         (n,) = tau
-        return ((n % 2,),)
+        return range(n % 2, n % 2 + 1)
     if rule == TORUS_RESTRICTION:
         (j,) = tau
-        return [(n,) for n in range(-j, j + 1)]
+        return range(-j, j + 1)
     if rule == CLEBSCH_DIAGONAL:
         a, b = tau
-        return [(c,) for c in range(abs(a - b), a + b + 1, 2)]
+        return range(abs(a - b), a + b + 1, 2)
     raise ValueError(f"no branching rule {rule!r} for this group pair")
 
 
@@ -65,27 +70,14 @@ def witness_ktype(datum, sigma) -> tuple[int, ...]:
     raise ValueError(f"no branching rule {rule!r} for this group pair")
 
 
-def restrict_decompose(datum, tau) -> FormalSum:
-    """Decomposition of tau restricted to M, as a formal sum of M-labels."""
-    return FormalSum({sigma: 1 for sigma in _restricted_labels(datum, tau)})
-
-
-def restrict_sum(datum, v: FormalSum) -> FormalSum:
-    """Restriction of a formal sum of K-labels to M, multiplicities combined."""
-    acc: dict = {}
-    for tau, mult in v.items():
-        for sigma in _restricted_labels(datum, tau):
-            acc[sigma] = acc.get(sigma, 0) + mult
-    return FormalSum(acc)
-
-
 def restricted_support(duals, restricted) -> tuple[tuple[int, ...], ...]:
     """The M-types whose duals occur with positive multiplicity, sorted.
 
-    ``restricted`` is a restriction to M, as a ``FormalSum`` or a
-    ``{M-label: multiplicity}`` dict, and ``duals`` maps each of its
-    labels to the dual label (``Window.duals``); the result is the
-    M-types with a nonzero multiplicity space against the restricted sum.
-    The branching rules produced its labels, so they are not revalidated.
+    ``restricted`` is a restriction to M as a ``{(c,): multiplicity}``
+    dict, the sum of its rows' ``restricted_range`` that
+    ``Window.restriction`` builds, and ``duals`` maps each of its labels
+    to the dual label (``Window.duals``); the result is the M-types with
+    a nonzero multiplicity space against the restricted sum.  The
+    branching rules produced its labels, so they are not revalidated.
     """
     return tuple(sorted({duals[w] for w, mult in restricted.items() if mult > 0}))

@@ -40,7 +40,6 @@ from .tempered import (
     blattner_mult,
     format_label,
     mult_matrix,
-    principal_class_of,
 )
 from .weights import (
     CYCLIC2,
@@ -356,8 +355,7 @@ def boundary_block_dims(window: Window, v1: FormalSum, v2: FormalSum):
 
 def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     # boundary_block_dims read off the two restrictions and the union of
-    # their supports.  Orbits come from Window.class_of; one it lacks (an
-    # M-type no row meets) is built here.
+    # their supports, with each M-type's orbit from Window.class_of.
     datum, duals, class_of = window.datum, window.duals, window.class_of
     blocks = []
     if datum.equal_rank:
@@ -365,12 +363,9 @@ def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     if all(kind == CYCLIC2 for kind in datum.m.atoms):
         sigmas = sigmas | set(labels_in_box(datum.m, 0))
     orbits: dict[tuple, PrincipalClass] = {}
-    covered: set = set()
     for sigma in sigmas:
-        if sigma not in covered:
-            cls = class_of.get(sigma) or principal_class_of(datum, sigma)
-            orbits[cls.orbit] = cls
-            covered.update(cls.orbit)
+        cls = class_of[sigma]
+        orbits[cls.orbit] = cls
     for orbit in sorted(orbits, key=lambda o: o[-1]):
         d = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in orbit)
         blocks.append((orbits[orbit], d))

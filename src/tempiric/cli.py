@@ -15,12 +15,12 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cktheory, figures
+from . import cktheory, figures, weights
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
 from .cktheory import DEFAULT_SEED, UnresolvedColumnsError
 from .tempered import InternalInconsistencyError, WindowError, format_label, tempiric_window
 from .weights import WindowTooLargeError, enumerate_ktypes, vogan_norm, weyl_dim
-from .branching import restrict_decompose
+from .branching import restricted_range
 
 VERIFY_PAIRS = 200
 VERIFY_ADMISSIBILITY = 100
@@ -176,11 +176,14 @@ def _cmd_branch(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
     window = enumerate_ktypes(datum, args.bound)
-    rows = []
-    for tau in window:
-        decomposition = restrict_decompose(datum, tau)
-        for sigma in sorted(decomposition.support()):
-            rows.append((tau, sigma, decomposition[sigma]))
+    ranges = [restricted_range(datum, tau) for tau in window]
+    count, limit = sum(map(len, ranges)), weights.MAX_WINDOW_ENTRIES
+    if count > limit:
+        raise WindowTooLargeError(
+            f"bound {weights._decimal(args.bound)} needs {count} branching rows, "
+            f"above the limit of {limit}"
+        )
+    rows = [(tau, (c,), 1) for tau, labels in zip(window, ranges) for c in labels]
     if fmt == "json":
         payload = {
             "group": datum.name,

@@ -20,12 +20,13 @@ pattern.
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
-and supports, the class of every M-type they meet, the classes, the
-series, each representative's matrix column and the multiplicity
-matrix.  One function, ``blattner_scatter``, computes every Blattner
-multiplicity: it walks a series' cone once and adds each point's
-alternating contributions at the rows it lands on.  ``blattner_mult``
-is that walk over one K-type.
+(one ``range`` of M-coordinates per row, from ``restricted_range``), the
+classes, the series, each representative's matrix column and the
+multiplicity matrix.  Each M-type's dual and principal class are
+computed once per window, on first lookup.  One function,
+``blattner_scatter``, computes every Blattner multiplicity: it walks a
+series' cone once and adds each point's alternating contributions at the
+rows it lands on.  ``blattner_mult`` is that walk over one K-type.
 
 Every matrix entry comes from one per-column code path, ``_column``,
 built once per representative as ``Window.columns`` and read by
@@ -45,14 +46,13 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .branching import restrict_sum, restricted_support, witness_ktype
+from .branching import restricted_range, witness_ktype
 from .catalog import GroupDatum, weyl_image
 from .weights import (
     CYCLIC2,
     SO3,
     SU2,
     TORUS1,
-    FormalSum,
     dual_rule,
     enumerate_ktypes,
     is_label_entry,
@@ -154,10 +154,10 @@ def format_label(label) -> str:
 
 
 def make_principal_class(datum: GroupDatum, sigma) -> PrincipalClass:
-    return principal_class_of(datum, validate_label(datum.m, sigma))
+    return _principal_class_of(datum, validate_label(datum.m, sigma))
 
 
-def principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
+def _principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
     """``make_principal_class`` of a label already known to be valid."""
     orbit = tuple(sorted({sigma, weyl_image(datum, sigma)}))
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
@@ -503,29 +503,29 @@ def _column(window: Window, rep: TempiricRep):
     discrete-series column is one ``blattner_scatter`` walk over the
     window's ``shifted`` rows: ``entry(i)`` reads its totals, raising at
     a negative one, and ``support`` is the sorted rows the walk reached.
-    Principal-series columns read the window's restriction of the row at
-    the dual of the class representative (the row's multiplicity in the
-    class's principal series, by Frobenius reciprocity), then apply the
-    split rules; their support is every row.
+    Principal-series columns test whether the dual of the class
+    representative lies in the row's restriction (the row's multiplicity
+    in the class's principal series, 0 or 1, by Frobenius reciprocity),
+    then apply the split rules; their support is every row.
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
         totals = blattner_scatter(datum, rep, window.shifted, window.reach)
         return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep), sorted(totals)
     every = range(len(rows))
-    sdual = window.duals[rep.ps_class.representative]
+    (c,) = window.duals[rep.ps_class.representative]
     restrictions = window.restrictions
     if rep.split and datum.k.atoms == (TORUS1,):
         # The two split constituents partition the odd character
         # ladder by sign exactly when K is a single circle.
         sign = 1 if rep.min_ktype[0] > 0 else -1
-        return EXACT, lambda i: restrictions[i][sdual] if rows[i][0] * sign > 0 else 0, every
+        return EXACT, lambda i: int(c in restrictions[i]) if rows[i][0] * sign > 0 else 0, every
     if rep.split:
         # Unresolved: 0 only at the partner's minimum; the class pass
         # certified the entry at the column's own minimum to be 1.
         partner = partner_minimum(rep, window.reps)
-        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else restrictions[i][sdual], every
-    return EXACT, lambda i: restrictions[i][sdual], every
+        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else int(c in restrictions[i]), every
+    return EXACT, lambda i: int(c in restrictions[i]), every
 
 
 def mult_matrix(window: Window) -> MultMatrix:
@@ -636,12 +636,12 @@ class Window(_Value):
         return self.rows[: bisect_right(self.norms, scaled_bound(self.datum, bound))]
 
     @cached_property
-    def restrictions(self) -> list[FormalSum]:
-        """One restriction to M per row."""
-        return [restrict_sum(self.datum, FormalSum.single(tau)) for tau in self.rows]
+    def restrictions(self) -> list[range]:
+        """Each row's ``restricted_range``: the c whose M-label ``(c,)`` it meets."""
+        return [restricted_range(self.datum, tau) for tau in self.rows]
 
     def restriction(self, v) -> dict:
-        """``restrict_sum(datum, v)`` of a sum of rows, as ``{M-label: multiplicity}``.
+        """The restriction to M of a sum of rows, as ``{(c,): multiplicity}``.
 
         The multiplicity-weighted sum of its rows' ``restrictions``.
         Raises ``WindowError`` at a K-type that is not a row, an invalid
@@ -658,8 +658,8 @@ class Window(_Value):
                     f"K-type {format_label(tau)} is not in the window of bound "
                     f"{_decimal(self.bound)}"
                 )
-            for sigma, m in restrictions[i].items():
-                restricted[sigma] = restricted.get(sigma, 0) + mult * m
+            for c in restrictions[i]:
+                restricted[(c,)] = restricted.get((c,), 0) + mult
         return restricted
 
     @cached_property
@@ -674,50 +674,39 @@ class Window(_Value):
         return _Memo(lambda cap: tuple((sigma, duals[sigma]) for sigma in labels_in_box(m, cap)))
 
     @cached_property
-    def supports(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Each row's ``restricted_support``: the M-types the row meets."""
-        return [restricted_support(self.duals, r) for r in self.restrictions]
-
-    @cached_property
-    def class_of(self) -> dict[tuple[int, ...], PrincipalClass]:
-        """``{M-type: principal class}`` for every M-type the rows meet.
-
-        Each orbit is built once, from the first of its M-types met, and
-        every member of the orbit maps to it.
-        """
-        class_of: dict[tuple, PrincipalClass] = {}
-        for support in self.supports:
-            for sigma in support:
-                if sigma not in class_of:
-                    cls = principal_class_of(self.datum, sigma)
-                    class_of.update((s, cls) for s in cls.orbit)
-        return class_of
+    def class_of(self) -> _Memo:
+        """``{M-type: its principal class}``, each computed once, on first read."""
+        datum = self.datum
+        return _Memo(lambda sigma: _principal_class_of(datum, sigma))
 
     @cached_property
     def classes(self) -> dict[PrincipalClass, tuple]:
         """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
 
-        One pass over the rows' supports.  A row meets the classes of
-        the M-types in its support, and occurs in a class (with its
-        multiplicity in the class's principal series) exactly when the
-        representative is one of them; the minima are the rows at the first norm where it does,
-        which on a complete window are global.  Representative order.
+        One pass over the rows' restrictions.  A row meets the classes of
+        the duals of its M-labels, and occurs in a class (with its
+        multiplicity in the class's principal series, read off its range)
+        exactly when the representative is one of them; the minima are
+        the rows at the first norm where it does, which on a complete
+        window are global.  The classes met are collected here, not read
+        off ``class_of``, which other readers also fill.  Representative
+        order.
         """
         duals, class_of = self.duals, self.class_of
+        met: dict[tuple, PrincipalClass] = {}
         first_norm: dict[tuple, int] = {}
         minima: dict[tuple, list] = {}
-        rows = zip(self.rows, self.norms, self.restrictions, self.supports)
-        for tau, norm, restricted, support in rows:
-            for sigma in support:
-                cls = class_of[sigma]
+        for tau, norm, labels in zip(self.rows, self.norms, self.restrictions):
+            for c in labels:
+                sigma = duals[(c,)]
+                cls = met[sigma] = class_of[sigma]
                 if sigma != cls.representative:
                     continue
-                if first_norm.setdefault(cls.orbit, norm) == norm:
-                    minima.setdefault(cls.orbit, []).append((tau, restricted[duals[sigma]]))
-        classes = {cls.orbit: cls for cls in class_of.values()}
+                if first_norm.setdefault(sigma, norm) == norm:
+                    minima.setdefault(sigma, []).append((tau, labels.count(c)))
         return {
-            classes[orbit]: tuple(minima.get(orbit, ()))
-            for orbit in sorted(classes, key=lambda o: o[-1])
+            cls: tuple(minima.get(cls.representative, ()))
+            for cls in sorted({*met.values()}, key=lambda cls: cls.representative)
         }
 
     @cached_property

@@ -122,7 +122,7 @@ class FormalSum:
 
     Keys are arbitrary hashable labels (tuples, tempered-representation
     records, ...); values are nonzero integers.  Lookup of an absent key
-    yields 0.  Addition and integer scaling act componentwise.
+    yields 0.
     """
 
     __slots__ = ("_terms",)
@@ -136,15 +136,8 @@ class FormalSum:
             acc[key] = acc.get(key, 0) + mult
         self._terms = {k: v for k, v in acc.items() if v != 0}
 
-    @classmethod
-    def single(cls, key, mult: int = 1) -> "FormalSum":
-        return cls([(key, mult)])
-
     def items(self):
         return self._terms.items()
-
-    def support(self):
-        return self._terms.keys()
 
     def __getitem__(self, key) -> int:
         return self._terms.get(key, 0)
@@ -160,22 +153,6 @@ class FormalSum:
 
     def __contains__(self, key) -> bool:
         return key in self._terms
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self._terms)
-        for k, v in other.items():
-            out[k] = out.get(k, 0) + v
-        return FormalSum(out)
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-1) * other
-
-    def __mul__(self, n: int) -> "FormalSum":
-        if not isinstance(n, int):
-            return NotImplemented
-        return FormalSum({k: n * v for k, v in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FormalSum):

@@ -103,6 +103,15 @@ def restriction_oracle(datum, tau):
     return restrict_clebsch_by_weights(*tau)
 
 
+def restriction_sum_oracle(datum, v):
+    """Restriction of a formal sum of K-labels: its terms' oracles, summed."""
+    acc = {}
+    for tau, mult in v.items():
+        for sigma, m in restriction_oracle(datum, tau).items():
+            acc[sigma] = acc.get(sigma, 0) + mult * m
+    return acc
+
+
 def mult_in_induced_oracle(datum, sigma_rep, tau):
     """Multiplicity of tau in the class of sigma_rep, recomputed directly."""
     dual = tuple(

@@ -3,12 +3,7 @@ import json
 
 import pytest
 
-from tempiric.branching import (
-    restrict_decompose,
-    restrict_sum,
-    restricted_support,
-    witness_ktype,
-)
+from tempiric.branching import restricted_range, restricted_support, witness_ktype
 from tempiric.catalog import GroupDatum, builtin, load, serialize
 from tempiric.tempered import make_principal_class, minimal_ktypes, tempiric_window
 from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, vogan_norm, weyl_dim
@@ -16,13 +11,18 @@ from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, vogan_n
 import oracles
 
 
+def _decomposition(datum, tau):
+    # tau's restriction to M as {M-label: multiplicity}, from its range.
+    return {(c,): 1 for c in restricted_range(datum, tau)}
+
+
 def test_restrict_examples(sl2r, so31, sp11):
-    assert restrict_decompose(sl2r, (3,)) == {(1,): 1}
-    assert restrict_decompose(sl2r, (-4,)) == {(0,): 1}
-    assert restrict_decompose(sp11, (1, 1)) == {(0,): 1, (2,): 1}
-    assert restrict_decompose(so31, (2,)) == {
-        (n,): 1 for n in range(-2, 3)
-    }
+    assert restricted_range(sl2r, (3,)) == range(1, 2)
+    assert restricted_range(sl2r, (-4,)) == range(0, 1)
+    assert restricted_range(sp11, (1, 1)) == range(0, 3, 2)
+    assert restricted_range(sp11, (3, 1)) == range(2, 5, 2)
+    assert restricted_range(so31, (2,)) == range(-2, 3)
+    assert _decomposition(sp11, (1, 1)) == {(0,): 1, (2,): 1}
 
 
 def test_restriction_preserves_dimension(sl2r, so31, sp11):
@@ -30,11 +30,7 @@ def test_restriction_preserves_dimension(sl2r, so31, sp11):
         for tau in enumerate_ktypes(datum, 400):
             if weyl_dim(datum.k, tau) > 50:
                 continue
-            decomposition = restrict_decompose(datum, tau)
-            total = sum(
-                mult * weyl_dim(datum.m, sigma)
-                for sigma, mult in decomposition.items()
-            )
+            total = sum(weyl_dim(datum.m, (c,)) for c in restricted_range(datum, tau))
             assert total == weyl_dim(datum.k, tau)
 
 
@@ -42,15 +38,13 @@ def test_restriction_matches_oracles(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         for tau in enumerate_ktypes(datum, 150):
             expected = oracles.restriction_oracle(datum, tau)
-            got = dict(restrict_decompose(datum, tau).items())
-            assert got == expected, tau
+            assert _decomposition(datum, tau) == expected, tau
 
 
 def test_clebsch_rule_against_weight_oracle(sp11):
     for a, b in itertools.product(range(9), repeat=2):
         expected = oracles.restrict_clebsch_by_weights(a, b)
-        got = dict(restrict_decompose(sp11, (a, b)).items())
-        assert got == expected, (a, b)
+        assert _decomposition(sp11, (a, b)) == expected, (a, b)
 
 
 def _mult_space_dim(datum, sigma, v):
@@ -61,7 +55,8 @@ def _mult_space_dim(datum, sigma, v):
 
 
 def _support(datum, v):
-    return restricted_support(tempiric_window(datum, 0).duals, restrict_sum(datum, v))
+    restricted = oracles.restriction_sum_oracle(datum, v)
+    return restricted_support(tempiric_window(datum, 0).duals, restricted)
 
 
 def test_mult_space_dim_examples(sl2r, so31, sp11):
@@ -75,18 +70,18 @@ def test_mult_space_dim_examples(sl2r, so31, sp11):
 
 def test_frobenius_consistency(sl2r, so31, sp11):
     # The multiplicity space of sigma against tau, read off the window's
-    # restriction and off restrict_decompose at sigma's dual, is tau's
+    # restriction and off tau's restricted_range at sigma's dual, is tau's
     # multiplicity in the principal series of sigma, as the oracle counts it.
     for datum in (sl2r, so31, sp11):
         window = tempiric_window(datum, 100)
         sigmas = _support(datum, FormalSum({tau: 1 for tau in window.rows}))
         for tau in window.rows:
             restricted = window.restriction(FormalSum({tau: 1}))
-            restriction = restrict_decompose(datum, tau)
+            labels = restricted_range(datum, tau)
             for sigma in sigmas:
                 dual = window.duals[sigma]
                 expected = oracles.mult_in_induced_oracle(datum, sigma, tau)
-                assert restricted.get(dual, 0) == restriction[dual] == expected
+                assert restricted.get(dual, 0) == labels.count(*dual) == expected
 
 
 def test_support_examples(sl2r, so31, sp11):
@@ -116,7 +111,7 @@ def test_missing_rule_rejected(sl2r):
         sl2r.weyl_on_mhat, sl2r.equal_rank, sl2r.ds, sl2r.a_dim,
     )
     with pytest.raises(ValueError):
-        restrict_decompose(broken, (1,))
+        restricted_range(broken, (1,))
 
 
 def _identity_weyl_so31():

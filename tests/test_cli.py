@@ -81,6 +81,28 @@ def test_branch_table(capsys):
     assert entries[((1, 1), (2,))] == 1
 
 
+def test_branch_refuses_more_rows_than_the_limit_before_building_any(capsys):
+    # SO31's K-type (j) restricts to the 2j + 1 M-types -j..j, so bound
+    # 10^8 needs 10^8 rows; none is built.
+    code, out, err = run(capsys, "branch", "--group", "SO31", "--bound", "1e8")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bound 100000000 needs 100000000 branching rows, above the limit of 1000000\n"
+    )
+
+
+def test_branch_prints_a_table_of_exactly_the_limit(capsys, monkeypatch):
+    # SO31 at bound 41 has K-types (0)..(5): 36 branching rows.
+    monkeypatch.setattr(weights, "MAX_WINDOW_ENTRIES", 36)
+    code, out, err = run(capsys, "branch", "--group", "SO31", "--bound", "41")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 36
+    monkeypatch.setattr(weights, "MAX_WINDOW_ENTRIES", 35)
+    code, out, err = run(capsys, "branch", "--group", "SO31", "--bound", "41")
+    assert (code, out) == (2, "")
+    assert err == "error: bound 41 needs 36 branching rows, above the limit of 35\n"
+
+
 def test_tempiric_table_counts(capsys):
     code, out, _ = run(capsys, "tempiric-table", "--group", "SL2R", "--bound", "9")
     assert code == 0
@@ -638,21 +660,21 @@ def test_verify_enumerates_the_discrete_series_once(capsys, monkeypatch, group):
 
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
 def test_ck_matrix_restricts_each_row_once(capsys, monkeypatch, group):
-    calls = _count_calls(monkeypatch, branching, "restrict_sum")
+    calls = _count_calls(monkeypatch, branching, "restricted_range")
     code, out, _ = run(capsys, "ck-matrix", "--group", group, "--bound", "41")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [list(args[1]) for args in calls] == [[tuple(tau)] for tau in rows]
+    assert [args[1] for args in calls] == [tuple(tau) for tau in rows]
 
 
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
 def test_verify_restricts_each_row_once(capsys, monkeypatch, group):
     # The sweeps read their pool and restrictions off the window: verify
     # enumerates the K-types once and restricts each row once.
-    restricted = _count_calls(monkeypatch, branching, "restrict_sum")
+    restricted = _count_calls(monkeypatch, branching, "restricted_range")
     enumerated = _count_calls(monkeypatch, weights, "enumerate_ktypes")
     code, _, _ = run(capsys, "verify", "--group", group, "--bound", "41")
     assert code == 0
     assert [args[1] for args in enumerated] == [Fraction(41)]
     rows = tempiric_window(builtin(group), 41).rows
-    assert [list(args[1]) for args in restricted] == [[tau] for tau in rows]
+    assert [args[1] for args in restricted] == rows

@@ -27,6 +27,8 @@ def test_digest_lines_repeat_and_match_the_goldens(tmp_path, monkeypatch):
          "--format", "txt"): (1, "verify-sp11-doubled-noncompact-41.txt"),
         ("verify", "--group-file", "sp11-skew-gram.json", "--bound=30",
          "--format", "json"): (1, "verify-sp11-skew-gram-30.json"),
+        ("branch", "--group", "SO31", "--bound=41", "--format", "json"): (0, "branch-so31-41.json"),
+        ("branch", "--group", "Sp11", "--bound=41", "--format", "csv"): (0, "branch-sp11-41.csv"),
     }
     matrix = set(tool.command_matrix())
     for argv, (code, golden) in pinned.items():

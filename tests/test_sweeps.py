@@ -3,7 +3,8 @@
 The sweeps are loops over the public ``dimension_identity_check`` and
 ``admissibility_check`` on the command's ``Window``.  Each check reads a
 sum's restriction off the window (``Window.restriction``), which must
-equal the restriction ``restrict_sum`` computes from the branching rule.
+equal the restriction that ``oracles.restriction_sum_oracle`` recomputes
+from the weights of each K-type.
 """
 
 import json
@@ -12,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from tempiric import cli, cktheory
-from tempiric.branching import restrict_sum
 from tempiric.catalog import builtin, load, serialize
 from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
-from tempiric.tempered import WindowError, principal_class_of, tempiric_window
+from tempiric.tempered import WindowError, make_principal_class, tempiric_window
 from tempiric.weights import FormalSum, enumerate_ktypes
+
+import oracles
 
 
 def _half_gram_sp11():
@@ -48,6 +50,11 @@ def _recorded(monkeypatch, check, run):
         patch.setattr(cktheory, check, recording)
         final = run()
     return final, calls
+
+
+def restrict_sum(datum, v):
+    # The restriction of a formal sum of K-types, recomputed by the oracle.
+    return FormalSum(oracles.restriction_sum_oracle(datum, v))
 
 
 def _restricts_like_the_branching_rule(window, v):
@@ -168,17 +175,19 @@ def test_window_pool_is_the_enumerated_pool(name):
 def test_class_of_maps_each_met_mtype_to_its_class(name):
     datum = DATA[name]()
     window = tempiric_window(datum, 41)
-    met = {sigma for support in window.supports for sigma in support}
-    assert met <= set(window.class_of)
+    classes = window.classes
+    met = {window.duals[(c,)] for labels in window.restrictions for c in labels}
+    assert met == set(window.class_of)
     for sigma, cls in window.class_of.items():
-        assert cls == principal_class_of(datum, sigma)
-    assert set(window.classes) == set(window.class_of.values())
+        assert cls == make_principal_class(datum, sigma)
+    assert set(classes) == set(window.class_of.values())
 
 
 def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     # The rows of SL2R at bound 0 meet only (0); labels_in_box adds (1),
     # whose orbit the boundary blocks build themselves.
     window = tempiric_window(sl2r, 0)
+    assert [cls.orbit for cls in window.classes] == [((0,),)]
     assert (1,) not in window.class_of
     report = cli._identity_sweep(window, DEFAULT_SEED)
     assert report.passed
@@ -187,6 +196,10 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
         "discrete-series", ((0,),), ((1,),),
     ]
+    # An orbit another reader looked up first is still not a class met.
+    early = tempiric_window(sl2r, 0)
+    assert early.class_of[(1,)].orbit == ((1,),)
+    assert early.classes == window.classes
 
 
 def _huge_window():

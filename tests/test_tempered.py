@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tempiric.tempered import (
     minimal_ktypes,
     tempiric_window,
 )
-from tempiric.weights import WindowTooLargeError, enumerate_ktypes, ktype_axes, vogan_norm
+from tempiric.weights import FormalSum, WindowTooLargeError, enumerate_ktypes, ktype_axes, vogan_norm
 
 import oracles
 
@@ -51,8 +52,10 @@ def test_induced_mult_examples(sl2r, so31, sp11):
     ):
         sigma = make_principal_class(datum, sigma).representative
         window = tempiric_window(datum, vogan_norm(datum, tau))
-        got = window.restrictions[window.row_index[tau]][window.duals[sigma]]
+        (c,) = window.duals[sigma]
+        got = window.restrictions[window.row_index[tau]].count(c)
         assert got == mult == oracles.mult_in_induced_oracle(datum, sigma, tau)
+        assert window.restriction(FormalSum({tau: 1})).get((c,), 0) == mult
 
 
 def test_minimal_ktypes_examples(sl2r, so31, sp11):
@@ -141,6 +144,23 @@ def test_ds_enumerate_sorted(sp11):
     assert keys == sorted(keys)
 
 
+def test_class_pass_memory_does_not_grow_with_the_restrictions(so31):
+    # SO31 at 301^2 has 301 rows, whose restrictions hold about 90,000
+    # M-labels in all.  The class pass reads each row's range and keeps
+    # only per-class and per-M-type state, so its peak stays far below
+    # what one entry per M-label of every row would take.
+    window = tempiric_window(so31, 301**2)
+    assert len(window.rows) == len(window.norms) == 301
+    tracemalloc.start()
+    try:
+        classes = window.classes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 301
+    assert peak < 2 * 2**20
+
+
 def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatch):
     # At bound 41 the series' parameter box is larger than the rows' label
     # box.  With the limit between the two, Window.reps refuses the
@@ -155,7 +175,7 @@ def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatc
     def no_restriction(*args):
         raise AssertionError("a row was restricted")
 
-    monkeypatch.setattr(tempered, "restrict_sum", no_restriction)
+    monkeypatch.setattr(tempered, "restricted_range", no_restriction)
     for limit, size in ((params - 1, params), (labels - 1, labels)):
         monkeypatch.setattr(weights, "MAX_BOX_LABELS", limit)
         with pytest.raises(WindowTooLargeError, match=f"needs a box of {size} labels"):
