@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 
 from .branching import restricted_support
 from .tempered import (
@@ -227,11 +228,14 @@ def invert_window(matrix: MultMatrix):
 
     Refuses when any column is aggregate-only, naming the culprits.  The
     inverse comes from one exact Gauss-Jordan elimination on sparse rows
-    of [A | I] (a dict per row, column -> nonzero value), with a pivot
-    search over the rows not yet used.  Rows ordered by (norm, label)
-    make A block lower-triangular with blocks of equal norm, so fill-in
-    stays at the sparsity of the inverse; nothing relies on that order.
-    Entries stay ``int`` until a non-unit pivot divides them into
+    of [A | I] (a dict per row, column -> nonzero value).  The pivot of
+    column col is the first row at or after col that holds it, and only
+    the rows that hold the pivot column are eliminated: ``holders[k]`` is
+    the set of rows with a nonzero in column k < n, updated as fill-in
+    appears and disappears and as rows swap.  Rows ordered by (norm,
+    label) make A block lower-triangular with blocks of equal norm, so
+    fill-in stays at the sparsity of the inverse; nothing relies on that
+    order.  Entries stay ``int`` until a non-unit pivot divides them into
     ``Fraction``.  A missing pivot or a non-integral inverse entry would
     contradict the certified triangularity and raises as an internal
     error.  Both products A.A^-1 and A^-1.A are then computed exactly
@@ -251,33 +255,45 @@ def invert_window(matrix: MultMatrix):
             f"window is not square: {n} K-types, {len(matrix.cols)} representatives"
         )
     forward: list[dict] = [{} for _ in range(n)]
+    holders: list[set] = [set() for _ in range(n)]
     for (i, j), v in matrix.entries.items():
         if v:
             forward[i][j] = v
+            holders[j].add(i)
     # Columns n.. of each augmented row hold the identity block.
     aug = [{**row, n + i: 1} for i, row in enumerate(forward)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if col in aug[r]), None)
+        pivot = min((r for r in holders[col] if r >= col), default=None)
         if pivot is None:
             raise InternalInconsistencyError(
                 "window matrix is singular despite certified triangularity"
             )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+        if pivot != col:
+            for k in aug[col].keys() ^ aug[pivot].keys():
+                if k < n:
+                    holders[k] ^= {col, pivot}
+            aug[col], aug[pivot] = aug[pivot], aug[col]
         pivot_row = aug[col]
         scale = pivot_row[col]
         if scale != 1:
             inv_scale = 1 / Fraction(scale)
             pivot_row = aug[col] = {k: v * inv_scale for k, v in pivot_row.items()}
-        for r, row in enumerate(aug):
-            factor = row.get(col)
-            if r == col or not factor:
-                continue
-            for k, v in pivot_row.items():
+        # The pivot entry is now 1, so each row it clears loses column col.
+        rest = [(k, v) for k, v in pivot_row.items() if k != col]
+        for r in holders[col] - {col}:
+            row = aug[r]
+            factor = row.pop(col)
+            for k, v in rest:
                 value = row.get(k, 0) - factor * v
                 if value:
+                    if k < n and k not in row:
+                        holders[k].add(r)
                     row[k] = value
                 else:
                     del row[k]
+                    if k < n:
+                        holders[k].discard(r)
+        holders[col] = {col}
     inverse: list[dict] = []
     for row in aug:
         int_row = {}
@@ -295,7 +311,7 @@ def invert_window(matrix: MultMatrix):
         and _sparse_product_is_identity(inverse, forward)
     ):
         raise InternalInconsistencyError("inverse verification failed")
-    return [[row.get(j, 0) for j in range(n)] for row in inverse]
+    return [list(map(row.get, range(n), repeat(0))) for row in inverse]
 
 
 def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
@@ -495,7 +511,8 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[F
     """Deterministic pseudo-random formal sums of the rows of norm <= norm_cap.
 
     The pool is ``Window.rows_within(norm_cap)``; an empty pool yields an
-    empty list.
+    empty list.  Each draw maps distinct rows to multiplicities 1 to 3,
+    so its sum is built without revalidation.
     """
     pool = window.rows_within(norm_cap)
     if not pool:
@@ -505,5 +522,5 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[F
     for _ in range(count):
         size = rng.randint(1, min(3, len(pool)))
         labels = rng.sample(pool, size)
-        sums.append(FormalSum({tau: rng.randint(1, 3) for tau in labels}))
+        sums.append(FormalSum._unchecked({tau: rng.randint(1, 3) for tau in labels}))
     return sums

@@ -14,6 +14,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import cktheory, figures, weights
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
@@ -125,7 +127,52 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for every JSON output.
+
+    The payload nests dicts with ``str`` keys, lists, tuples, ``str``,
+    ``int``, ``bool`` and ``None``; anything else raises ``TypeError``.
+    A list of exact ``int``s, or of nonempty lists of them, is written
+    by ``str.join`` over ``int.__repr__``, as ``json`` writes an int; a
+    ``bool`` never takes that path, since ``int.__repr__(True)`` is
+    ``'1'``.  (``json.dumps`` with an indent runs its pure-Python
+    encoder, one generator step per item.)
+    """
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    # value as json.dumps(indent=2) writes it on a line that newline
+    # ("\n" and that line's indent) begins.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError at a key that is not a str.
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    types = {*map(type, value)}
+    if types == {int}:
+        items = map(int.__repr__, value)
+    elif types <= {list, tuple} and all(value) and {*map(type, chain.from_iterable(value))} == {int}:
+        start, sep, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        items = [start + sep.join(map(int.__repr__, row)) + end for row in value]
+    else:
+        items = [_json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _cmd_catalog(args) -> tuple[int, str]:
@@ -271,33 +318,26 @@ def _cmd_ck_matrix(args) -> tuple[int, str]:
         payload = {
             "group": datum.name,
             "bound": _number(args.bound),
-            "rows": [list(tau) for tau in matrix.rows],
+            "rows": matrix.rows,
             "cols": [_column_descriptor(rep) for rep in matrix.cols],
-            "entries": [[i, j, v] for i, j, v in entries],
-            "resolution": list(matrix.resolution),
+            "entries": entries,
+            "resolution": matrix.resolution,
         }
         if inverse is not None:
             payload["inverse"] = inverse
         else:
             payload["refusal"] = refusal
         return 0, _json_text(payload)
-    rows = [
-        ("entry", format_label(matrix.rows[i]), matrix.cols[j].describe(), v)
-        for i, j, v in entries
-    ]
-    for j, flag in enumerate(matrix.resolution):
-        rows.append(("resolution", "", matrix.cols[j].describe(), flag))
+    # Each row label and column description is formatted once.
+    labels = [format_label(tau) for tau in matrix.rows]
+    names = [rep.describe() for rep in matrix.cols]
+    rows = [("entry", labels[i], names[j], v) for i, j, v in entries]
+    rows += [("resolution", "", name, flag) for name, flag in zip(names, matrix.resolution)]
     if inverse is not None:
-        for i, row in enumerate(inverse):
-            for j, v in enumerate(row):
-                if v:
-                    rows.append(
-                        ("inverse", matrix.cols[i].describe(),
-                         format_label(matrix.rows[j]), v)
-                    )
+        for name, row in zip(names, inverse):
+            rows += [("inverse", name, labels[j], v) for j, v in enumerate(row) if v]
     else:
-        for column in refusal["columns"]:
-            rows.append(("refusal", "", column, "aggregate-only"))
+        rows += [("refusal", "", column, "aggregate-only") for column in refusal["columns"]]
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 

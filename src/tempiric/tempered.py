@@ -21,19 +21,21 @@ Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 (one ``range`` of M-coordinates per row, from ``restricted_range``), the
-classes, the series, each representative's matrix column and the
-multiplicity matrix.  Each M-type's dual and principal class are
-computed once per window, on first lookup.  One function,
+classes (one sweep over the rows by norm level), the series, each
+representative's matrix column and the multiplicity matrix.  Each
+M-type's dual and principal class are computed once per window, on
+first lookup.  One function,
 ``blattner_scatter``, computes every Blattner multiplicity: it walks a
 series' cone once and adds each point's alternating contributions at the
 rows it lands on.  ``blattner_mult`` is that walk over one K-type.
 
 Every matrix entry comes from one per-column code path, ``_column``,
 built once per representative as ``Window.columns`` and read by
-``mult_matrix`` over all rows, by ``cktheory.composite_map`` at one and
-by ``cktheory.blattner_consistency_check`` below each lowest K-type.
-Its discrete-series columns are one ``blattner_scatter`` walk each over
-the window's rows.
+``mult_matrix`` at the column's support, by ``cktheory.composite_map``
+at one row and by ``cktheory.blattner_consistency_check`` below each
+lowest K-type.  Its discrete-series columns are one ``blattner_scatter``
+walk each over the window's rows, and its principal-series columns are
+supported on the rows ``Window.holders`` lists for the class's dual.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -503,29 +506,29 @@ def _column(window: Window, rep: TempiricRep):
     discrete-series column is one ``blattner_scatter`` walk over the
     window's ``shifted`` rows: ``entry(i)`` reads its totals, raising at
     a negative one, and ``support`` is the sorted rows the walk reached.
-    Principal-series columns test whether the dual of the class
+    Principal-series columns test whether the dual c of the class
     representative lies in the row's restriction (the row's multiplicity
     in the class's principal series, 0 or 1, by Frobenius reciprocity),
-    then apply the split rules; their support is every row.
+    then apply the split rules, at any row; their support is the rows
+    whose restriction holds c, read off ``Window.holders``.
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
         totals = blattner_scatter(datum, rep, window.shifted, window.reach)
         return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep), sorted(totals)
-    every = range(len(rows))
     (c,) = window.duals[rep.ps_class.representative]
-    restrictions = window.restrictions
+    restrictions, held = window.restrictions, window.holders.get(c, [])
     if rep.split and datum.k.atoms == (TORUS1,):
         # The two split constituents partition the odd character
         # ladder by sign exactly when K is a single circle.
         sign = 1 if rep.min_ktype[0] > 0 else -1
-        return EXACT, lambda i: int(c in restrictions[i]) if rows[i][0] * sign > 0 else 0, every
+        return EXACT, lambda i: int(c in restrictions[i]) if rows[i][0] * sign > 0 else 0, held
     if rep.split:
         # Unresolved: 0 only at the partner's minimum; the class pass
         # certified the entry at the column's own minimum to be 1.
         partner = partner_minimum(rep, window.reps)
-        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else int(c in restrictions[i]), every
-    return EXACT, lambda i: int(c in restrictions[i]), every
+        return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else int(c in restrictions[i]), held
+    return EXACT, lambda i: int(c in restrictions[i]), held
 
 
 def mult_matrix(window: Window) -> MultMatrix:
@@ -533,9 +536,10 @@ def mult_matrix(window: Window) -> MultMatrix:
 
     Read one ``Window.columns`` column at a time, at the rows of its
     support in row order, so a discrete-series column raises at its
-    first negative entry.  Raises ``WindowTooLargeError`` before
-    evaluating any entry when rows x columns exceeds
-    ``MAX_WINDOW_ENTRIES``.
+    first negative entry and the work follows the nonzeros: a series'
+    rows its walk reached, a class's rows that hold its dual.  Raises
+    ``WindowTooLargeError`` before evaluating any entry when rows x
+    columns exceeds ``MAX_WINDOW_ENTRIES``.
     """
     # reps first: it refuses an oversize label box before the rows exist.
     reps = window.reps
@@ -570,6 +574,38 @@ class _Memo(dict):
         return value
 
 
+def _lattice(labels: range) -> tuple[int, int]:
+    # The step and residue of a restriction's progression.  Each rule
+    # restricts every K-type to a nonempty range of one step, so ranges of
+    # one window with equal keys lie on one progression and ranges with
+    # different keys share no label.
+    return labels.step, labels.start % labels.step
+
+
+def _uncovered(bounds, labels: range):
+    # The parts of the nonempty range labels, as ranges, that lie outside
+    # the covered intervals: bounds is a flat ascending list of start and
+    # stop of each, half-open and on the range's progression.
+    step, a, stop = labels.step, labels.start, labels[-1] + labels.step
+    i = bisect_right(bounds, a)
+    if i % 2:  # a is covered: go on where its interval stops
+        a, i = bounds[i], i + 1
+    while a < stop:
+        if i == len(bounds):
+            yield range(a, stop, step)
+            return
+        yield range(a, min(bounds[i], stop), step)
+        a, i = bounds[i + 1], i + 2
+
+
+def _cover(bounds: list, labels: range) -> None:
+    # Add the nonempty range labels to the covered intervals bounds (see
+    # _uncovered), merging the intervals it overlaps or touches.
+    a, stop = labels.start, labels[-1] + labels.step
+    lo, hi = bisect_left(bounds, a), bisect_right(bounds, stop)
+    bounds[lo:hi] = ([] if lo % 2 else [a]) + ([] if hi % 2 else [stop])
+
+
 class Window(_Value):
     """Everything derived from one ``(datum, bound)``, each part computed once.
 
@@ -587,9 +623,14 @@ class Window(_Value):
         return (self.datum, self.bound)
 
     @cached_property
+    def ranked(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The ``(scaled_norm, K-type)`` pairs of norm <= bound, sorted."""
+        return enumerate_ktypes(self.datum, self.bound, True)  # ranked=True
+
+    @cached_property
     def rows(self) -> list[tuple[int, ...]]:
         """The K-types of norm <= bound, sorted by (norm, label)."""
-        return enumerate_ktypes(self.datum, self.bound)
+        return [tau for _, tau in self.ranked]
 
     @cached_property
     def shifted(self) -> dict[tuple[int, ...], int]:
@@ -612,7 +653,7 @@ class Window(_Value):
     @cached_property
     def norms(self) -> list[int]:
         """Each row's ``scaled_norm``; nondecreasing, like the rows."""
-        return [scaled_norm(self.datum, tau) for tau in self.rows]
+        return [norm for norm, _ in self.ranked]
 
     @cached_property
     def row_index(self) -> dict[tuple[int, ...], int]:
@@ -639,6 +680,19 @@ class Window(_Value):
     def restrictions(self) -> list[range]:
         """Each row's ``restricted_range``: the c whose M-label ``(c,)`` it meets."""
         return [restricted_range(self.datum, tau) for tau in self.rows]
+
+    @cached_property
+    def holders(self) -> dict[int, list[int]]:
+        """``{c: the rows whose restriction holds c, ascending}``.
+
+        Built on first read, which only a principal-series column makes,
+        in one pass over the ``restrictions``.
+        """
+        holders = defaultdict(list)
+        for i, labels in enumerate(self.restrictions):
+            for c in labels:
+                holders[c].append(i)
+        return dict(holders)
 
     def restriction(self, v) -> dict:
         """The restriction to M of a sum of rows, as ``{(c,): multiplicity}``.
@@ -683,27 +737,40 @@ class Window(_Value):
     def classes(self) -> dict[PrincipalClass, tuple]:
         """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
 
-        One pass over the rows' restrictions.  A row meets the classes of
-        the duals of its M-labels, and occurs in a class (with its
-        multiplicity in the class's principal series, read off its range)
-        exactly when the representative is one of them; the minima are
-        the rows at the first norm where it does, which on a complete
-        window are global.  The classes met are collected here, not read
-        off ``class_of``, which other readers also fill.  Representative
-        order.
+        One sweep over the rows, one norm level at a time.  A row meets
+        the classes of the duals of its M-labels, and occurs in a class
+        (with its multiplicity in the class's principal series, read off
+        its range) exactly when the representative is one of them; the
+        minima are the rows at the first norm where it does, which on a
+        complete window are global.  So each row reads only the part of
+        its range that no row of a lower norm covered: the covered labels
+        are kept as disjoint intervals per step and residue
+        (``_uncovered``, ``_cover``), and a level is covered after all its
+        rows are read, so two rows of one norm can share a new label (a
+        split class).  Each label met is looked up once, and once more per
+        further row of its first level.  The classes met are collected
+        here, not read off ``class_of``, which other readers also fill.
+        Representative order.
         """
         duals, class_of = self.duals, self.class_of
+        rows, norms, restrictions = self.rows, self.norms, self.restrictions
         met: dict[tuple, PrincipalClass] = {}
-        first_norm: dict[tuple, int] = {}
         minima: dict[tuple, list] = {}
-        for tau, norm, labels in zip(self.rows, self.norms, self.restrictions):
-            for c in labels:
-                sigma = duals[(c,)]
-                cls = met[sigma] = class_of[sigma]
-                if sigma != cls.representative:
-                    continue
-                if first_norm.setdefault(sigma, norm) == norm:
-                    minima.setdefault(sigma, []).append((tau, labels.count(c)))
+        covered: dict[tuple[int, int], list[int]] = {}
+        start = 0
+        while start < len(rows):
+            level = range(start, bisect_right(norms, norms[start], start))
+            for i in level:
+                labels = restrictions[i]
+                for gap in _uncovered(covered.get(_lattice(labels), ()), labels):
+                    for c in gap:
+                        sigma = duals[(c,)]
+                        cls = met[sigma] = class_of[sigma]
+                        if sigma == cls.representative:
+                            minima.setdefault(sigma, []).append((rows[i], labels.count(c)))
+            for i in level:
+                _cover(covered.setdefault(_lattice(restrictions[i]), []), restrictions[i])
+            start = level.stop
         return {
             cls: tuple(minima.get(cls.representative, ()))
             for cls in sorted({*met.values()}, key=lambda cls: cls.representative)

@@ -136,6 +136,13 @@ class FormalSum:
             acc[key] = acc.get(key, 0) + mult
         self._terms = {k: v for k, v in acc.items() if v != 0}
 
+    @classmethod
+    def _unchecked(cls, terms: dict) -> FormalSum:
+        # The sum of a dict already known to map each key to a nonzero int.
+        total = cls.__new__(cls)
+        total._terms = terms
+        return total
+
     def items(self):
         return self._terms.items()
 
@@ -359,13 +366,14 @@ def _coordinate_caps(datum, bound: Fraction) -> list[int]:
     return [isqrt(numerator * integer_det(minor) // denominator) for minor in minors]
 
 
-def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
+def enumerate_ktypes(datum, bound, ranked: bool = False) -> list:
     """All K-types of ``datum`` with Vogan norm <= bound.
 
     Sorted by (norm, lexicographic label); deterministic and duplicate
     free.  A negative bound yields the empty window.  Raises
     ``WindowTooLargeError`` before enumerating when the label box the
-    coordinate caps allow exceeds ``MAX_BOX_LABELS``.
+    coordinate caps allow exceeds ``MAX_BOX_LABELS``.  With ``ranked``,
+    returns the sorted ``(scaled_norm, label)`` pairs of the same pass.
     """
     bound = Fraction(bound)
     group = datum.k
@@ -382,7 +390,7 @@ def enumerate_ktypes(datum, bound) -> list[tuple[int, ...]]:
         if norm <= limit:
             window.append((norm, label))
     window.sort()
-    return [label for _, label in window]
+    return window if ranked else [label for _, label in window]
 
 
 def ktype_axes(datum, bound: Fraction) -> list:

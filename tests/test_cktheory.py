@@ -290,3 +290,28 @@ def test_failing_report_requires_counterexample():
         VerificationReport("broken", False)
     report = VerificationReport("ok", True)
     assert report.counterexample is None
+
+
+def test_random_ktype_sums_keep_their_draws(so31, sp11):
+    # The first draws for two seeds, term order included, as recorded
+    # before the sums were built without revalidation.  The same RNG calls
+    # in the same order give the same sums, so verify checks the same pairs.
+    pinned = {
+        (so31, 100, 60, 1729): [
+            [((0,), 2), ((3,), 1), ((4,), 3)],
+            [((1,), 2)],
+            [((2,), 1), ((6,), 3), ((1,), 3)],
+            [((0,), 2), ((4,), 2)],
+        ],
+        (sp11, 41, 41, 1730): [
+            [((2, 2), 1)],
+            [((3, 1), 3), ((1, 1), 3), ((0, 1), 1)],
+            [((2, 1), 1), ((1, 3), 1)],
+            [((1, 0), 2)],
+        ],
+    }
+    for (datum, bound, cap, seed), expected in pinned.items():
+        sums = random_ktype_sums(tempiric_window(datum, bound), 4, cap, seed)
+        assert [list(v.items()) for v in sums] == expected
+        for v, terms in zip(sums, expected):
+            assert isinstance(v, FormalSum) and v == FormalSum(terms)

@@ -166,6 +166,30 @@ def test_standalone_minimal_ktypes_on_rational_grams(sp11, a, d, t, c):
     assert len(calls) == 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(BUILTIN_NAMES), a=_ENTRY, d=_ENTRY, equal=st.booleans(),
+       t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
+       bound=st.fractions(min_value=0, max_value=80, max_denominator=5))
+def test_window_classes_match_the_sweep_on_drawn_grams(name, a, d, equal, t, bound):
+    # One Gram per rule: parity (SL2R), torus-restriction (SO31) and
+    # clebsch-diagonal (Sp11).  Every eigenvalue is at least 1/4, so every
+    # K-type of norm <= 80 has coordinates below 30 and the oracle sweeps
+    # all K-types below each class's minimum.  Split classes occur: SL2R's
+    # class (1) has the minima (-1) and (1), and Sp11 has them when a == d.
+    datum = builtin(name)
+    if datum.k.lattice_dim == 1:
+        gram = [[a]]
+    else:
+        d = a if equal else d
+        b = t * min(a, d) / 2
+        gram = [[a, b], [b, d]]
+    datum = _with_gram(datum, gram)
+    for cls, minima in tempiric_window(datum, bound).classes.items():
+        expected = oracles.minimal_ktypes_by_sweep(datum, cls.representative)
+        assert tuple(tau for tau, _ in minima) == expected, cls.describe()
+        assert all(mult == 1 for _, mult in minima)
+
+
 def _skew_gram(datum):
     return _with_gram(datum, [[1, Fraction(-5, 2)], [Fraction(-5, 2), 7]])
 

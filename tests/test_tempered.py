@@ -14,7 +14,14 @@ from tempiric.tempered import (
     minimal_ktypes,
     tempiric_window,
 )
-from tempiric.weights import FormalSum, WindowTooLargeError, enumerate_ktypes, ktype_axes, vogan_norm
+from tempiric.weights import (
+    FormalSum,
+    WindowTooLargeError,
+    dual_rule,
+    enumerate_ktypes,
+    ktype_axes,
+    vogan_norm,
+)
 
 import oracles
 
@@ -159,6 +166,28 @@ def test_class_pass_memory_does_not_grow_with_the_restrictions(so31):
         tracemalloc.stop()
     assert len(classes) == 301
     assert peak < 2 * 2**20
+
+
+def test_class_pass_looks_up_each_label_met_once(so31):
+    # SO31 at 10^6 has 1,000 rows (j,), each restricting to -j..j: about
+    # 10^6 M-labels in all, 1,999 of them distinct, and no two rows share
+    # a norm.  The sweep reads only the part of a row's range that no row
+    # of lower norm covered, so it looks each label up once.
+    window = tempiric_window(so31, 10**6)
+    assert len(window.rows) == 1000
+    lookups = []
+    dual = dual_rule(so31.m)
+
+    class CountedDuals(dict):
+        def __getitem__(self, label):
+            lookups.append(label)
+            return dual(label)
+
+    window.__dict__["duals"] = CountedDuals()
+    classes = window.classes
+    assert len(lookups) < 2 * len(window.rows)
+    assert sorted(lookups) == [(c,) for c in range(-999, 1000)]
+    assert [cls.representative for cls in classes] == [(c,) for c in range(1000)]
 
 
 def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatch):
