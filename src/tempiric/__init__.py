@@ -58,6 +58,7 @@ from .cktheory import (
     mult_matrix,
     random_ktype_sums,
     triangularity_check,
+    verify,
     vogan_bijection_check,
 )
 from .figures import DiagramSpec, build_diagram

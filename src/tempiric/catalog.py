@@ -84,20 +84,19 @@ class GroupDatum(_Value):
         weyl_on_mhat: str,
         equal_rank: bool,
         ds: DiscreteSeriesDatum | None,
-        a_dim: int = 1,
     ):
         scale = math.lcm(*(Fraction(v).denominator for row in gram for v in row))
         self.__dict__.update(
             name=name, k=k, m=m, branching_rule=branching_rule, gram=gram,
             two_rho_c=two_rho_c, weyl_on_mhat=weyl_on_mhat, equal_rank=equal_rank,
-            ds=ds, a_dim=a_dim, gram_scale=scale,
+            ds=ds, gram_scale=scale,
             int_gram=tuple(tuple(int(v * scale) for v in row) for row in gram),
         )
 
     def _key(self) -> tuple:
         return (
             self.name, self.k, self.m, self.branching_rule, self.gram, self.two_rho_c,
-            self.weyl_on_mhat, self.equal_rank, self.ds, self.a_dim,
+            self.weyl_on_mhat, self.equal_rank, self.ds,
         )
 
 
@@ -160,8 +159,6 @@ def _validate(datum: GroupDatum) -> GroupDatum:
         )
     if datum.equal_rank != (datum.ds is not None):
         raise CatalogError("equal_rank: must hold exactly when ds data is present")
-    if datum.a_dim != 1:
-        raise CatalogError("a_dim: must be 1 for a rank-one group")
     if datum.ds is not None:
         _validate_ds(datum, dim)
     return datum

@@ -14,9 +14,11 @@ Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
 ``EXACT``, ``AGGREGATE_ONLY`` and ``WindowError``), and the M-side
 checks its restrictions, duals and orbits, with each restriction's
-M-types read by ``branching.restricted_support``.  ``verify``'s randomized
-sweeps, ``identity_sweep`` and ``admissibility_sweep``, are loops over
-the public ``dimension_identity_check`` and ``admissibility_check``.
+M-types read by ``branching.restricted_support``.  ``verify(window,
+seed)`` is the whole ``tempiric verify`` policy: the check order, the
+stop at the first failure, the check an inconsistency fails and the
+seeded draws of its two randomized sweeps, which are loops over the
+public ``dimension_identity_check`` and ``admissibility_check``.
 
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
@@ -418,33 +420,6 @@ def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     )
 
 
-def identity_sweep(window: Window, pairs: int, norm_cap, seed: int) -> VerificationReport:
-    """``dimension_identity_check`` on random pairs of K-type sums.
-
-    The pairs are consecutive ``random_ktype_sums(window, 2 * pairs,
-    norm_cap, seed)``, with norm_cap at most the window's bound.  Returns
-    the first failing report, or a pass.
-    """
-    sums = random_ktype_sums(window, 2 * pairs, norm_cap, seed)
-    for v1, v2 in zip(sums[0::2], sums[1::2]):
-        report = dimension_identity_check(window, v1, v2)
-        if not report.passed:
-            return report
-    return VerificationReport("dimension_identity", True, data={"pairs": pairs})
-
-
-def admissibility_sweep(window: Window, samples: int, norm_cap, seed: int) -> VerificationReport:
-    """``admissibility_check`` on ``random_ktype_sums(window, samples, norm_cap, seed)``.
-
-    Returns the first failing report, or a pass.
-    """
-    for v in random_ktype_sums(window, samples, norm_cap, seed):
-        report = admissibility_check(window, v)
-        if not report.passed:
-            return report
-    return VerificationReport("admissibility", True, data={"samples": samples})
-
-
 def blattner_consistency_check(window: Window) -> VerificationReport:
     """Root-data and lowest-K-type consistency for the discrete series.
 
@@ -524,3 +499,55 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[F
         labels = rng.sample(pool, size)
         sums.append(FormalSum._unchecked({tau: rng.randint(1, 3) for tau in labels}))
     return sums
+
+
+def verify(window: Window, seed: int) -> list[VerificationReport]:
+    """The reports ``tempiric verify`` prints, up to the first failure.
+
+    The checks run in this order and stop at the first failing report:
+    ``blattner_consistency_check``, ``vogan_bijection_check``,
+    ``triangularity_check``, then ``dimension_identity_check`` on 200
+    consecutive pairs of ``random_ktype_sums`` drawn with seed, and
+    ``admissibility_check`` on 100 sums drawn with seed + 1, both from the
+    rows of norm at most min(bound, 60); each sweep reports its first
+    failure, or a pass.  An ``InternalInconsistencyError`` fails the check
+    that raised it, with its text as the counterexample.
+    ``blattner_consistency`` reads only the window's rows and series, so
+    the class pass and the matrix first run in ``vogan_bijection``, which
+    their errors fail.  Each check is looked up here by name when it runs.
+    """
+    cap = min(window.bound, Fraction(60))
+
+    def identity():
+        sums = iter(random_ktype_sums(window, 400, cap, seed))
+        reports = (dimension_identity_check(window, v1, v2) for v1, v2 in zip(sums, sums))
+        return _sweep("dimension_identity", {"pairs": 200}, reports)
+
+    def admissibility():
+        sums = random_ktype_sums(window, 100, cap, seed + 1)
+        reports = (admissibility_check(window, v) for v in sums)
+        return _sweep("admissibility", {"samples": 100}, reports)
+
+    checks = (
+        ("blattner_consistency", lambda: blattner_consistency_check(window)),
+        ("vogan_bijection", lambda: vogan_bijection_check(window)),
+        ("triangularity", lambda: triangularity_check(window)),
+        ("dimension_identity", identity),
+        ("admissibility", admissibility),
+    )
+    reports = []
+    for name, check in checks:
+        try:
+            report = check()
+        except InternalInconsistencyError as exc:
+            report = VerificationReport(name, False, counterexample={"error": str(exc)})
+        reports.append(report)
+        if not report.passed:
+            break
+    return reports
+
+
+def _sweep(name: str, data: dict, reports) -> VerificationReport:
+    # The first failing report of a sweep, or its pass.
+    failure = next((report for report in reports if not report.passed), None)
+    return failure or VerificationReport(name, True, data=data)

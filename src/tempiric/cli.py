@@ -1,6 +1,10 @@
 """Command-line surface: catalog inspection, enumeration, verification,
 matrix export, and lattice diagrams.
 
+Each command formats what the library computes: ``ktypes``, ``branch``,
+``tempiric-table``, ``ck-matrix`` and ``verify`` read the ``Window`` of
+their group and bound, and ``verify`` prints ``cktheory.verify``'s reports.
+
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error.  All output is deterministic given the arguments
 and seed; the seed is recorded in report headers.
@@ -21,12 +25,7 @@ from . import cktheory, figures, weights
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
 from .cktheory import DEFAULT_SEED, UnresolvedColumnsError
 from .tempered import InternalInconsistencyError, WindowError, format_label, tempiric_window
-from .weights import WindowTooLargeError, enumerate_ktypes, vogan_norm, weyl_dim
-from .branching import restricted_range
-
-VERIFY_PAIRS = 200
-VERIFY_ADMISSIBILITY = 100
-VERIFY_NORM_CAP = 60
+from .weights import WindowTooLargeError, vogan_norm, weyl_dim
 
 
 class _UsageError(ValueError):
@@ -192,7 +191,7 @@ def _cmd_catalog(args) -> tuple[int, str]:
         f"two_rho_c: {format_label(datum.two_rho_c)}",
         f"weyl_on_mhat: {datum.weyl_on_mhat}",
         f"equal_rank: {datum.equal_rank}",
-        f"a_dim: {datum.a_dim}",
+        "a_dim: 1",  # every catalog group has real rank one
         f"discrete_series: {'yes' if datum.ds else 'no'}",
     ]
     return 0, "\n".join(lines) + "\n"
@@ -202,8 +201,8 @@ def _cmd_ktypes(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
     records = [
-        (tau, _number(vogan_norm(datum, tau)), weyl_dim(datum.k, tau))
-        for tau in enumerate_ktypes(datum, args.bound)
+        (tau, _number(Fraction(norm, datum.gram_scale)), weyl_dim(datum.k, tau))
+        for norm, tau in tempiric_window(datum, args.bound).ranked
     ]
     if fmt == "json":
         payload = {
@@ -222,15 +221,15 @@ def _cmd_ktypes(args) -> tuple[int, str]:
 def _cmd_branch(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("csv", "json"), "csv")
     datum = _resolve_datum(args)
-    window = enumerate_ktypes(datum, args.bound)
-    ranges = [restricted_range(datum, tau) for tau in window]
+    window = tempiric_window(datum, args.bound)
+    ranges = window.restrictions
     count, limit = sum(map(len, ranges)), weights.MAX_WINDOW_ENTRIES
     if count > limit:
         raise WindowTooLargeError(
             f"bound {weights._decimal(args.bound)} needs {count} branching rows, "
             f"above the limit of {limit}"
         )
-    rows = [(tau, (c,), 1) for tau, labels in zip(window, ranges) for c in labels]
+    rows = [(tau, (c,), 1) for tau, labels in zip(window.rows, ranges) for c in labels]
     if fmt == "json":
         payload = {
             "group": datum.name,
@@ -341,51 +340,10 @@ def _cmd_ck_matrix(args) -> tuple[int, str]:
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 
-def _sweep_cap(window):
-    return min(window.bound, Fraction(VERIFY_NORM_CAP))
-
-
-def _identity_sweep(window, seed):
-    return cktheory.identity_sweep(window, VERIFY_PAIRS, _sweep_cap(window), seed)
-
-
-def _admissibility_sweep(window, seed):
-    return cktheory.admissibility_sweep(
-        window, VERIFY_ADMISSIBILITY, _sweep_cap(window), seed + 1
-    )
-
-
-def _verify_reports(datum, bound, seed):
-    # Checks run in order and stop at the first failure; inconsistencies
-    # raised mid-check fail the check that tripped them.  blattner_consistency
-    # reads only the window's rows and series, so the class pass and the
-    # window's matrix first run in vogan_bijection, which their errors fail.
-    window = tempiric_window(datum, bound)
-    checks = [
-        ("blattner_consistency", lambda: cktheory.blattner_consistency_check(window)),
-        ("vogan_bijection", lambda: cktheory.vogan_bijection_check(window)),
-        ("triangularity", lambda: cktheory.triangularity_check(window)),
-        ("dimension_identity", lambda: _identity_sweep(window, seed)),
-        ("admissibility", lambda: _admissibility_sweep(window, seed)),
-    ]
-    reports = []
-    for name, thunk in checks:
-        try:
-            report = thunk()
-        except InternalInconsistencyError as exc:
-            report = cktheory.VerificationReport(
-                name, False, counterexample={"error": str(exc)}
-            )
-        reports.append(report)
-        if not report.passed:
-            break
-    return reports
-
-
 def _cmd_verify(args) -> tuple[int, str]:
     fmt = _pick_format(args, ("txt", "json"), "txt")
     datum = _resolve_datum(args)
-    reports = _verify_reports(datum, args.bound, args.seed)
+    reports = cktheory.verify(tempiric_window(datum, args.bound), args.seed)
     ok = all(r.passed for r in reports)
     if fmt == "json":
         payload = {

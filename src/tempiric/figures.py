@@ -62,8 +62,8 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
     on_grid = set(nodes)
     # The largest Vogan norm on the grid, divided by D once.
     bound = Fraction(max(scaled_norm(datum, node) for node in nodes), datum.gram_scale)
-    reps = tempiric_window(datum, bound).reps
-    by_min = {rep.min_ktype: rep for rep in reps}
+    window = tempiric_window(datum, bound)
+    by_min = {rep.min_ktype: rep for rep in window.reps}
     markers = {}
     partners = {}
     for node in nodes:
@@ -76,19 +76,14 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
             markers[node] = CIRCLE
         elif rep.split:
             markers[node] = SQUARE
-            partner = partner_minimum(rep, reps)
-            if partner not in by_min or partner not in on_grid:
+            partner = partner_minimum(window, rep)
+            if partner not in on_grid:
                 raise InternalInconsistencyError(
                     f"partner of {format_label(node)} falls outside the grid"
                 )
             partners[node] = partner
         else:
             markers[node] = TRIANGLE
-    for node, partner in partners.items():
-        if partners.get(partner) != node:
-            raise InternalInconsistencyError("square pairing is not symmetric")
-        if partner == node:
-            raise InternalInconsistencyError("square pairing has a fixed point")
     return DiagramSpec(
         group=datum.name,
         grid_bound=grid_bound,

@@ -215,18 +215,13 @@ def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
     return _constituents(cls, _certified_minima(datum, cls))
 
 
-def partner_minimum(rep: TempiricRep, reps) -> tuple[int, ...]:
-    """Minimal K-type of the other constituent of a split class among reps."""
-    for other in reps:
-        if (
-            other.kind == "ps"
-            and other.ps_class == rep.ps_class
-            and other.min_ktype != rep.min_ktype
-        ):
-            return other.min_ktype
-    raise InternalInconsistencyError(
-        f"split constituent {rep.describe()} has no partner in the window"
-    )
+def partner_minimum(window: Window, rep: TempiricRep) -> tuple[int, ...]:
+    """Minimal K-type of the other constituent of a split class of the window.
+
+    The other of the two minima that ``Window.classes`` holds for the class.
+    """
+    (first, _), (second, _) = window.classes[rep.ps_class]
+    return second if first == rep.min_ktype else first
 
 
 def _require_ds(datum: GroupDatum):
@@ -490,12 +485,6 @@ class MultMatrix(_Record):
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def dense(self):
-        return [
-            [self.entry(i, j) for j in range(len(self.cols))]
-            for i in range(len(self.rows))
-        ]
-
 
 def _column(window: Window, rep: TempiricRep):
     """One matrix column as ``(resolution flag, entry, support)``.
@@ -526,7 +515,7 @@ def _column(window: Window, rep: TempiricRep):
     if rep.split:
         # Unresolved: 0 only at the partner's minimum; the class pass
         # certified the entry at the column's own minimum to be 1.
-        partner = partner_minimum(rep, window.reps)
+        partner = partner_minimum(window, rep)
         return AGGREGATE_ONLY, lambda i: 0 if rows[i] == partner else int(c in restrictions[i]), held
     return EXACT, lambda i: int(c in restrictions[i]), held
 

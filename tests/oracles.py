@@ -338,3 +338,11 @@ def invert_rational_matrix(rows):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def dense(matrix):
+    """The ``MultMatrix`` as a list of rows, zeros included."""
+    return [
+        [matrix.entries.get((i, j), 0) for j in range(len(matrix.cols))]
+        for i in range(len(matrix.rows))
+    ]

@@ -70,7 +70,7 @@ def test_criterion_2_triangularity_and_inverse():
         for bound in GRID_BOUNDS:
             matrix = mult_matrix(tempiric_window(datum, bound))
             inverse = invert_window(matrix)
-            dense = matrix.dense()
+            dense = oracles.dense(matrix)
             n = len(dense)
             for i in range(n):
                 for j in range(n):

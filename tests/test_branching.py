@@ -108,7 +108,7 @@ def test_support_is_union_over_constituents(sl2r, so31, sp11):
 def test_missing_rule_rejected(sl2r):
     broken = GroupDatum(
         sl2r.name, sl2r.k, sl2r.m, "mystery", sl2r.gram, sl2r.two_rho_c,
-        sl2r.weyl_on_mhat, sl2r.equal_rank, sl2r.ds, sl2r.a_dim,
+        sl2r.weyl_on_mhat, sl2r.equal_rank, sl2r.ds,
     )
     with pytest.raises(ValueError):
         restricted_range(broken, (1,))

@@ -31,7 +31,6 @@ def test_builtin_structure(sl2r, so31, sp11):
     assert sp11.k.atoms == ("SU2", "SU2") and sp11.m.atoms == ("SU2",)
     assert sp11.two_rho_c == (2, 2)
     assert len(sp11.ds.weyl_k) == 4
-    assert all(d.a_dim == 1 for d in (sl2r, so31, sp11))
 
 
 def test_two_rho_c_is_sum_of_compact_roots(sl2r, sp11):

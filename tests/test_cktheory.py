@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import pytest
 
-from tempiric import builtin, cktheory
+from tempiric import builtin, cktheory, tempered
 from tempiric.cktheory import (
     AGGREGATE_ONLY,
     EXACT,
     DEFAULT_SEED,
+    MultMatrix,
     UnresolvedColumnsError,
     admissibility_check,
     blattner_consistency_check,
@@ -18,7 +21,13 @@ from tempiric.cktheory import (
     vogan_bijection_check,
     WindowError,
 )
-from tempiric.tempered import format_label, make_principal_class, tempiric_window
+from tempiric.tempered import (
+    InternalInconsistencyError,
+    TempiricRep,
+    format_label,
+    make_principal_class,
+    tempiric_window,
+)
 from tempiric.weights import FormalSum
 
 import oracles
@@ -196,7 +205,7 @@ def test_invert_so31_bidiagonal(so31):
 def test_invert_sl2r_exact(sl2r):
     matrix = mult_matrix(tempiric_window(sl2r, 9))
     inverse = invert_window(matrix)
-    dense = matrix.dense()
+    dense = oracles.dense(matrix)
     n = len(dense)
     for i in range(n):
         for j in range(n):
@@ -315,3 +324,76 @@ def test_random_ktype_sums_keep_their_draws(so31, sp11):
         assert [list(v.items()) for v in sums] == expected
         for v, terms in zip(sums, expected):
             assert isinstance(v, FormalSum) and v == FormalSum(terms)
+
+
+# Failures that no built-in window reaches: a hand-built window (the
+# ``matrix`` and ``row_index`` the two matrix checks read) or a real window
+# whose columns are monkeypatched.
+
+def _hand_built(rows, cols, entries):
+    matrix = MultMatrix(tuple(rows), tuple(cols), entries, (EXACT,) * len(cols))
+    return SimpleNamespace(matrix=matrix, row_index={tau: i for i, tau in enumerate(rows)})
+
+
+ZERO, FIVE = TempiricRep("ds", (0,), hc_param=(1,)), TempiricRep("ds", (5,), hc_param=(4,))
+
+
+def test_vogan_bijection_fails_when_a_minimum_escapes_the_window():
+    report = vogan_bijection_check(_hand_built([(0,)], [ZERO, FIVE], {(0, 0): 1}))
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": FIVE.describe(),
+        "reason": "minimal K-type escapes the window",
+    }
+
+
+def test_triangularity_fails_when_a_minimum_is_not_in_the_window():
+    report = triangularity_check(_hand_built([(0,)], [FIVE], {}))
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": FIVE.describe(),
+        "reason": "minimal K-type not in the window",
+    }
+
+
+def _doubled_at_minima(monkeypatch):
+    # Every column reads twice its entry at its own minimal K-type.
+    real = tempered._column
+
+    def doubled(window, rep):
+        flag, entry, support = real(window, rep)
+        pivot = window.row_index[rep.min_ktype]
+        return flag, lambda i: 2 * entry(i) if i == pivot else entry(i), support
+
+    monkeypatch.setattr(tempered, "_column", doubled)
+
+
+def test_vogan_bijection_fails_at_a_minimal_multiplicity_other_than_1(monkeypatch, sl2r):
+    _doubled_at_minima(monkeypatch)
+    window = tempiric_window(sl2r, 9)
+    report = vogan_bijection_check(window)
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": window.reps[0].describe(),
+        "multiplicity": 2,
+        "reason": "minimal K-type multiplicity differs from 1",
+    }
+
+
+def test_triangularity_fails_at_a_diagonal_entry_other_than_1(monkeypatch, sl2r):
+    _doubled_at_minima(monkeypatch)
+    window = tempiric_window(sl2r, 9)
+    report = triangularity_check(window)
+    assert not report.passed
+    assert report.counterexample == {
+        "representative": window.reps[0].describe(),
+        "entry": 2,
+        "reason": "diagonal entry differs from 1",
+    }
+
+
+def test_invert_window_raises_when_the_product_check_fails(monkeypatch, sl2r):
+    matrix = tempiric_window(sl2r, 9).matrix
+    monkeypatch.setattr(cktheory, "_sparse_product_is_identity", lambda a, b: False)
+    with pytest.raises(InternalInconsistencyError, match="inverse verification failed"):
+        invert_window(matrix)

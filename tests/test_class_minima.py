@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempiric import cli, tempered, weights
+from tempiric import tempered, weights
 from tempiric.catalog import builtin, load, serialize
 from tempiric.cli import main
 from tempiric.tempered import minimal_ktypes, tempiric_window
@@ -95,7 +95,7 @@ def test_window_enumerates_once_and_never_sweeps(monkeypatch, name):
 
 def test_tempiric_table_enumerates_once(monkeypatch, capsys):
     enumerations = _count_calls(
-        monkeypatch, "enumerate_ktypes", [weights, tempered, cli]
+        monkeypatch, "enumerate_ktypes", [weights, tempered]
     )
     assert main(["tempiric-table", "--group", "Sp11", "--bound", "100"]) == 0
     assert capsys.readouterr().out.startswith("kind,parameters,")

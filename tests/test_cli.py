@@ -67,6 +67,57 @@ def test_ktypes_csv(capsys):
     assert [row[1] for row in rows[1:]] == ["0", "1", "1", "4", "4"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ktypes", "--group", "SL2R", "--bound", "-1"), "bound must be nonnegative"),
+    (("figure", "--group", "SL2R", "--grid-bound", "-1"), "grid bound must be nonnegative"),
+])
+def test_a_negative_bound_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_ktypes_json(capsys):
+    code, out, err = run(capsys, "ktypes", "--group", "SL2R", "--bound", "4", "--format", "json")
+    ktypes = [
+        {"label": [c], "norm": str(c * c), "dim": 1} for c in (0, -1, 1, -2, 2)
+    ]
+    expected = {"group": "SL2R", "bound": "4", "ktypes": ktypes}
+    assert (code, out, err) == (0, json.dumps(expected, indent=2) + "\n", "")
+
+
+def test_ktypes_json_prints_rational_norms(capsys, tmp_path):
+    doc = serialize(builtin("Sp11"))
+    doc["gram"] = ["1/2", "0", "0", "1/2"]
+    path = tmp_path / "sp11-half-gram.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "ktypes", "--group-file", str(path), "--bound", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ktypes"] == [
+        {"label": [0, 0], "norm": "4", "dim": 1},
+        {"label": [0, 1], "norm": "13/2", "dim": 2},
+        {"label": [1, 0], "norm": "13/2", "dim": 2},
+        {"label": [1, 1], "norm": "9", "dim": 4},
+        {"label": [0, 2], "norm": "10", "dim": 3},
+        {"label": [2, 0], "norm": "10", "dim": 3},
+    ]
+
+
+def test_catalog_json_without_a_group_lists_the_builtins(capsys):
+    expected = '{\n  "groups": [\n    "SL2R",\n    "SO31",\n    "Sp11"\n  ]\n}\n'
+    assert run(capsys, "catalog", "--format", "json") == (0, expected, "")
+
+
+def test_figure_text_draws_a_strip(capsys):
+    code, out, err = run(capsys, "figure", "--group", "SL2R", "--grid-bound", "3", "--format", "txt")
+    assert (code, err) == (0, "")
+    assert out == (
+        "# tempered-dual marker diagram (derived pattern), group=SL2R, grid=3\n"
+        "# legend: o=discrete series, s=split principal-series pair, t=unique minimal K-type\n"
+        "# counts: circles=4 squares=2 (pairs=1) triangles=1\n"
+        "o o s t s o o\n"
+        "-3 -2 -1 0 1 2 3\n"
+    )
+
+
 def test_branch_table(capsys):
     code, out, _ = run(
         capsys, "branch", "--group", "Sp11", "--bound", "18", "--format", "json"

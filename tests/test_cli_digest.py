@@ -1,4 +1,10 @@
-"""``tools/cli_digest.py`` digests CLI runs repeatably, and its hashes are the goldens'."""
+"""``tools/cli_digest.py`` digests CLI runs repeatably, and its hashes are the goldens'.
+
+``tests/golden/cli-digest-small.txt`` holds the digest lines of the
+matrix's commands with a bound of -1 to 5 or with no bound, so a change
+of any byte of their output fails here, not only in a two-tree diff of
+the full digest.
+"""
 
 import hashlib
 import importlib.util
@@ -6,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+SMALL_BOUND = 5
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 
@@ -50,3 +57,20 @@ def test_matrix_covers_every_command_format_group_and_bound():
     assert len(matrix) == catalog + groups * (catalog + figures + bounded)
     assert {argv[0] for argv in matrix} == set(tool.FORMATS)
     assert (tool.BOUNDS[0], tool.BOUNDS[-1]) == (-1, 100)
+
+
+def small_matrix(tool) -> list[tuple[str, ...]]:
+    """The matrix's commands with no bound or a bound of at most SMALL_BOUND."""
+    return [
+        argv for argv in tool.command_matrix()
+        if all(int(a.partition("=")[2]) <= SMALL_BOUND for a in argv if a.startswith("--bound="))
+    ]
+
+
+def test_small_digest_matches_the_golden(tmp_path, monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    tool.write_group_files(tmp_path)
+    lines = [tool.digest_line(argv) for argv in small_matrix(tool)]
+    assert len(lines) == 548
+    assert "".join(line + "\n" for line in lines) == (GOLDEN / "cli-digest-small.txt").read_text()

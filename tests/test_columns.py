@@ -69,7 +69,8 @@ DATA = {
 }
 
 
-def _expected_entry(datum, matrix, j, tau):
+def _expected_entry(window, matrix, j, tau):
+    datum = window.datum
     rep = matrix.cols[j]
     if rep.kind == "ds":
         return oracles.blattner_by_enumeration(datum, rep.hc_param, tau)
@@ -79,7 +80,7 @@ def _expected_entry(datum, matrix, j, tau):
     if matrix.resolution[j] == AGGREGATE_ONLY:
         if tau == rep.min_ktype:
             return 1
-        if tau == partner_minimum(rep, matrix.cols):
+        if tau == partner_minimum(window, rep):
             return 0
         return induced
     # a resolved split pair divides the odd ladder by sign
@@ -90,11 +91,12 @@ def _expected_entry(datum, matrix, j, tau):
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_every_matrix_entry_matches_the_oracles(name):
     datum = DATA[name]()
-    matrix = mult_matrix(tempiric_window(datum, 41))
+    window = tempiric_window(datum, 41)
+    matrix = mult_matrix(window)
     assert matrix.rows and matrix.cols
     for j in range(len(matrix.cols)):
         for i, tau in enumerate(matrix.rows):
-            assert matrix.entry(i, j) == _expected_entry(datum, matrix, j, tau), (
+            assert matrix.entry(i, j) == _expected_entry(window, matrix, j, tau), (
                 name, tau, matrix.cols[j].describe()
             )
     assert all(v != 0 for v in matrix.entries.values())
@@ -201,7 +203,7 @@ def test_series_refuse_a_root_listed_unevenly(name, roots):
     with pytest.raises(InternalInconsistencyError) as raised:
         tempiric_window(datum, 60).series
     assert str(raised.value) == str(scanned.value)
-    reports = cli._verify_reports(datum, Fraction(60), cktheory.DEFAULT_SEED)
+    reports = cktheory.verify(tempiric_window(datum, 60), cktheory.DEFAULT_SEED)
     assert [(r.name, r.counterexample) for r in reports] == [
         ("blattner_consistency", {"error": str(scanned.value)})
     ]
@@ -341,7 +343,7 @@ def test_verify_walks_each_series_once(monkeypatch, name):
     # K-type once more, alone.
     datum = DATA[name]()
     walks = _record_walks(monkeypatch)
-    reports = cli._verify_reports(datum, Fraction(60), cktheory.DEFAULT_SEED)
+    reports = cktheory.verify(tempiric_window(datum, 60), cktheory.DEFAULT_SEED)
     assert [r.name for r in reports if r.passed] == [
         "blattner_consistency", "vogan_bijection", "triangularity",
         "dimension_identity", "admissibility",

@@ -1,8 +1,5 @@
-from types import SimpleNamespace
-
 import pytest
 
-from tempiric import figures
 from tempiric.figures import (
     CIRCLE,
     SQUARE,
@@ -12,12 +9,7 @@ from tempiric.figures import (
     render_svg,
     render_text,
 )
-from tempiric.tempered import (
-    InternalInconsistencyError,
-    TempiricRep,
-    ds_enumerate,
-    tempiric_window,
-)
+from tempiric.tempered import ds_enumerate
 
 
 def test_sp11_grid_partition(sp11):
@@ -109,18 +101,3 @@ def test_grid_requires_low_dimension(sl2r):
     with pytest.raises(ValueError):
         build_diagram(sl2r, -1)
 
-
-def test_split_node_without_partner_is_an_inconsistency(sl2r, monkeypatch):
-    # Relabel one constituent of the split pair as a discrete series: the
-    # lookup of the other's partner must fail as an inconsistency, not
-    # leak StopIteration.
-    def lone_split(datum, bound):
-        return SimpleNamespace(reps=[
-            TempiricRep("ds", rep.min_ktype, (0,), rep.ps_class, rep.split)
-            if rep.min_ktype == (-1,) else rep
-            for rep in tempiric_window(datum, bound).reps
-        ])
-
-    monkeypatch.setattr(figures, "tempiric_window", lone_split)
-    with pytest.raises(InternalInconsistencyError, match="no partner"):
-        build_diagram(sl2r, 4)

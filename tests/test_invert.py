@@ -115,7 +115,7 @@ def test_sparse_product_check_sees_every_entry():
 @pytest.mark.parametrize("bound", GRID_BOUNDS)
 def test_builtin_windows_match_dense_oracle(request, name, bound):
     matrix = mult_matrix(tempiric_window(request.getfixturevalue(name), bound))
-    assert invert_window(matrix) == _oracle(matrix.dense())
+    assert invert_window(matrix) == _oracle(oracles.dense(matrix))
 
 
 def _unimodular(draw_lower, draw_upper, perm):

@@ -34,6 +34,8 @@ DATA = {
     "Sp11-half-gram": _half_gram_sp11,
 }
 BOUNDS = (Fraction(0), Fraction(1, 3), Fraction(10), Fraction(41), Fraction(100))
+# verify's draws: pairs and samples from the rows of norm <= min(bound, NORM_CAP).
+PAIRS, SAMPLES, NORM_CAP = 200, 100, 60
 
 
 def _recorded(monkeypatch, check, run):
@@ -65,33 +67,37 @@ def _restricts_like_the_branching_rule(window, v):
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_identity_sweep_equals_the_public_check(monkeypatch, name, bound):
     window = tempiric_window(DATA[name](), bound)
-    final, calls = _recorded(
+    reports, calls = _recorded(
         monkeypatch, "dimension_identity_check",
-        lambda: cli._identity_sweep(window, DEFAULT_SEED),
+        lambda: cktheory.verify(window, DEFAULT_SEED),
     )
-    cap = min(bound, Fraction(cli.VERIFY_NORM_CAP))
-    sums = random_ktype_sums(window, 2 * cli.VERIFY_PAIRS, cap, DEFAULT_SEED)
+    final = reports[3]
+    cap = min(bound, Fraction(NORM_CAP))
+    sums = random_ktype_sums(window, 2 * PAIRS, cap, DEFAULT_SEED)
     pairs = list(zip(sums[0::2], sums[1::2]))
     assert [args for args, _ in calls] == [(window, v1, v2) for v1, v2 in pairs]
     assert all(report.passed for _, report in calls)
     assert all(_restricts_like_the_branching_rule(window, v) for v in sums)
-    assert final.passed and final.data == {"pairs": cli.VERIFY_PAIRS}
+    assert final.name == "dimension_identity"
+    assert final.passed and final.data == {"pairs": PAIRS}
 
 
 @pytest.mark.parametrize("bound", BOUNDS, ids=str)
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_admissibility_sweep_equals_the_public_check(monkeypatch, name, bound):
     window = tempiric_window(DATA[name](), bound)
-    final, calls = _recorded(
+    reports, calls = _recorded(
         monkeypatch, "admissibility_check",
-        lambda: cli._admissibility_sweep(window, DEFAULT_SEED),
+        lambda: cktheory.verify(window, DEFAULT_SEED),
     )
-    cap = min(bound, Fraction(cli.VERIFY_NORM_CAP))
-    sums = random_ktype_sums(window, cli.VERIFY_ADMISSIBILITY, cap, DEFAULT_SEED + 1)
+    final = reports[4]
+    cap = min(bound, Fraction(NORM_CAP))
+    sums = random_ktype_sums(window, SAMPLES, cap, DEFAULT_SEED + 1)
     assert [args for args, _ in calls] == [(window, v) for v in sums]
     assert all(report.passed for _, report in calls)
     assert all(_restricts_like_the_branching_rule(window, v) for v in sums)
-    assert final.passed and final.data == {"samples": cli.VERIFY_ADMISSIBILITY}
+    assert final.name == "admissibility"
+    assert final.passed and final.data == {"samples": SAMPLES}
 
 
 @pytest.mark.parametrize("bound", BOUNDS, ids=str)
@@ -155,8 +161,8 @@ def test_verify_sweeps_call_the_public_checks(capsys, monkeypatch, group):
     assert cli.main(["verify", "--group", group, "--bound", "41"]) == 0
     capsys.readouterr()
     assert counts == {
-        "dimension_identity_check": cli.VERIFY_PAIRS,
-        "admissibility_check": cli.VERIFY_ADMISSIBILITY,
+        "dimension_identity_check": PAIRS,
+        "admissibility_check": SAMPLES,
     }
 
 
@@ -189,8 +195,8 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     window = tempiric_window(sl2r, 0)
     assert [cls.orbit for cls in window.classes] == [((0,),)]
     assert (1,) not in window.class_of
-    report = cli._identity_sweep(window, DEFAULT_SEED)
-    assert report.passed
+    report = cktheory.verify(window, DEFAULT_SEED)[3]
+    assert report.name == "dimension_identity" and report.passed
     v = FormalSum({(0,): 1})
     blocks = cktheory.boundary_block_dims(window, v, v)
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [

@@ -123,6 +123,18 @@ def test_ds_enumerate_sl2r(sl2r):
         assert lowest == lam + (1 if lam > 0 else -1)
 
 
+def test_ds_enumerate_refuses_two_parameters_sharing_a_lowest_ktype(monkeypatch, sl2r):
+    # No loadable datum maps two kept parameters to one lowest K-type, so
+    # every parameter's lowest K-type is made (0); SL2R keeps -2, -1, 1, 2
+    # at bound 9, in that order.
+    monkeypatch.setattr(tempered, "_lowest_ktype", lambda datum, lam, base: (0,))
+    with pytest.raises(
+        tempered.InternalInconsistencyError,
+        match=r"^parameters \(-2,\) and \(-1,\) share lowest K-type \(0\)$",
+    ):
+        ds_enumerate(sl2r, 9)
+
+
 def test_ds_enumerate_requires_equal_rank(so31):
     with pytest.raises(ValueError):
         ds_enumerate(so31, 10)

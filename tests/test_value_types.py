@@ -44,7 +44,7 @@ FIELDS = {
     DiscreteSeriesDatum: ("compact_pos_roots", "noncompact_roots", "weyl_k"),
     GroupDatum: (
         "name", "k", "m", "branching_rule", "gram", "two_rho_c", "weyl_on_mhat",
-        "equal_rank", "ds", "a_dim",
+        "equal_rank", "ds",
     ),
     PrincipalClass: ("orbit", "w_sigma_order"),
     TempiricRep: ("kind", "min_ktype", "hc_param", "ps_class", "split"),
