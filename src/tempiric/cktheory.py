@@ -433,7 +433,8 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     never the class pass.
     Vacuous for unequal-rank groups.  Raises ``WindowTooLargeError``
     before evaluating any multiplicity when series x window K-types
-    exceeds ``MAX_WINDOW_ENTRIES``.
+    exceeds ``MAX_WINDOW_ENTRIES``, and before reading the rows when
+    ``Window.refuse_oversize_boxes`` refuses a label box.
     """
     name = "blattner_consistency"
     datum = window.datum
@@ -453,6 +454,7 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                 "reason": "two_rho_c differs from the sum of positive compact roots",
             },
         )
+    window.refuse_oversize_boxes()
     rows, series = window.rows, window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
     for rep in series:

@@ -4,6 +4,11 @@ matrix export, and lattice diagrams.
 Each command formats what the library computes: ``ktypes``, ``branch``,
 ``tempiric-table``, ``ck-matrix`` and ``verify`` read the ``Window`` of
 their group and bound, and ``verify`` prints ``cktheory.verify``'s reports.
+``_COMMANDS`` declares each command once: its handler, help text, numeric
+flag and formats, default first.  The parser is built from it, and
+``main`` refuses a format the command lacks before the handler loads a
+group.  ``ktypes``, ``branch`` and ``tempiric-table`` only build rows;
+``_table`` writes every row table, as JSON records or CSV lines.
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error.  All output is deterministic given the arguments
@@ -58,41 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tempered-dual multiplicity structure for rank-one groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, bound=False, grid=False):
+    for name, (_, help_text, flag, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--group", help="built-in group name")
         group.add_argument("--group-file", help="path to a group definition JSON file")
-        if bound:
-            p.add_argument(
-                "--bound", type=_fraction_arg, required=True,
-                help="Vogan norm bound of the window (rational)",
-            )
-        if grid:
-            p.add_argument(
-                "--grid-bound", type=int, required=True,
-                help="maximum label coordinate of the diagram grid",
-            )
+        if flag:
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument(flag, type=kind, required=True, help=flag_help)
         p.add_argument("--format", default=None, help="output format")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument(
             "--seed", type=int, default=DEFAULT_SEED,
             help="seed for randomized checks (default %(default)s)",
         )
-
-    common(sub.add_parser("catalog", help="list built-ins or show one group"))
-    common(sub.add_parser("ktypes", help="enumerate the K-type window"), bound=True)
-    common(sub.add_parser("branch", help="branching table over the window"), bound=True)
-    common(
-        sub.add_parser("tempiric-table", help="tempered representatives of the window"),
-        bound=True,
-    )
-    common(
-        sub.add_parser("ck-matrix", help="multiplicity matrix and inverse"),
-        bound=True,
-    )
-    common(sub.add_parser("verify", help="run all machine checks"), bound=True)
-    common(sub.add_parser("figure", help="marker diagram of the label grid"), grid=True)
     return parser
 
 
@@ -106,15 +90,6 @@ def _resolve_datum(args):
     if args.group:
         return builtin(args.group)
     raise _UsageError("one of --group or --group-file is required")
-
-
-def _pick_format(args, allowed, default):
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise _UsageError(
-            f"format {fmt!r} not supported here; choose from {', '.join(allowed)}"
-        )
-    return fmt
 
 
 def _csv_text(header, rows) -> str:
@@ -174,8 +149,18 @@ def _json(value, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _cmd_catalog(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("txt", "json"), "txt")
+def _table(fmt: str, datum, bound, key: str, header: tuple, rows) -> str:
+    # A row table.  JSON: the group, the bound and one record per row under
+    # key.  CSV: the header and one line per row, with labels (tuples)
+    # formatted and booleans in lower case.
+    if fmt == "json":
+        records = [dict(zip(header, row)) for row in rows]
+        return _json_text({"group": datum.name, "bound": _number(bound), key: records})
+    cell = {tuple: format_label, bool: lambda flag: str(flag).lower()}
+    return _csv_text(header, ([cell.get(type(v), str)(v) for v in row] for row in rows))
+
+
+def _cmd_catalog(args, fmt) -> tuple[int, str]:
     if not (args.group or args.group_file):
         if fmt == "json":
             return 0, _json_text({"groups": list(BUILTIN_NAMES)})
@@ -197,29 +182,16 @@ def _cmd_catalog(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_ktypes(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("csv", "json"), "csv")
+def _cmd_ktypes(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
-    records = [
+    rows = [
         (tau, _number(Fraction(norm, datum.gram_scale)), weyl_dim(datum.k, tau))
         for norm, tau in tempiric_window(datum, args.bound).ranked
     ]
-    if fmt == "json":
-        payload = {
-            "group": datum.name,
-            "bound": _number(args.bound),
-            "ktypes": [
-                {"label": list(tau), "norm": norm, "dim": dim} for tau, norm, dim in records
-            ],
-        }
-        return 0, _json_text(payload)
-    return 0, _csv_text(
-        ("label", "norm", "dim"), [(format_label(t), n, d) for t, n, d in records]
-    )
+    return 0, _table(fmt, datum, args.bound, "ktypes", ("label", "norm", "dim"), rows)
 
 
-def _cmd_branch(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("csv", "json"), "csv")
+def _cmd_branch(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
     window = tempiric_window(datum, args.bound)
     ranges = window.restrictions
@@ -230,60 +202,24 @@ def _cmd_branch(args) -> tuple[int, str]:
             f"above the limit of {limit}"
         )
     rows = [(tau, (c,), 1) for tau, labels in zip(window.rows, ranges) for c in labels]
-    if fmt == "json":
-        payload = {
-            "group": datum.name,
-            "bound": _number(args.bound),
-            "branchings": [
-                {"ktype": list(tau), "mtype": list(sigma), "multiplicity": mult}
-                for tau, sigma, mult in rows
-            ],
-        }
-        return 0, _json_text(payload)
-    return 0, _csv_text(
-        ("ktype", "mtype", "multiplicity"),
-        [(format_label(t), format_label(s), m) for t, s, m in rows],
-    )
+    header = ("ktype", "mtype", "multiplicity")
+    return 0, _table(fmt, datum, args.bound, "branchings", header, rows)
 
 
-def _rep_record(datum, rep) -> dict:
-    if rep.kind == "ds":
-        params = format_label(rep.hc_param)
-        kind = "discrete-series"
-    else:
-        params = rep.ps_class.describe()
-        kind = "principal-series"
-    return {
-        "kind": kind,
-        "parameters": params,
-        "minimal_ktype": list(rep.min_ktype),
-        "split": rep.split,
-        "vogan_norm": _number(vogan_norm(datum, rep.min_ktype)),
-    }
-
-
-def _cmd_tempiric_table(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("csv", "json"), "csv")
+def _cmd_tempiric_table(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
-    reps = tempiric_window(datum, args.bound).reps
-    records = [_rep_record(datum, rep) for rep in reps]
-    if fmt == "json":
-        return 0, _json_text(
-            {"group": datum.name, "bound": _number(args.bound), "records": records}
-        )
     rows = [
         (
-            r["kind"],
-            r["parameters"],
-            format_label(r["minimal_ktype"]),
-            str(r["split"]).lower(),
-            r["vogan_norm"],
+            "discrete-series" if rep.kind == "ds" else "principal-series",
+            format_label(rep.hc_param) if rep.kind == "ds" else rep.ps_class.describe(),
+            rep.min_ktype,
+            rep.split,
+            _number(vogan_norm(datum, rep.min_ktype)),
         )
-        for r in records
+        for rep in tempiric_window(datum, args.bound).reps
     ]
-    return 0, _csv_text(
-        ("kind", "parameters", "minimal_ktype", "split", "vogan_norm"), rows
-    )
+    header = ("kind", "parameters", "minimal_ktype", "split", "vogan_norm")
+    return 0, _table(fmt, datum, args.bound, "records", header, rows)
 
 
 def _column_descriptor(rep) -> dict:
@@ -302,8 +238,7 @@ def _column_descriptor(rep) -> dict:
     }
 
 
-def _cmd_ck_matrix(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("json", "csv"), "json")
+def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
     matrix = tempiric_window(datum, args.bound).matrix
     inverse = None
@@ -340,8 +275,7 @@ def _cmd_ck_matrix(args) -> tuple[int, str]:
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 
-def _cmd_verify(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("txt", "json"), "txt")
+def _cmd_verify(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
     reports = cktheory.verify(tempiric_window(datum, args.bound), args.seed)
     ok = all(r.passed for r in reports)
@@ -371,8 +305,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_figure(args) -> tuple[int, str]:
-    fmt = _pick_format(args, ("txt", "dot", "svg"), "txt")
+def _cmd_figure(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
     try:
         spec = figures.build_diagram(datum, args.grid_bound)
@@ -386,22 +319,38 @@ def _cmd_figure(args) -> tuple[int, str]:
     return 0, renderer(spec)
 
 
+# The numeric flag each command may require: (type, help).
+_FLAGS = {
+    "--bound": (_fraction_arg, "Vogan norm bound of the window (rational)"),
+    "--grid-bound": (int, "maximum label coordinate of the diagram grid"),
+}
+
+# name: (handler, help, numeric flag, formats with the default first)
 _COMMANDS = {
-    "catalog": _cmd_catalog,
-    "ktypes": _cmd_ktypes,
-    "branch": _cmd_branch,
-    "tempiric-table": _cmd_tempiric_table,
-    "ck-matrix": _cmd_ck_matrix,
-    "verify": _cmd_verify,
-    "figure": _cmd_figure,
+    "catalog": (_cmd_catalog, "list built-ins or show one group", None, ("txt", "json")),
+    "ktypes": (_cmd_ktypes, "enumerate the K-type window", "--bound", ("csv", "json")),
+    "branch": (_cmd_branch, "branching table over the window", "--bound", ("csv", "json")),
+    "tempiric-table": (
+        _cmd_tempiric_table, "tempered representatives of the window", "--bound", ("csv", "json"),
+    ),
+    "ck-matrix": (_cmd_ck_matrix, "multiplicity matrix and inverse", "--bound", ("json", "csv")),
+    "verify": (_cmd_verify, "run all machine checks", "--bound", ("txt", "json")),
+    "figure": (
+        _cmd_figure, "marker diagram of the label grid", "--grid-bound", ("txt", "dot", "svg"),
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, _, formats = _COMMANDS[args.command]
     try:
-        code, text = _COMMANDS[args.command](args)
+        fmt = args.format or formats[0]
+        if fmt not in formats:
+            raise _UsageError(
+                f"format {fmt!r} not supported here; choose from {', '.join(formats)}"
+            )
+        code, text = handler(args, fmt)
     except (_UsageError, CatalogError, WindowError, WindowTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

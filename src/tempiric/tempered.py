@@ -770,18 +770,24 @@ class Window(_Value):
         """The discrete series of the window; none for unequal rank."""
         return ds_enumerate(self.datum, self.bound) if self.datum.equal_rank else []
 
-    @cached_property
-    def reps(self) -> list[TempiricRep]:
-        """The representatives minimal in the window, aligned with its rows.
+    def refuse_oversize_boxes(self) -> None:
+        """Refuse an oversize label box before any row or series is built.
 
-        For equal rank, an oversize label box is refused before the class
-        pass runs: first the rows' ``ktype_axes`` (so the refusal names
-        the box the rows would have been refused for), then the series'
-        ``_parameter_box``.
+        For equal rank at a nonnegative bound: first the rows'
+        ``ktype_axes`` (so the refusal names the box the rows would have
+        been refused for), then the series' ``_parameter_box``.
         """
         if self.datum.equal_rank and self.bound >= 0:
             ktype_axes(self.datum, self.bound)
             _parameter_box(self.datum, self.bound)
+
+    @cached_property
+    def reps(self) -> list[TempiricRep]:
+        """The representatives minimal in the window, aligned with its rows.
+
+        ``refuse_oversize_boxes`` runs before the class pass.
+        """
+        self.refuse_oversize_boxes()
         reps: list[TempiricRep] = []
         for cls, minima in self.classes.items():
             reps.extend(_constituents(cls, minima))

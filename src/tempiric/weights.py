@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt, log10, prod
+from math import floor, isqrt, log10, prod
 from operator import mul
 
 TORUS1 = "Torus1"
@@ -315,18 +315,20 @@ def _axis_size(axis) -> int:
 
 
 def _decimal(value) -> str:
-    # str(value), or "~10^e" for a number past Python's limit on
-    # int-to-str digits, so a refusal never fails on the number it refuses.
+    # str(value), or "~10^e" with the sign of value, 10^e <= |value| <
+    # 10^(e+1), for a number past Python's limit on int-to-str digits, so a
+    # refusal never fails on the number it refuses.
     try:
         return str(value)
     except ValueError:
-        n = int(value)
-        e = int(log10(n))  # floor(log10(n)), up to rounding; corrected below
-        if 10**e > n:
+        size = abs(Fraction(value))
+        # floor(log10(size)), up to rounding; corrected below
+        e = floor(log10(size.numerator) - log10(size.denominator))
+        while Fraction(10) ** e > size:
             e -= 1
-        elif 10 ** (e + 1) <= n:
+        while Fraction(10) ** (e + 1) <= size:
             e += 1
-        return f"~10^{e}"
+        return f"{'-' if value < 0 else ''}~10^{e}"
 
 
 def require_box_within_limit(axes, bound) -> None:

@@ -368,6 +368,21 @@ def test_ck_matrix_refuses_the_parameter_box_before_enumerating_rows(capsys, mon
     )
 
 
+def test_verify_refuses_the_parameter_box_before_enumerating_rows(capsys, monkeypatch):
+    # blattner_consistency, verify's first check, refuses both label boxes
+    # before it reads the window's rows.
+    def no_rows(*args):
+        raise AssertionError("enumerate_ktypes called")
+
+    monkeypatch.setattr(tempered, "enumerate_ktypes", no_rows)
+    code, out, err = run(capsys, "verify", "--group", "Sp11", "--bound", "1e6")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bound 1000000 needs a box of 4052169 labels, "
+        "above the limit of 1000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

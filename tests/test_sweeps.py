@@ -232,3 +232,11 @@ def test_composite_map_refusal_names_a_huge_bound():
     with pytest.raises(WindowError) as refusal:
         cktheory.composite_map(_huge_window(), (7,))
     assert str(refusal.value) == "K-type (7) has norm above the window bound ~10^5001"
+
+
+def test_restriction_refusal_names_a_tiny_bound():
+    # 1/10^5000 has a denominator past the digit limit and lies below 1.
+    window = tempiric_window(builtin("SL2R"), Fraction(1, 10**5000))
+    with pytest.raises(WindowError) as refusal:
+        window.restriction(FormalSum({(3,): 1}))
+    assert str(refusal.value) == "K-type (3) is not in the window of bound ~10^-5000"

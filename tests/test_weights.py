@@ -193,6 +193,21 @@ def test_box_refusal_names_any_bound(bound, text):
     )
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-(10**5000), "-~10^5000"),
+        (Fraction(1, 10**5000), "~10^-5000"),
+        (Fraction(1, 10**5000 + 1), "~10^-5001"),
+        (Fraction(-1, 10**5000 - 1), "-~10^-5000"),
+    ],
+    ids=["-1e5000", "1e-5000", "1/(1e5000+1)", "-1/(1e5000-1)"],
+)
+def test_decimal_names_negative_and_tiny_numbers(value, text):
+    # A sign and the power of ten e with 10^e <= |value| < 10^(e+1).
+    assert weights._decimal(value) == text
+
+
 @pytest.mark.parametrize("group", [(TORUS1,), (SO3,), (SU2, CYCLIC2), (TORUS1, SU2)])
 def test_labels_in_box_refuses_an_oversize_box(group):
     group = CompactGroup(group)

@@ -123,10 +123,14 @@ def digest_line(argv) -> str:
     return "\t".join([" ".join(argv), str(code), *hashes])
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    src = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src"
-    sys.path.insert(0, str(src.resolve()))
+def run_matrix(src, visit) -> None:
+    """Call visit(argv) on every command of the matrix, in order.
+
+    The package is imported from src, without writing bytecode, and
+    visit runs in a temporary working directory that holds the
+    ``GROUP_FILES``.
+    """
+    sys.path.insert(0, str(Path(src).resolve()))
     sys.dont_write_bytecode = True
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
@@ -134,9 +138,15 @@ def main(argv=None) -> int:
         try:
             write_group_files(directory)
             for command in command_matrix():
-                print(digest_line(command), flush=True)
+                visit(command)
         finally:
             os.chdir(home)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    src = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src"
+    run_matrix(src, lambda command: print(digest_line(command), flush=True))
     return 0
 
 
