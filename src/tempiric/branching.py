@@ -1,11 +1,13 @@
 """Restriction from K to M for the catalog pairs.
 
 Branching is template based: each catalog entry names one of three rules,
-and the rule fixes how a K-label decomposes over M and which K-label
-witnesses each M-type (``witness_ktype``).  The multiplicity-space
-dimension of an M-type sigma against V is the multiplicity of the dual
-of sigma in V's restriction, under the dual convention of the weights
-module (circle characters dualize by sign flip).
+and ``BRANCHING_RULES`` declares each rule once, as one row: the K and M
+atom shapes it joins, how a K-label restricts to M
+(``restricted_range``) and which K-label witnesses each M-type
+(``witness_ktype``).  The multiplicity-space dimension of an M-type sigma
+against V is the multiplicity of the dual of sigma in V's restriction,
+under the dual convention of the weights module (circle characters
+dualize by sign flip).
 """
 
 from __future__ import annotations
@@ -22,12 +24,24 @@ PARITY = "parity"
 TORUS_RESTRICTION = "torus-restriction"
 CLEBSCH_DIAGONAL = "clebsch-diagonal"
 
-# rule id -> (K atom shape, M atom shape)
+# rule id -> (K atom shape, M atom shape, restriction, witness).  The
+# restriction maps a K-label's entries to the range of c whose M-label
+# (c,) occurs, each once; the witness maps an M-label's entries to a
+# K-label whose restriction contains the dual of that M-type.
 BRANCHING_RULES = {
-    PARITY: ((TORUS1,), (CYCLIC2,)),
-    TORUS_RESTRICTION: ((SO3,), (TORUS1,)),
-    CLEBSCH_DIAGONAL: ((SU2, SU2), (SU2,)),
+    PARITY: ((TORUS1,), (CYCLIC2,), lambda n: range(n % 2, n % 2 + 1), lambda n: (n,)),
+    TORUS_RESTRICTION: ((SO3,), (TORUS1,), lambda j: range(-j, j + 1), lambda n: (abs(n),)),
+    CLEBSCH_DIAGONAL: (
+        (SU2, SU2), (SU2,), lambda a, b: range(abs(a - b), a + b + 1, 2), lambda c: (c, 0),
+    ),
 }
+
+
+def _rule(datum) -> tuple:
+    try:
+        return BRANCHING_RULES[datum.branching_rule]
+    except KeyError:
+        raise ValueError(f"no branching rule {datum.branching_rule!r} for this group pair") from None
 
 
 def restricted_range(datum, tau) -> range:
@@ -39,17 +53,7 @@ def restricted_range(datum, tau) -> range:
     |a-b|..a+b in steps of 2.  The range ascends, as labels sort.
     """
     tau = validate_label(datum.k, tau)
-    rule = datum.branching_rule
-    if rule == PARITY:
-        (n,) = tau
-        return range(n % 2, n % 2 + 1)
-    if rule == TORUS_RESTRICTION:
-        (j,) = tau
-        return range(-j, j + 1)
-    if rule == CLEBSCH_DIAGONAL:
-        a, b = tau
-        return range(abs(a - b), a + b + 1, 2)
-    raise ValueError(f"no branching rule {rule!r} for this group pair")
+    return _rule(datum)[2](*tau)
 
 
 def witness_ktype(datum, sigma) -> tuple[int, ...]:
@@ -58,16 +62,7 @@ def witness_ktype(datum, sigma) -> tuple[int, ...]:
     Its Vogan norm bounds the minimal norm of sigma's class from above.
     """
     sigma = validate_label(datum.m, sigma)
-    rule = datum.branching_rule
-    if rule == PARITY:
-        return sigma
-    if rule == TORUS_RESTRICTION:
-        (n,) = sigma
-        return (abs(n),)
-    if rule == CLEBSCH_DIAGONAL:
-        (c,) = sigma
-        return (c, 0)
-    raise ValueError(f"no branching rule {rule!r} for this group pair")
+    return _rule(datum)[3](*sigma)
 
 
 def restricted_support(duals, restricted) -> tuple[tuple[int, ...], ...]:

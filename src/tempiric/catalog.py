@@ -136,13 +136,11 @@ def _validate(datum: GroupDatum) -> GroupDatum:
     rule = BRANCHING_RULES.get(datum.branching_rule)
     if rule is None:
         raise CatalogError(f"branching_rule: unknown rule {datum.branching_rule!r}")
-    if rule != (datum.k.atoms, datum.m.atoms):
+    if rule[:2] != (datum.k.atoms, datum.m.atoms):
         raise CatalogError(
             f"branching_rule: {datum.branching_rule!r} expects K={rule[0]}, M={rule[1]}, "
             f"got K={datum.k.atoms}, M={datum.m.atoms}"
         )
-    if len(datum.gram) != dim or any(len(row) != dim for row in datum.gram):
-        raise CatalogError(f"gram: expected a {dim}x{dim} matrix")
     for i in range(dim):
         for j in range(i, dim):
             if datum.gram[i][j] != datum.gram[j][i]:

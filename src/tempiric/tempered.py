@@ -528,11 +528,15 @@ def mult_matrix(window: Window) -> MultMatrix:
     first negative entry and the work follows the nonzeros: a series'
     rows its walk reached, a class's rows that hold its dual.  Raises
     ``WindowTooLargeError`` before evaluating any entry when rows x
-    columns exceeds ``MAX_WINDOW_ENTRIES``.
+    columns exceeds ``MAX_WINDOW_ENTRIES``: first rows x rows, before the
+    class pass, then rows x columns.
     """
-    # reps first: it refuses an oversize label box before the rows exist.
-    reps = window.reps
+    # The label boxes are refused before the rows exist, and a consistent
+    # window is square, so rows x rows is refused before the class pass.
+    window.refuse_oversize_boxes()
     rows = window.rows
+    require_entries_within_limit(len(rows), len(rows), window.bound)
+    reps = window.reps
     require_entries_within_limit(len(rows), len(reps), window.bound)
     entries: dict = {}
     resolution = []

@@ -341,6 +341,24 @@ def test_oversize_window_entries_exit_2_quickly(command):
     assert "window entries, above the limit of 1000000" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["ck-matrix", "verify"])
+def test_oversize_square_window_is_refused_before_the_class_pass(capsys, monkeypatch, command):
+    # SO31 has no discrete series, so no parameter box refuses it early; its
+    # 10^4 rows x 10^4 rows are refused before the class pass looks up a
+    # single class.
+    def no_classes(*args):
+        raise AssertionError("the class pass ran")
+
+    for name in ("_principal_class_of", "_constituents"):
+        monkeypatch.setattr(tempered, name, no_classes)
+    code, out, err = run(capsys, command, "--group", "SO31", "--bound", "1e8")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bound 100000000 needs 10000 x 10000 = 100000000 window entries, "
+        "above the limit of 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["tempiric-table", "ck-matrix"])
 def test_oversize_parameter_box_exits_2_before_the_class_pass(command):
     # Sp11 at bound 10^6 has a 998,001-label K-type box, under the limit,

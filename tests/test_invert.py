@@ -7,6 +7,8 @@ against the dense ``Fraction`` Gauss-Jordan of
 elimination.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from tempiric.cktheory import (
     invert_window,
     mult_matrix,
 )
+from tempiric.catalog import builtin, serialize
+from tempiric.cli import main
 from tempiric.tempered import InternalInconsistencyError, tempiric_window
 
 import oracles
@@ -151,3 +155,45 @@ def unimodular_matrices(draw):
 @given(unimodular_matrices())
 def test_random_unimodular_matches_dense_oracle(dense):
     assert invert_window(_matrix(dense)) == _oracle(dense)
+
+
+# SO31 with two_rho_c set to [-1] is a group file that verify rejects, yet
+# ck-matrix prints an inverse for it: its elimination clears entries of the
+# matrix part (the holders discard in invert_window), which no command of
+# tools/cli_digest.py reaches.  Hashes recorded from the tree before the
+# branching rules became table rows; a change to what invert_window owes
+# such a file shows here as changed bytes.
+WRONG_RHO_C_PINS = {
+    "10": "6a6f57b51b99f89324e5feb3674915fae25b76ae7158a036a88410af7242dd4d",
+    "20": "7cf23a28624515fc050afbe29aec9d1ff98e52d639703cdda1446eaa22082422",
+    "40": "6dc50c1173caa55395d468a9d5def1e32d0a8f5117ffe6ccb380fc9e1a2808c9",
+    "60": "3d8ea3eab2b88314a228abdd6e174592b7dccead16be969520a63a2a7a036784",
+}
+
+
+@pytest.fixture
+def wrong_rho_c_file(tmp_path):
+    document = serialize(builtin("SO31"))
+    document["two_rho_c"] = [-1]
+    path = tmp_path / "SO31-wrong-rho-c.json"
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bound", sorted(WRONG_RHO_C_PINS, key=int))
+def test_ck_matrix_inverts_a_window_that_verify_rejects(capsys, wrong_rho_c_file, bound):
+    assert main(["ck-matrix", "--group-file", wrong_rho_c_file, "--bound", bound]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WRONG_RHO_C_PINS[bound]
+
+
+def test_verify_rejects_the_wrong_two_rho_c(capsys, wrong_rho_c_file):
+    assert main(["verify", "--group-file", wrong_rho_c_file, "--bound", "40"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "# verify group=SO31 bound=40 seed=1729",
+        "blattner_consistency: pass",
+        'vogan_bijection: FAIL {"ktype": "(1)", "representatives": '
+        '["PS(sigma={(-1)|(1)},min=(1))", "PS(sigma={(0)},min=(1))"], '
+        '"reason": "two representatives share a minimal K-type"}',
+        "# FAILURES detected",
+    ]
