@@ -14,11 +14,17 @@ Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
 ``EXACT``, ``AGGREGATE_ONLY`` and ``WindowError``), and the M-side
 checks its restrictions, duals and orbits, with each restriction's
-M-types read by ``branching.restricted_support``.  ``verify(window,
-seed)`` is the whole ``tempiric verify`` policy: the check order, the
-stop at the first failure, the check an inconsistency fails and the
-seeded draws of its two randomized sweeps, which are loops over the
-public ``dimension_identity_check`` and ``admissibility_check``.
+M-types read by ``branching.restricted_support``.  The three checks of
+the window as a whole are searches: each yields its first
+counterexample or returns the data of its pass, and ``_search`` builds
+the ``VerificationReport`` from that.  The M-side checks compare what
+``Window.restriction`` gives with multiplicity-space dimensions counted
+off the rows' ranges (``Window.restrictions``), so a wrong restriction
+fails them.  ``verify(window, seed)`` is the whole ``tempiric verify``
+policy: the check order, the stop at the first failure, the check an
+inconsistency fails and the seeded draws of its two randomized sweeps,
+which are loops over the public ``dimension_identity_check`` and
+``admissibility_check``.
 
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
@@ -26,6 +32,7 @@ tolerance anywhere.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import repeat
@@ -85,6 +92,25 @@ class VerificationReport(_Value):
         return (self.name, self.passed, self.counterexample, self.data)
 
 
+def _search(search):
+    # A check written as a search over the window: the first counterexample
+    # it yields fails the check, and it is never resumed; if it yields none,
+    # the dict it returns is the passing report's data.  The report is named
+    # after the check, less its "_check" suffix.
+    name = search.__name__.removesuffix("_check")
+
+    @functools.wraps(search)
+    def check(*args) -> VerificationReport:
+        try:
+            counterexample = next(search(*args))
+        except StopIteration as done:
+            return VerificationReport(name, True, data=done.value)
+        return VerificationReport(name, False, counterexample=counterexample)
+
+    return check
+
+
+@_search
 def vogan_bijection_check(window: Window) -> VerificationReport:
     """Minimal K-types biject window representatives with window K-types.
 
@@ -92,61 +118,43 @@ def vogan_bijection_check(window: Window) -> VerificationReport:
     injective, covers the whole K-type window, and each minimum occurs
     with multiplicity exactly one in ``Window.matrix``.
     """
-    name = "vogan_bijection"
     matrix, row_index = window.matrix, window.row_index
     seen: dict[tuple, TempiricRep] = {}
     for rep in matrix.cols:
         if rep.min_ktype in seen:
-            return VerificationReport(
-                name,
-                False,
-                counterexample={
-                    "ktype": format_label(rep.min_ktype),
-                    "representatives": [
-                        seen[rep.min_ktype].describe(),
-                        rep.describe(),
-                    ],
-                    "reason": "two representatives share a minimal K-type",
-                },
-            )
+            yield {
+                "ktype": format_label(rep.min_ktype),
+                "representatives": [
+                    seen[rep.min_ktype].describe(),
+                    rep.describe(),
+                ],
+                "reason": "two representatives share a minimal K-type",
+            }
         seen[rep.min_ktype] = rep
     missing = [tau for tau in matrix.rows if tau not in seen]
     if missing:
-        return VerificationReport(
-            name,
-            False,
-            counterexample={
-                "ktype": format_label(missing[0]),
-                "reason": "K-type is not minimal in any window representative",
-            },
-        )
+        yield {
+            "ktype": format_label(missing[0]),
+            "reason": "K-type is not minimal in any window representative",
+        }
     extra = [rep for rep in matrix.cols if rep.min_ktype not in row_index]
     if extra:
-        return VerificationReport(
-            name,
-            False,
-            counterexample={
-                "representative": extra[0].describe(),
-                "reason": "minimal K-type escapes the window",
-            },
-        )
+        yield {
+            "representative": extra[0].describe(),
+            "reason": "minimal K-type escapes the window",
+        }
     for j, rep in enumerate(matrix.cols):
         mult = matrix.entry(row_index[rep.min_ktype], j)
         if mult != 1:
-            return VerificationReport(
-                name,
-                False,
-                counterexample={
-                    "representative": rep.describe(),
-                    "multiplicity": mult,
-                    "reason": "minimal K-type multiplicity differs from 1",
-                },
-            )
-    return VerificationReport(
-        name, True, data={"ktypes": len(matrix.rows), "representatives": len(matrix.cols)}
-    )
+            yield {
+                "representative": rep.describe(),
+                "multiplicity": mult,
+                "reason": "minimal K-type multiplicity differs from 1",
+            }
+    return {"ktypes": len(matrix.rows), "representatives": len(matrix.cols)}
 
 
+@_search
 def triangularity_check(window: Window) -> VerificationReport:
     """Unit entries at minima and vanishing strictly below them in norm.
 
@@ -156,42 +164,29 @@ def triangularity_check(window: Window) -> VerificationReport:
     split columns are held to the same vanishing requirement, which is
     stronger than resolving them would demand.
     """
-    name = "triangularity"
     matrix, row_index = window.matrix, window.row_index
     for j, rep in enumerate(matrix.cols):
         pivot = row_index.get(rep.min_ktype)
         if pivot is None:
-            return VerificationReport(
-                name,
-                False,
-                counterexample={
-                    "representative": rep.describe(),
-                    "reason": "minimal K-type not in the window",
-                },
-            )
+            yield {
+                "representative": rep.describe(),
+                "reason": "minimal K-type not in the window",
+            }
         if matrix.entry(pivot, j) != 1:
-            return VerificationReport(
-                name,
-                False,
-                counterexample={
-                    "representative": rep.describe(),
-                    "entry": matrix.entry(pivot, j),
-                    "reason": "diagonal entry differs from 1",
-                },
-            )
+            yield {
+                "representative": rep.describe(),
+                "entry": matrix.entry(pivot, j),
+                "reason": "diagonal entry differs from 1",
+            }
         for i in range(window.rows_below(rep.min_ktype)):
             if matrix.entry(i, j) != 0:
-                return VerificationReport(
-                    name,
-                    False,
-                    counterexample={
-                        "representative": rep.describe(),
-                        "ktype": format_label(matrix.rows[i]),
-                        "entry": matrix.entry(i, j),
-                        "reason": "nonzero entry below the minimal norm",
-                    },
-                )
-    return VerificationReport(name, True, data={"columns": len(matrix.cols)})
+                yield {
+                    "representative": rep.describe(),
+                    "ktype": format_label(matrix.rows[i]),
+                    "entry": matrix.entry(i, j),
+                    "reason": "nonzero entry below the minimal norm",
+                }
+    return {"columns": len(matrix.cols)}
 
 
 def composite_map(window: Window, tau) -> FormalSum:
@@ -319,21 +314,23 @@ def invert_window(matrix: MultMatrix):
 def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
-    Left side: invariant Hom dimension of the two restrictions over M
-    (``weights.isotypic_pairing``).  Right side: sum over the M-types of
-    their supports (``branching.restricted_support``) of the product of
-    multiplicity-space dimensions, each read off the restriction at the
-    dual M-type.  The two are computed by independent routes from one
-    ``Window.restriction`` of each sum and must agree exactly; the total
-    of ``boundary_block_dims``, read off the same two restrictions and
-    their supports, must then equal the left side too.  Raises
-    ``WindowError`` at a K-type outside the window.
+    Left side: invariant Hom dimension of one ``Window.restriction`` of
+    each sum (``weights.isotypic_pairing``).  Right side: sum over the
+    M-types of their supports (``branching.restricted_support``) of the
+    product of multiplicity-space dimensions, each read off the sums'
+    rows' ranges (``Window.restrictions``) at the dual M-type, not off
+    the restrictions.  The two must agree exactly; the total of
+    ``boundary_block_dims``, read off the same two restrictions and their
+    supports, must then equal the left side too.  Raises ``WindowError``
+    at a K-type outside the window.
     """
     r1, r2 = window.restriction(v1), window.restriction(v2)
     duals = window.duals
     lhs = isotypic_pairing(r1, r2)
     sigmas = {*restricted_support(duals, r1), *restricted_support(duals, r2)}
-    rhs = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in sigmas)
+    labels = [duals[s] for s in sigmas]
+    dims1, dims2 = _mult_space_dims(window, v1, labels), _mult_space_dims(window, v2, labels)
+    rhs = sum(dims1[c] * dims2[c] for c, in labels)
     payload = {"lhs": lhs, "rhs": rhs}
     failure = payload if lhs != rhs else None
     total = sum(d for _, d in _boundary_blocks(window, r1, r2, sigmas))
@@ -390,36 +387,45 @@ def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     return blocks
 
 
+def _mult_space_dims(window: Window, v: FormalSum, labels) -> dict:
+    # {c: the multiplicity of the M-label (c,) in v's restriction} for the
+    # given labels, counted off the range of each row of v
+    # (Window.restrictions), not read off Window.restriction.
+    dims = dict.fromkeys([c for c, in labels], 0)
+    for tau, mult in v.items():
+        for c in window.restrictions[window.row_index[tau]]:
+            if c in dims:
+                dims[c] += mult
+    return dims
+
+
 def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
     Sweeps every M-label within a coordinate box extending well past the
-    support and confirms no multiplicity space survives outside it.  The
-    dimensions are read from one ``Window.restriction`` of v and the box's
-    labels with their duals from ``Window.boxes``, so the sweep costs one
-    lookup per label.  Raises ``WindowError`` at a K-type outside the
-    window.
+    support and confirms that a multiplicity space survives exactly at
+    the support.  The support is read off one ``Window.restriction`` of
+    v; each label's dimension is read off v's rows' ranges
+    (``Window.restrictions``) at its dual, with the box's labels and
+    duals from ``Window.boxes``.  Raises ``WindowError`` at a K-type
+    outside the window.
     """
-    restricted = window.restriction(v)
-    support = restricted_support(window.duals, restricted)
+    support = restricted_support(window.duals, window.restriction(v))
     cap = 8 + max((abs(c) for label in (*support, *v) for c in label), default=0)
     members = set(support)
-    stray = [
-        sigma for sigma, dual in window.boxes[cap]
-        if (restricted.get(dual, 0) > 0) != (sigma in members)
-    ]
-    passed = not stray
+    box = window.boxes[cap]
+    dims = _mult_space_dims(window, v, [dual for _, dual in box])
+    stray = [sigma for sigma, dual in box if (dims[dual[0]] > 0) != (sigma in members)]
+    shown = [format_label(s) for s in support]
     return VerificationReport(
         "admissibility",
-        passed,
-        counterexample=None if passed else {
-            "sigma": format_label(stray[0]),
-            "support": [format_label(s) for s in support],
-        },
-        data={"support": [format_label(s) for s in support], "sweep_cap": cap},
+        not stray,
+        counterexample={"sigma": format_label(stray[0]), "support": shown} if stray else None,
+        data={"support": shown, "sweep_cap": cap},
     )
 
 
+@_search
 def blattner_consistency_check(window: Window) -> VerificationReport:
     """Root-data and lowest-K-type consistency for the discrete series.
 
@@ -436,24 +442,19 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     exceeds ``MAX_WINDOW_ENTRIES``, and before reading the rows when
     ``Window.refuse_oversize_boxes`` refuses a label box.
     """
-    name = "blattner_consistency"
     datum = window.datum
     if not datum.equal_rank:
-        return VerificationReport(name, True, data={"note": "no discrete series"})
+        return {"note": "no discrete series"}
     dim = datum.k.lattice_dim
     recomputed = tuple(
         sum(alpha[i] for alpha in datum.ds.compact_pos_roots) for i in range(dim)
     )
     if recomputed != tuple(datum.two_rho_c):
-        return VerificationReport(
-            name,
-            False,
-            counterexample={
-                "stored_two_rho_c": list(datum.two_rho_c),
-                "sum_of_compact_roots": list(recomputed),
-                "reason": "two_rho_c differs from the sum of positive compact roots",
-            },
-        )
+        yield {
+            "stored_two_rho_c": list(datum.two_rho_c),
+            "sum_of_compact_roots": list(recomputed),
+            "reason": "two_rho_c differs from the sum of positive compact roots",
+        }
     window.refuse_oversize_boxes()
     rows, series = window.rows, window.series
     require_entries_within_limit(len(series), len(rows), window.bound)
@@ -461,27 +462,19 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
         # The column holds this entry too; perfbench/test_perfbench.py asserts
         # that verify calls blattner_mult, so the lowest K-type walks once more.
         if blattner_mult(datum, rep, rep.min_ktype) != 1:
-            return VerificationReport(
-                name,
-                False,
-                counterexample={
-                    "representative": rep.describe(),
-                    "reason": "lowest K-type multiplicity differs from 1",
-                },
-            )
+            yield {
+                "representative": rep.describe(),
+                "reason": "lowest K-type multiplicity differs from 1",
+            }
         entry = window.columns[rep][1]
         for i in range(window.rows_below(rep.min_ktype)):
             if entry(i) != 0:
-                return VerificationReport(
-                    name,
-                    False,
-                    counterexample={
-                        "representative": rep.describe(),
-                        "ktype": format_label(rows[i]),
-                        "reason": "nonzero multiplicity below the lowest K-type",
-                    },
-                )
-    return VerificationReport(name, True, data={"series": len(series)})
+                yield {
+                    "representative": rep.describe(),
+                    "ktype": format_label(rows[i]),
+                    "reason": "nonzero multiplicity below the lowest K-type",
+                }
+    return {"series": len(series)}
 
 
 def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[FormalSum]:

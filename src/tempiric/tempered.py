@@ -11,11 +11,11 @@ A parameter's chamber is decided in one place, ``_chamber``: a root
 alpha pairs with lambda as alpha . (int_gram . lambda), the chamber's
 positive noncompact roots are those pairing positively, and exactly half
 of the listed noncompact roots must be positive.  ``_base`` turns them
-into 2 lambda + 2 rho_n, which ``_lowest_ktype`` reads less 2 rho_c as the
-doubled lowest K-type and ``blattner_scatter`` reads as the apex of the
-series' cone.  The chamber depends on lambda only through the signs of
-the noncompact pairings, so ``ds_enumerate`` decides it once per sign
-pattern.
+into 2 lambda + 2 rho_n, which ``blattner_scatter`` reads as the apex of
+the series' cone.  The chamber depends on lambda only through the signs
+of the noncompact pairings, so ``ds_enumerate`` decides it once per sign
+pattern, with its shift 2 rho_n - 2 rho_c; 2 lambda plus that shift is
+the doubled lowest K-type, which ``_lowest_ktype`` checks and halves.
 
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
@@ -62,7 +62,6 @@ from .weights import (
     ktype_axes,
     label_lattice_coords,
     labels_in_box,
-    lattice_coords_to_label,
     require_box_within_limit,
     require_entries_within_limit,
     scaled_bound,
@@ -256,20 +255,27 @@ def _base(lam, pos) -> tuple[int, ...]:
     return tuple(2 * c + r for c, r in zip(lam, map(sum, zip(*pos))))
 
 
-def _lowest_ktype(datum: GroupDatum, lam, base) -> tuple[int, ...]:
-    # lambda + rho_n - rho_c, read doubled off the chamber's _base so that
-    # everything stays integral; it must be an integral dominant label.
-    doubled = tuple(b - r for b, r in zip(base, datum.two_rho_c))
+def _lowest_ktype(datum: GroupDatum, lam, doubled) -> tuple[int, ...]:
+    # lambda + rho_n - rho_c from its doubled coordinates, 2 lambda + 2 rho_n
+    # - 2 rho_c, so that everything stays integral; it must be an integral
+    # dominant label, and only a K without a Cyclic2 atom has labels that
+    # its coordinates determine.
     if any(c % 2 for c in doubled):
         raise InternalInconsistencyError(
             f"lowest K-type of parameter {lam} is not integral"
         )
-    try:
-        return lattice_coords_to_label(datum.k, tuple(c // 2 for c in doubled))
-    except ValueError as exc:
+    coords = iter(doubled)  # one per atom but a Cyclic2 one, in atom order
+    for kind in datum.k.atoms:
+        if kind == CYCLIC2:
+            reason = "group with a Cyclic2 atom has no coordinate-only labels"
+        elif (c := next(coords) // 2) < 0 and kind in (SU2, SO3):
+            reason = f"coordinate {c} is not dominant for a {kind} atom"
+        else:
+            continue
         raise InternalInconsistencyError(
-            f"lowest K-type of parameter {lam} is not dominant: {exc}"
-        ) from None
+            f"lowest K-type of parameter {lam} is not dominant: {reason}"
+        )
+    return tuple([c // 2 for c in doubled])
 
 
 def _parameter_box(datum: GroupDatum, bound: Fraction) -> list[range]:
@@ -310,9 +316,9 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     of the rest, so every raise comes at the parameter, and with the
     text, of the full scan: ``_chamber`` runs at the first parameter of
     each sign pattern of the noncompact pairings, and ``_lowest_ktype``
-    at once where its integrality or dominance check fails.  The norm is
-    read off the doubled lowest K-type, and only parameters within the
-    bound get a label.
+    at every parameter kept, on the doubled lowest K-type that the scan
+    reads off the pattern's shift.  The norm is read off that doubled
+    K-type too, and only parameters within the bound are recorded.
     """
     ds = _require_ds(datum)
     bound = Fraction(bound)
@@ -335,9 +341,6 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
             box[negated[0]] = range(0, box[negated[0]].stop)
         elif perm != fixed or negated:
             moves.append((perm, signs))
-    # Without a Cyclic2 atom (as the loader requires) coordinates are labels.
-    parity = CYCLIC2 in datum.k.atoms
-    dominant = [i for i, kind in enumerate(datum.k.atoms) if kind in (SU2, SO3)]
     chambers: dict = {}
     found: dict[tuple[int, ...], TempiricRep] = {}
     order = []
@@ -353,18 +356,14 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
         pattern = tuple([p > 0 for p in pairings])
         if pattern not in chambers:
             pos = _chamber(datum, lam, _functional(datum, lam))
-            # 2 rho_n - 2 rho_c: the doubled lowest K-type is 2 lambda + shift.
-            shift = [r - t for r, t in zip(map(sum, zip(*pos)), two_rho_c)]
-            chambers[pattern] = pos, shift
-        pos, shift = chambers[pattern]
-        doubled = [2 * c + r for c, r in zip(lam, shift)]
-        if parity or any(c % 2 for c in doubled) or any(doubled[i] < 0 for i in dominant):
-            _lowest_ktype(datum, lam, _base(lam, pos))  # raises its own text
+            # The shift 2 rho_n - 2 rho_c: the doubled lowest K-type is 2 lambda + shift.
+            chambers[pattern] = [r - t for r, t in zip(map(sum, zip(*pos)), two_rho_c)]
+        doubled = [2 * c + r for c, r in zip(lam, chambers[pattern])]
+        lowest = _lowest_ktype(datum, lam, doubled)
         x = [c // 2 + t for c, t in zip(doubled, two_rho_c)]
         norm = _scaled_pairing(datum, x, x)
         if norm > limit:
             continue
-        lowest = _lowest_ktype(datum, lam, _base(lam, pos))
         if lowest in found:
             raise InternalInconsistencyError(
                 f"parameters {found[lowest].hc_param} and {lam} share lowest K-type "

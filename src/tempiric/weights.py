@@ -214,27 +214,6 @@ def label_lattice_coords(group: CompactGroup, tau) -> tuple[int, ...]:
     return tuple(v for kind, v in zip(group.atoms, tau) if kind != CYCLIC2)
 
 
-def lattice_coords_to_label(group: CompactGroup, coords) -> tuple[int, ...]:
-    """Dominant label with the given lattice coordinates.
-
-    Fails if the group has parity atoms (the coordinates do not determine
-    the bit) or if a coordinate is negative on an SU2/SO3 atom.
-    """
-    coords = list(coords)
-    if len(coords) != group.lattice_dim:
-        raise ValueError("coordinate length does not match lattice dimension")
-    label = []
-    it = iter(coords)
-    for kind in group.atoms:
-        if kind == CYCLIC2:
-            raise ValueError("group with a Cyclic2 atom has no coordinate-only labels")
-        c = next(it)
-        if kind in (SU2, SO3) and c < 0:
-            raise ValueError(f"coordinate {c} is not dominant for a {kind} atom")
-        label.append(c)
-    return validate_label(group, label)
-
-
 def _scaled_pairing(datum, x, y) -> int:
     """D * <x, y>: the bilinear form on the datum's integer Gram matrix."""
     return sum(map(mul, x, [sum(map(mul, row, y)) for row in datum.int_gram]))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempiric import cli, cktheory
+from tempiric import cli, cktheory, tempered
 from tempiric.catalog import builtin, load, serialize
 from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
 from tempiric.tempered import WindowError, make_principal_class, tempiric_window
@@ -240,3 +240,29 @@ def test_restriction_refusal_names_a_tiny_bound():
     with pytest.raises(WindowError) as refusal:
         window.restriction(FormalSum({(3,): 1}))
     assert str(refusal.value) == "K-type (3) is not in the window of bound ~10^-5000"
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+def test_both_sweeps_fail_on_a_wrong_window_restriction(monkeypatch, group):
+    # Window.restriction loses one M-type and gains (999) with multiplicity
+    # 5.  Both sweeps read each multiplicity-space dimension off the rows'
+    # ranges, so they must see that the restriction is wrong.
+    real = tempered.Window.restriction
+
+    def wrong(self, v):
+        restricted = dict(real(self, v))
+        del restricted[next(iter(restricted))]
+        restricted[(999,)] = 5
+        return restricted
+
+    monkeypatch.setattr(tempered.Window, "restriction", wrong)
+    window = tempiric_window(builtin(group), 50)
+    reports = cktheory.verify(window, DEFAULT_SEED)
+    assert [(r.name, r.passed) for r in reports] == [
+        ("blattner_consistency", True),
+        ("vogan_bijection", True),
+        ("triangularity", True),
+        ("dimension_identity", False),
+    ]
+    samples = random_ktype_sums(window, SAMPLES, 50, DEFAULT_SEED + 1)
+    assert not any(cktheory.admissibility_check(window, v).passed for v in samples)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tempiric import tempered, weights
+from tempiric.catalog import DiscreteSeriesDatum, GroupDatum
 from tempiric.tempered import (
     blattner_mult,
     constituents,
@@ -15,6 +16,7 @@ from tempiric.tempered import (
     tempiric_window,
 )
 from tempiric.weights import (
+    CompactGroup,
     FormalSum,
     WindowTooLargeError,
     dual_rule,
@@ -298,3 +300,27 @@ def test_blattner_rejects_ps(sl2r):
     (sph,) = constituents(sl2r, make_principal_class(sl2r, (0,)))
     with pytest.raises(ValueError):
         blattner_mult(sl2r, sph, (0,))
+
+
+@pytest.mark.parametrize("atoms, weyl_k, message", [
+    # SU2 first: the scan meets (-5), whose SU2 coordinate is negative,
+    # before any parameter reaches the Cyclic2 atom.
+    ((weights.SU2, weights.CYCLIC2), (((1,),),),
+     "parameter (-5,) is not dominant: coordinate -6 is not dominant for a SU2 atom"),
+    # A W_K negation starts the scan at (1), whose SU2 coordinate is 2.
+    ((weights.SU2, weights.CYCLIC2), (((-1,),),),
+     "parameter (1,) is not dominant: group with a Cyclic2 atom has no coordinate-only labels"),
+    ((weights.CYCLIC2, weights.SU2), (((1,),),),
+     "parameter (-5,) is not dominant: group with a Cyclic2 atom has no coordinate-only labels"),
+], ids=["su2-negative", "su2-then-cyclic2", "cyclic2-first"])
+def test_ds_enumerate_refuses_a_k_with_a_cyclic2_atom(atoms, weyl_k, message):
+    # The loader refuses such a K, so the datum is built by hand: SL2R's
+    # roots on a K whose lattice coordinate is that of its SU2 atom.
+    datum = GroupDatum(
+        "hand-built", CompactGroup(atoms), CompactGroup((weights.CYCLIC2,)), "parity",
+        ((Fraction(1),),), (0,), "identity", True,
+        DiscreteSeriesDatum((), ((2,), (-2,)), weyl_k),
+    )
+    with pytest.raises(tempered.InternalInconsistencyError) as excinfo:
+        ds_enumerate(datum, 9)
+    assert str(excinfo.value) == "lowest K-type of " + message
