@@ -37,10 +37,7 @@ from .tempered import (
     Window,
     blattner_mult,
     blattner_scatter,
-    constituents,
     ds_enumerate,
-    make_principal_class,
-    minimal_ktypes,
     tempiric_window,
 )
 from .cktheory import (
@@ -51,7 +48,6 @@ from .cktheory import (
     WindowError,
     admissibility_check,
     blattner_consistency_check,
-    boundary_block_dims,
     composite_map,
     dimension_identity_check,
     invert_window,

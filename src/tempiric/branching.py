@@ -2,9 +2,8 @@
 
 Branching is template based: each catalog entry names one of three rules,
 and ``BRANCHING_RULES`` declares each rule once, as one row: the K and M
-atom shapes it joins, how a K-label restricts to M
-(``restricted_range``) and which K-label witnesses each M-type
-(``witness_ktype``).  The multiplicity-space dimension of an M-type sigma
+atom shapes it joins and how a K-label restricts to M
+(``restricted_range``).  The multiplicity-space dimension of an M-type sigma
 against V is the multiplicity of the dual of sigma in V's restriction,
 under the dual convention of the weights module (circle characters
 dualize by sign flip).
@@ -24,16 +23,13 @@ PARITY = "parity"
 TORUS_RESTRICTION = "torus-restriction"
 CLEBSCH_DIAGONAL = "clebsch-diagonal"
 
-# rule id -> (K atom shape, M atom shape, restriction, witness).  The
-# restriction maps a K-label's entries to the range of c whose M-label
-# (c,) occurs, each once; the witness maps an M-label's entries to a
-# K-label whose restriction contains the dual of that M-type.
+# rule id -> (K atom shape, M atom shape, restriction).  The restriction
+# maps a K-label's entries to the range of c whose M-label (c,) occurs,
+# each once.
 BRANCHING_RULES = {
-    PARITY: ((TORUS1,), (CYCLIC2,), lambda n: range(n % 2, n % 2 + 1), lambda n: (n,)),
-    TORUS_RESTRICTION: ((SO3,), (TORUS1,), lambda j: range(-j, j + 1), lambda n: (abs(n),)),
-    CLEBSCH_DIAGONAL: (
-        (SU2, SU2), (SU2,), lambda a, b: range(abs(a - b), a + b + 1, 2), lambda c: (c, 0),
-    ),
+    PARITY: ((TORUS1,), (CYCLIC2,), lambda n: range(n % 2, n % 2 + 1)),
+    TORUS_RESTRICTION: ((SO3,), (TORUS1,), lambda j: range(-j, j + 1)),
+    CLEBSCH_DIAGONAL: ((SU2, SU2), (SU2,), lambda a, b: range(abs(a - b), a + b + 1, 2)),
 }
 
 
@@ -54,15 +50,6 @@ def restricted_range(datum, tau) -> range:
     """
     tau = validate_label(datum.k, tau)
     return _rule(datum)[2](*tau)
-
-
-def witness_ktype(datum, sigma) -> tuple[int, ...]:
-    """A K-type whose restriction to M contains the dual of sigma.
-
-    Its Vogan norm bounds the minimal norm of sigma's class from above.
-    """
-    sigma = validate_label(datum.m, sigma)
-    return _rule(datum)[3](*sigma)
 
 
 def restricted_support(duals, restricted) -> tuple[tuple[int, ...], ...]:

@@ -319,10 +319,10 @@ def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> Ve
     M-types of their supports (``branching.restricted_support``) of the
     product of multiplicity-space dimensions, each read off the sums'
     rows' ranges (``Window.restrictions``) at the dual M-type, not off
-    the restrictions.  The two must agree exactly; the total of
-    ``boundary_block_dims``, read off the same two restrictions and their
-    supports, must then equal the left side too.  Raises ``WindowError``
-    at a K-type outside the window.
+    the restrictions.  The two must agree exactly; the total of the
+    boundary blocks (``_boundary_blocks``), read off the same two
+    restrictions and their supports, must then equal the left side too.
+    Raises ``WindowError`` at a K-type outside the window.
     """
     r1, r2 = window.restriction(v1), window.restriction(v2)
     duals = window.duals
@@ -352,25 +352,12 @@ def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> Ve
     )
 
 
-def boundary_block_dims(window: Window, v1: FormalSum, v2: FormalSum):
-    """Boundary morphism-space dimension per tempered block.
-
-    Discrete-series blocks have no boundary and contribute 0 (reported as
-    one aggregated block).  A principal class contributes the product of
-    its multiplicity-space dimensions, summed over the orbit: one term
-    when the stabilizer has order two, two when the orbit has two
-    members.  Blocks are listed for every orbit meeting the support of
-    either argument; when the M-dual is finite all orbits are listed.
-    Each argument is restricted once, by ``Window.restriction``.
-    """
-    r1, r2 = window.restriction(v1), window.restriction(v2)
-    sigmas = {*restricted_support(window.duals, r1), *restricted_support(window.duals, r2)}
-    return _boundary_blocks(window, r1, r2, sigmas)
-
-
 def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
-    # boundary_block_dims read off the two restrictions and the union of
-    # their supports, with each M-type's orbit from Window.class_of.
+    # Boundary morphism-space dimension per tempered block, read off the two
+    # restrictions and the union of their supports: one discrete-series
+    # block of 0 for equal rank, then per orbit (from Window.class_of) the
+    # products of its members' multiplicity-space dimensions, summed.  A
+    # finite M-dual lists every orbit.
     datum, duals, class_of = window.datum, window.duals, window.class_of
     blocks = []
     if datum.equal_rank:

@@ -10,6 +10,7 @@ headers say so.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .catalog import GroupDatum
@@ -19,7 +20,7 @@ from .tempered import (
     partner_minimum,
     tempiric_window,
 )
-from .weights import CYCLIC2, labels_in_box, scaled_norm, _Record
+from .weights import CYCLIC2, labels_in_box, scaled_norm, _label_axes, _Record
 
 CIRCLE = "circle"
 SQUARE = "square"
@@ -60,8 +61,13 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
         raise ValueError("diagram grids are not defined for parity atoms")
     nodes = list(labels_in_box(datum.k, grid_bound))
     on_grid = set(nodes)
-    # The largest Vogan norm on the grid, divided by D once.
-    bound = Fraction(max(scaled_norm(datum, node) for node in nodes), datum.gram_scale)
+    # The largest Vogan norm on the grid, divided by D once.  The catalog
+    # refuses a Gram matrix that is not positive-definite, so the norm is
+    # convex and takes its maximum at a corner of the box labels_in_box scans.
+    dim = datum.k.lattice_dim
+    axes = _label_axes(datum.k, [grid_bound] * dim, [0] * dim, grid_bound)
+    corners = itertools.product(*[(axis[0], axis[-1]) for axis in axes])
+    bound = Fraction(max(scaled_norm(datum, c) for c in corners), datum.gram_scale)
     window = tempiric_window(datum, bound)
     by_min = {rep.min_ktype: rep for rep in window.reps}
     markers = {}

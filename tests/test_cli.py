@@ -643,18 +643,14 @@ def test_skew_gram_window_runs_the_class_pass_first(capsys, tmp_path, argv):
 
 def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, so31):
     # One block total off by one must fail dimension_identity with the
-    # boundary counterexample; verify reaches it only through the check.
+    # boundary counterexample, in the check and in verify.
     blocks = cktheory._boundary_blocks
 
     def off_by_one(*args):
         *rest, (block, d) = blocks(*args)
         return [*rest, (block, d + 1)]
 
-    def unused(*args):
-        raise AssertionError("verify restricts each pair once")
-
     monkeypatch.setattr(cktheory, "_boundary_blocks", off_by_one)
-    monkeypatch.setattr(cktheory, "boundary_block_dims", unused)
     v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
     v2 = FormalSum({(1,): 2})
     report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)

@@ -1,5 +1,10 @@
+import json
+from fractions import Fraction
+
 import pytest
 
+from tempiric import figures
+from tempiric.catalog import builtin, load, serialize
 from tempiric.figures import (
     CIRCLE,
     SQUARE,
@@ -10,6 +15,7 @@ from tempiric.figures import (
     render_text,
 )
 from tempiric.tempered import ds_enumerate
+from tempiric.weights import labels_in_box, scaled_norm
 
 
 def test_sp11_grid_partition(sp11):
@@ -101,3 +107,39 @@ def test_grid_requires_low_dimension(sl2r):
     with pytest.raises(ValueError):
         build_diagram(sl2r, -1)
 
+
+
+def _with_gram(name, gram):
+    doc = serialize(builtin(name))
+    doc["gram"] = gram
+    return load(json.dumps(doc))
+
+
+GRID_DATA = {
+    "SL2R": builtin("SL2R"),
+    "SO31": builtin("SO31"),
+    "Sp11": builtin("Sp11"),
+    "Sp11-half-gram": _with_gram("Sp11", ["1/2", "0", "0", "1/2"]),
+    "Sp11-skew-gram": _with_gram("Sp11", ["1", "-5/2", "-5/2", "7"]),
+}
+
+
+class _WindowBound(Exception):
+    pass
+
+
+@pytest.mark.parametrize("grid_bound", range(25))
+@pytest.mark.parametrize("name", sorted(GRID_DATA))
+def test_diagram_window_bound_is_the_largest_norm_on_the_grid(monkeypatch, name, grid_bound):
+    # build_diagram reads its window bound off the grid box's corners; the
+    # reference is the largest Vogan norm over every node of the grid.
+    def window(datum, bound):
+        raise _WindowBound(bound)
+
+    monkeypatch.setattr(figures, "tempiric_window", window)
+    datum = GRID_DATA[name]
+    with pytest.raises(_WindowBound) as caught:
+        build_diagram(datum, grid_bound)
+    nodes = labels_in_box(datum.k, grid_bound)
+    largest = max(scaled_norm(datum, node) for node in nodes)
+    assert caught.value.args == (Fraction(largest, datum.gram_scale),)

@@ -24,8 +24,6 @@ from tempiric.tempered import (
     blattner_mult,
     blattner_scatter,
     ds_enumerate,
-    make_principal_class,
-    minimal_ktypes,
     tempiric_window,
 )
 from tempiric.weights import (
@@ -148,11 +146,12 @@ def test_enumerate_ktypes_off_diagonal_gram(sp11, a, d, t, bound):
 @given(a=_ENTRY, d=_ENTRY, t=st.fractions(min_value=-1, max_value=1, max_denominator=5),
        c=st.integers(min_value=0, max_value=6))
 def test_standalone_minimal_ktypes_on_rational_grams(sp11, a, d, t, c):
-    # The witness (c,0) has norm at most 252 on these Grams, so every
-    # K-type at or below it has coordinates below 30, inside the sweep.
+    # (c,0) occurs in the class of (c) and has norm at most 252 on these
+    # Grams, so the window at 252 meets the class, and every K-type at or
+    # below that norm has coordinates below 30, inside the sweep.
     b = t * min(a, d) / 2
     datum = _with_gram(sp11, [[a, b], [b, d]])
-    cls = make_principal_class(datum, (c,))
+    window = tempiric_window(datum, 252)
     calls = []
 
     def counted(*args):
@@ -161,7 +160,7 @@ def test_standalone_minimal_ktypes_on_rational_grams(sp11, a, d, t, c):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tempered, "enumerate_ktypes", counted)
-        minima = minimal_ktypes(datum, cls)
+        minima = tuple(tau for tau, _ in window.classes[window.class_of[(c,)]])
     assert minima == oracles.minimal_ktypes_by_sweep(datum, (c,))
     assert len(calls) == 1
 

@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 from tempiric import cli, cktheory, tempered
-from tempiric.catalog import builtin, load, serialize
+from tempiric.branching import restricted_support
+from tempiric.catalog import builtin, load, serialize, weyl_image
 from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
-from tempiric.tempered import WindowError, make_principal_class, tempiric_window
+from tempiric.tempered import WindowError, tempiric_window
 from tempiric.weights import FormalSum, enumerate_ktypes
 
 import oracles
@@ -121,7 +122,9 @@ def test_a_ktype_outside_the_window_is_refused(sl2r, sp11):
         with pytest.raises(WindowError):
             cktheory.admissibility_check(window, v)
     with pytest.raises(WindowError):
-        cktheory.boundary_block_dims(tempiric_window(sp11, 10), FormalSum({(-1, 0): 1}), FormalSum())
+        cktheory.dimension_identity_check(
+            tempiric_window(sp11, 10), FormalSum({(-1, 0): 1}), FormalSum()
+        )
 
 
 @pytest.mark.parametrize("group, tau", [
@@ -139,7 +142,7 @@ def test_an_invalid_label_equal_to_a_row_is_refused(group, tau):
     v, valid = FormalSum({tau: 1}), FormalSum({window.rows[0]: 1})
     for check in (
         lambda: cktheory.dimension_identity_check(window, valid, v),
-        lambda: cktheory.boundary_block_dims(window, v, valid),
+        lambda: cktheory.dimension_identity_check(window, v, valid),
         lambda: cktheory.admissibility_check(window, v),
     ):
         with pytest.raises(WindowError, match="is not in the window of bound 10"):
@@ -185,7 +188,8 @@ def test_class_of_maps_each_met_mtype_to_its_class(name):
     met = {window.duals[(c,)] for labels in window.restrictions for c in labels}
     assert met == set(window.class_of)
     for sigma, cls in window.class_of.items():
-        assert cls == make_principal_class(datum, sigma)
+        assert cls.orbit == tuple(sorted({sigma, weyl_image(datum, sigma)}))
+        assert cls.w_sigma_order == (2 if len(cls.orbit) == 1 else 1)
     assert set(classes) == set(window.class_of.values())
 
 
@@ -198,7 +202,8 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     report = cktheory.verify(window, DEFAULT_SEED)[3]
     assert report.name == "dimension_identity" and report.passed
     v = FormalSum({(0,): 1})
-    blocks = cktheory.boundary_block_dims(window, v, v)
+    r = window.restriction(v)
+    blocks = cktheory._boundary_blocks(window, r, r, set(restricted_support(window.duals, r)))
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
         "discrete-series", ((0,),), ((1,),),
     ]

@@ -9,10 +9,7 @@ from tempiric import tempered, weights
 from tempiric.catalog import DiscreteSeriesDatum, GroupDatum
 from tempiric.tempered import (
     blattner_mult,
-    constituents,
     ds_enumerate,
-    make_principal_class,
-    minimal_ktypes,
     tempiric_window,
 )
 from tempiric.weights import (
@@ -59,56 +56,67 @@ def test_induced_mult_examples(sl2r, so31, sp11):
         (sp11, (2,), (1, 1), 1),
         (so31, (2,), (1,), 0),
     ):
-        sigma = make_principal_class(datum, sigma).representative
         window = tempiric_window(datum, vogan_norm(datum, tau))
+        sigma = window.class_of[sigma].representative
         (c,) = window.duals[sigma]
         got = window.restrictions[window.row_index[tau]].count(c)
         assert got == mult == oracles.mult_in_induced_oracle(datum, sigma, tau)
         assert window.restriction(FormalSum({tau: 1})).get((c,), 0) == mult
 
 
+def _minima(window, sigma):
+    # The minimal K-types the window's class pass certifies for sigma's class.
+    return tuple(tau for tau, _ in window.classes[window.class_of[sigma]])
+
+
+def _class_reps(window, sigma):
+    cls = window.class_of[sigma]
+    return [rep for rep in window.reps if rep.ps_class == cls]
+
+
 def test_minimal_ktypes_examples(sl2r, so31, sp11):
-    assert minimal_ktypes(sl2r, make_principal_class(sl2r, (1,))) == ((-1,), (1,))
-    assert minimal_ktypes(sl2r, make_principal_class(sl2r, (0,))) == ((0,),)
-    assert minimal_ktypes(sp11, make_principal_class(sp11, (2,))) == ((1, 1),)
-    assert minimal_ktypes(sp11, make_principal_class(sp11, (3,))) == (
+    assert _minima(tempiric_window(sl2r, 41), (1,)) == ((-1,), (1,))
+    assert _minima(tempiric_window(sl2r, 41), (0,)) == ((0,),)
+    assert _minima(tempiric_window(sp11, 41), (2,)) == ((1, 1),)
+    assert _minima(tempiric_window(sp11, 41), (3,)) == (
         (1, 2),
         (2, 1),
     )
-    assert minimal_ktypes(so31, make_principal_class(so31, (3,))) == ((3,),)
+    assert _minima(tempiric_window(so31, 41), (3,)) == ((3,),)
 
 
 def test_minimal_ktypes_match_exhaustive_sweep(sl2r, so31, sp11):
+    # At bound 100 each listed class occurs: its minima have norm at most 72.
     for datum, reps in (
         (sl2r, [(0,), (1,)]),
         (so31, [(n,) for n in range(7)]),
         (sp11, [(c,) for c in range(9)]),
     ):
+        window = tempiric_window(datum, 100)
         for sigma in reps:
-            cls = make_principal_class(datum, sigma)
-            got = minimal_ktypes(datum, cls)
+            cls = window.class_of[sigma]
             expected = oracles.minimal_ktypes_by_sweep(datum, cls.representative)
-            assert got == expected, sigma
+            assert _minima(window, sigma) == expected, sigma
 
 
 def test_minimal_multiplicity_is_one(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         for cls, minima in tempiric_window(datum, 100).classes.items():
-            assert minimal_ktypes(datum, cls) == tuple(tau for tau, _ in minima)
             for tau, mult in minima:
                 expected = oracles.mult_in_induced_oracle(datum, cls.representative, tau)
                 assert mult == expected == 1
 
 
 def test_constituent_counts(sl2r, so31, sp11):
-    assert len(constituents(sl2r, make_principal_class(sl2r, (0,)))) == 1
-    split = constituents(sl2r, make_principal_class(sl2r, (1,)))
+    sl2r_window, so31_window, sp11_window = (tempiric_window(d, 100) for d in (sl2r, so31, sp11))
+    assert len(_class_reps(sl2r_window, (0,))) == 1
+    split = _class_reps(sl2r_window, (1,))
     assert len(split) == 2 and all(rep.split for rep in split)
     assert {rep.min_ktype for rep in split} == {(-1,), (1,)}
     for n in range(6):
-        assert len(constituents(so31, make_principal_class(so31, (n,)))) == 1
+        assert len(_class_reps(so31_window, (n,))) == 1
     for c in range(8):
-        count = len(constituents(sp11, make_principal_class(sp11, (c,))))
+        count = len(_class_reps(sp11_window, (c,)))
         assert count == (2 if c % 2 else 1)
 
 
@@ -297,7 +305,8 @@ def test_tempiric_window_sp11_pattern(sp11):
 
 
 def test_blattner_rejects_ps(sl2r):
-    (sph,) = constituents(sl2r, make_principal_class(sl2r, (0,)))
+    (sph,) = tempiric_window(sl2r, 0).reps    # the class {(0)}, minimal at (0)
+    assert sph.kind == "ps"
     with pytest.raises(ValueError):
         blattner_mult(sl2r, sph, (0,))
 
