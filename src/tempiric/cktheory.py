@@ -14,17 +14,18 @@ Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
 ``EXACT``, ``AGGREGATE_ONLY`` and ``WindowError``), and the M-side
 checks its restrictions, duals and orbits, with each restriction's
-M-types read by ``branching.restricted_support``.  The three checks of
-the window as a whole are searches: each yields its first
-counterexample or returns the data of its pass, and ``_search`` builds
-the ``VerificationReport`` from that.  The M-side checks compare what
-``Window.restriction`` gives with multiplicity-space dimensions counted
-off the rows' ranges (``Window.restrictions``), so a wrong restriction
-fails them.  ``verify(window, seed)`` is the whole ``tempiric verify``
-policy: the check order, the stop at the first failure, the check an
-inconsistency fails and the seeded draws of its two randomized sweeps,
-which are loops over the public ``dimension_identity_check`` and
-``admissibility_check``.
+M-types read by ``branching.restricted_support``.  Every check is a
+search: it yields its first counterexample or returns the data of its
+pass, and ``_search`` alone builds the ``VerificationReport`` from that.
+An ``InternalInconsistencyError`` fails the check that raised it, with
+its text as the counterexample, whether ``verify`` runs the check or a
+caller does.  The M-side checks compare what ``Window.restriction``
+gives with multiplicity-space dimensions counted off the rows' ranges
+(``Window.restrictions``), so a wrong restriction fails them.
+``verify(window, seed)`` is the whole ``tempiric verify`` policy: the
+check order, the stop at the first failure and the seeded draws of its
+two randomized sweeps, which are loops over the public
+``dimension_identity_check`` and ``admissibility_check``.
 
 All arithmetic here is exact; there is no floating point and no
 tolerance anywhere.
@@ -95,8 +96,10 @@ class VerificationReport(_Value):
 def _search(search):
     # A check written as a search over the window: the first counterexample
     # it yields fails the check, and it is never resumed; if it yields none,
-    # the dict it returns is the passing report's data.  The report is named
-    # after the check, less its "_check" suffix.
+    # the dict it returns is the passing report's data.  An
+    # InternalInconsistencyError it raises fails the check too, with the
+    # error's text as the counterexample; every other error propagates.  The
+    # report is named after the check, less its "_check" suffix.
     name = search.__name__.removesuffix("_check")
 
     @functools.wraps(search)
@@ -105,6 +108,8 @@ def _search(search):
             counterexample = next(search(*args))
         except StopIteration as done:
             return VerificationReport(name, True, data=done.value)
+        except InternalInconsistencyError as exc:
+            counterexample = {"error": str(exc)}
         return VerificationReport(name, False, counterexample=counterexample)
 
     return check
@@ -235,9 +240,10 @@ def invert_window(matrix: MultMatrix):
     order.  Entries stay ``int`` until a non-unit pivot divides them into
     ``Fraction``.  A missing pivot or a non-integral inverse entry would
     contradict the certified triangularity and raises as an internal
-    error.  Both products A.A^-1 and A^-1.A are then computed exactly
-    over their nonzeros, and every row of each is compared with the
-    identity row.  Returns the inverse as a dense list of integer rows.
+    error.  The product A^-1.A is then computed exactly over its
+    nonzeros, and every row is compared with the identity row; A is
+    square and the arithmetic exact, so A^-1.A = I certifies A.A^-1 = I
+    too.  Returns the inverse as a dense list of integer rows.
     """
     aggregate = [
         matrix.cols[j].describe()
@@ -303,14 +309,12 @@ def invert_window(matrix: MultMatrix):
                 )
             int_row[k - n] = int(v)
         inverse.append(int_row)
-    if not (
-        _sparse_product_is_identity(forward, inverse)
-        and _sparse_product_is_identity(inverse, forward)
-    ):
+    if not _sparse_product_is_identity(inverse, forward):
         raise InternalInconsistencyError("inverse verification failed")
     return [list(map(row.get, range(n), repeat(0))) for row in inverse]
 
 
+@_search
 def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
@@ -331,25 +335,16 @@ def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> Ve
     labels = [duals[s] for s in sigmas]
     dims1, dims2 = _mult_space_dims(window, v1, labels), _mult_space_dims(window, v2, labels)
     rhs = sum(dims1[c] * dims2[c] for c, in labels)
-    payload = {"lhs": lhs, "rhs": rhs}
-    failure = payload if lhs != rhs else None
     total = sum(d for _, d in _boundary_blocks(window, r1, r2, sigmas))
-    if failure is None and total != lhs:
-        failure = {
-            "lhs": lhs,
-            "boundary_total": total,
-            "reason": "boundary block total differs from the Hom dimension",
+    if lhs != rhs or total != lhs:
+        yield {
+            "v1": sorted(v1.items()), "v2": sorted(v2.items()), "lhs": lhs,
+            **({"rhs": rhs} if lhs != rhs else {
+                "boundary_total": total,
+                "reason": "boundary block total differs from the Hom dimension",
+            }),
         }
-    return VerificationReport(
-        "dimension_identity",
-        failure is None,
-        counterexample=None if failure is None else {
-            "v1": sorted(v1.items()),
-            "v2": sorted(v2.items()),
-            **failure,
-        },
-        data=payload,
-    )
+    return {"lhs": lhs, "rhs": rhs}
 
 
 def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
@@ -386,6 +381,7 @@ def _mult_space_dims(window: Window, v: FormalSum, labels) -> dict:
     return dims
 
 
+@_search
 def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
@@ -402,14 +398,10 @@ def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     members = set(support)
     box = window.boxes[cap]
     dims = _mult_space_dims(window, v, [dual for _, dual in box])
-    stray = [sigma for sigma, dual in box if (dims[dual[0]] > 0) != (sigma in members)]
     shown = [format_label(s) for s in support]
-    return VerificationReport(
-        "admissibility",
-        not stray,
-        counterexample={"sigma": format_label(stray[0]), "support": shown} if stray else None,
-        data={"support": shown, "sweep_cap": cap},
-    )
+    strays = (sigma for sigma, dual in box if (dims[dual[0]] > 0) != (sigma in members))
+    yield from ({"sigma": format_label(sigma), "support": shown} for sigma in strays)
+    return {"support": shown, "sweep_cap": cap}
 
 
 @_search
@@ -493,10 +485,10 @@ def verify(window: Window, seed: int) -> list[VerificationReport]:
     ``admissibility_check`` on 100 sums drawn with seed + 1, both from the
     rows of norm at most min(bound, 60); each sweep reports its first
     failure, or a pass.  An ``InternalInconsistencyError`` fails the check
-    that raised it, with its text as the counterexample.
-    ``blattner_consistency`` reads only the window's rows and series, so
-    the class pass and the matrix first run in ``vogan_bijection``, which
-    their errors fail.  Each check is looked up here by name when it runs.
+    that raised it (``_search``).  ``blattner_consistency`` reads only the
+    window's rows and series, so the class pass and the matrix first run
+    in ``vogan_bijection``, which their errors fail.  Each check is looked
+    up here by name when it runs.
     """
     cap = min(window.bound, Fraction(60))
 
@@ -511,20 +503,16 @@ def verify(window: Window, seed: int) -> list[VerificationReport]:
         return _sweep("admissibility", {"samples": 100}, reports)
 
     checks = (
-        ("blattner_consistency", lambda: blattner_consistency_check(window)),
-        ("vogan_bijection", lambda: vogan_bijection_check(window)),
-        ("triangularity", lambda: triangularity_check(window)),
-        ("dimension_identity", identity),
-        ("admissibility", admissibility),
+        lambda: blattner_consistency_check(window),
+        lambda: vogan_bijection_check(window),
+        lambda: triangularity_check(window),
+        identity,
+        admissibility,
     )
     reports = []
-    for name, check in checks:
-        try:
-            report = check()
-        except InternalInconsistencyError as exc:
-            report = VerificationReport(name, False, counterexample={"error": str(exc)})
-        reports.append(report)
-        if not report.passed:
+    for check in checks:
+        reports.append(check())
+        if not reports[-1].passed:
             break
     return reports
 

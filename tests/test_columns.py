@@ -209,6 +209,39 @@ def test_series_refuse_a_root_listed_unevenly(name, roots):
     ]
 
 
+def _skew_gram_sp11():
+    doc = serialize(builtin("Sp11"))
+    doc["gram"] = ["1", "-5/2", "-5/2", "7"]
+    return load(json.dumps(doc))
+
+
+def _scan_error(datum, bound):
+    with pytest.raises(oracles.InconsistentDatum) as scanned:
+        oracles.ds_enumerate_by_scan(datum, bound)
+    return str(scanned.value)
+
+
+def _three_minima(datum, bound):
+    return "class {(9)} has 3 minimal K-types; rank one allows at most two"
+
+
+@pytest.mark.parametrize("check, datum, error", [
+    ("blattner_consistency_check", lambda: _listed("SL2R", lambda _: [[2], [2], [-2]]), _scan_error),
+    ("vogan_bijection_check", _skew_gram_sp11, _three_minima),
+    ("triangularity_check", _skew_gram_sp11, _three_minima),
+])
+def test_a_check_called_directly_fails_on_inconsistent_data(monkeypatch, check, datum, error):
+    # The inconsistency fails the check with its text as the counterexample,
+    # and that is the report verify prints once the checks before it pass.
+    datum = datum()
+    report = getattr(cktheory, check)(tempiric_window(datum, 30))
+    assert (report.passed, report.counterexample) == (False, {"error": error(datum, 30)})
+    earlier = ["blattner_consistency_check", "vogan_bijection_check", "triangularity_check"]
+    for name in earlier[: earlier.index(check)]:
+        passed = cktheory.VerificationReport(name.removesuffix("_check"), True)
+        monkeypatch.setattr(cktheory, name, lambda window, passed=passed: passed)
+    assert cktheory.verify(tempiric_window(datum, 30), cktheory.DEFAULT_SEED)[-1] == report
+
 
 def test_skew_gram_walk_matches_the_oracle_and_the_golden():
     # W_K does not preserve this Gram.  ds_enumerate refuses with the error

@@ -1,9 +1,10 @@
 """Where ``cktheory`` builds a ``VerificationReport``.
 
-The matrix checks are searches: each yields its first counterexample or
-returns its data, and ``cktheory._search`` turns that into the report.
-So a report is built only there, in ``_sweep``, in ``verify``'s exception
-path, and once in each check that still has a single construction site.
+Every check is a search: each yields its first counterexample or returns
+its data, and ``cktheory._search`` turns that, or an
+``InternalInconsistencyError`` the search raises, into the report.  So a
+report is built only there and in ``_sweep``, which returns a sweep's
+first failing report or its pass.
 """
 
 import ast
@@ -14,7 +15,13 @@ from tempiric import cktheory
 
 CKTHEORY = Path(__file__).resolve().parent.parent / "src" / "tempiric" / "cktheory.py"
 
-SEARCHES = ("vogan_bijection_check", "triangularity_check", "blattner_consistency_check")
+SEARCHES = {
+    "vogan_bijection_check": ["window"],
+    "triangularity_check": ["window"],
+    "blattner_consistency_check": ["window"],
+    "dimension_identity_check": ["window", "v1", "v2"],
+    "admissibility_check": ["window", "v"],
+}
 
 
 def _report_sites(tree):
@@ -35,13 +42,7 @@ def _report_sites(tree):
 
 def test_reports_are_built_only_by_the_report_function_sweep_and_verify():
     sites = _report_sites(ast.parse(CKTHEORY.read_text(), filename=str(CKTHEORY)))
-    assert sites == {
-        "_search": 2,  # the pass and the failure of every search
-        "_sweep": 1,
-        "verify": 1,  # an InternalInconsistencyError fails the check that raised it
-        "dimension_identity_check": 1,
-        "admissibility_check": 1,
-    }
+    assert sites == {"_search": 2, "_sweep": 1}  # the pass and the failure of every search
 
 
 def test_the_sites_count_every_call():
@@ -56,9 +57,9 @@ def test_the_sites_count_every_call():
 
 
 def test_each_search_keeps_its_name_signature_and_docstring():
-    for name in SEARCHES:
+    for name, parameters in SEARCHES.items():
         check = getattr(cktheory, name)
         assert check.__name__ == name
         assert check.__doc__ == check.__wrapped__.__doc__ and check.__doc__
-        assert list(inspect.signature(check).parameters) == ["window"]
+        assert list(inspect.signature(check).parameters) == parameters
         assert inspect.signature(check).return_annotation == "VerificationReport"

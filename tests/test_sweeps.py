@@ -271,3 +271,27 @@ def test_both_sweeps_fail_on_a_wrong_window_restriction(monkeypatch, group):
     ]
     samples = random_ktype_sums(window, SAMPLES, 50, DEFAULT_SEED + 1)
     assert not any(cktheory.admissibility_check(window, v).passed for v in samples)
+
+
+@pytest.mark.parametrize("group, v, sigma, support", [
+    ("SL2R", {(5,): 2, (0,): 1}, "(1)", ["(0)", "(999)"]),
+    ("SO31", {(0,): 2, (2,): 3, (3,): 1}, "(-999)",
+     ["(-999)", "(-3)", "(-2)", "(-1)", "(1)", "(2)", "(3)"]),
+    ("Sp11", {(3, 2): 1}, "(1)", ["(3)", "(5)", "(999)"]),
+])
+def test_admissibility_names_the_first_stray_label(monkeypatch, group, v, sigma, support):
+    # The same wrong restriction: the counterexample is the first label of
+    # the box whose counted dimension disagrees with the support, then the
+    # support, and the failing report carries no data.
+    real = tempered.Window.restriction
+
+    def wrong(self, v):
+        restricted = dict(real(self, v))
+        del restricted[next(iter(restricted))]
+        restricted[(999,)] = 5
+        return restricted
+
+    monkeypatch.setattr(tempered.Window, "restriction", wrong)
+    report = cktheory.admissibility_check(tempiric_window(builtin(group), 50), FormalSum(v))
+    assert not report.passed and report.data == {}
+    assert list(report.counterexample.items()) == [("sigma", sigma), ("support", support)]
