@@ -15,7 +15,6 @@ from .weights import (
     SU2,
     TORUS1,
     CompactGroup,
-    FormalSum,
     enumerate_ktypes,
     vogan_norm,
     weyl_dim,

@@ -22,6 +22,9 @@ its text as the counterexample, whether ``verify`` runs the check or a
 caller does.  The M-side checks compare what ``Window.restriction``
 gives with multiplicity-space dimensions counted off the rows' ranges
 (``Window.restrictions``), so a wrong restriction fails them.
+A formal sum of K-types is a plain ``{K-type: nonzero int}`` dict, and
+``Window.restriction``, which both M-side checks read first, refuses a
+key that is not a row and a multiplicity that is not an ``int``.
 ``verify(window, seed)`` is the whole ``tempiric verify`` policy: the
 check order, the stop at the first failure and the seeded draws of its
 two randomized sweeps, which are loops over the public
@@ -54,7 +57,6 @@ from .tempered import (
 )
 from .weights import (
     CYCLIC2,
-    FormalSum,
     isotypic_pairing,
     labels_in_box,
     require_entries_within_limit,
@@ -194,10 +196,11 @@ def triangularity_check(window: Window) -> VerificationReport:
     return {"columns": len(matrix.cols)}
 
 
-def composite_map(window: Window, tau) -> FormalSum:
+def composite_map(window: Window, tau) -> dict:
     """Image of a K-type in the free group on window representatives.
 
-    The coefficients are the matrix entries of the K-type's row, and only
+    Returned as a ``{representative: nonzero int}`` dict.  The
+    coefficients are the matrix entries of the K-type's row, and only
     that row is evaluated, through the ``Window.columns`` that
     ``mult_matrix`` reads.  The window must contain the K-type;
     triangularity then guarantees every representative it meets is
@@ -209,7 +212,7 @@ def composite_map(window: Window, tau) -> FormalSum:
             f"{_decimal(window.bound)}"
         )
     i = window.row_index[tuple(tau)]
-    return FormalSum({rep: window.columns[rep][1](i) for rep in window.reps})
+    return {rep: m for rep in window.reps if (m := window.columns[rep][1](i))}
 
 
 def _sparse_product_is_identity(a_rows, b_rows) -> bool:
@@ -315,7 +318,7 @@ def invert_window(matrix: MultMatrix):
 
 
 @_search
-def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> VerificationReport:
+def dimension_identity_check(window: Window, v1: dict, v2: dict) -> VerificationReport:
     """Boundary dimension count against the M-isotypic pairing.
 
     Left side: invariant Hom dimension of one ``Window.restriction`` of
@@ -326,7 +329,10 @@ def dimension_identity_check(window: Window, v1: FormalSum, v2: FormalSum) -> Ve
     the restrictions.  The two must agree exactly; the total of the
     boundary blocks (``_boundary_blocks``), read off the same two
     restrictions and their supports, must then equal the left side too.
-    Raises ``WindowError`` at a K-type outside the window.
+    Each sum is a ``{K-type: nonzero int}`` dict, and
+    ``Window.restriction`` refuses it first: ``WindowError`` at a K-type
+    outside the window, ``TypeError`` at a multiplicity that is not an
+    ``int``.
     """
     r1, r2 = window.restriction(v1), window.restriction(v2)
     duals = window.duals
@@ -369,7 +375,7 @@ def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     return blocks
 
 
-def _mult_space_dims(window: Window, v: FormalSum, labels) -> dict:
+def _mult_space_dims(window: Window, v: dict, labels) -> dict:
     # {c: the multiplicity of the M-label (c,) in v's restriction} for the
     # given labels, counted off the range of each row of v
     # (Window.restrictions), not read off Window.restriction.
@@ -382,7 +388,7 @@ def _mult_space_dims(window: Window, v: FormalSum, labels) -> dict:
 
 
 @_search
-def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
+def admissibility_check(window: Window, v: dict) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
     Sweeps every M-label within a coordinate box extending well past the
@@ -390,8 +396,10 @@ def admissibility_check(window: Window, v: FormalSum) -> VerificationReport:
     the support.  The support is read off one ``Window.restriction`` of
     v; each label's dimension is read off v's rows' ranges
     (``Window.restrictions``) at its dual, with the box's labels and
-    duals from ``Window.boxes``.  Raises ``WindowError`` at a K-type
-    outside the window.
+    duals from ``Window.boxes``.  The sum v is a ``{K-type: nonzero
+    int}`` dict, and ``Window.restriction`` refuses it first:
+    ``WindowError`` at a K-type outside the window, ``TypeError`` at a
+    multiplicity that is not an ``int``.
     """
     support = restricted_support(window.duals, window.restriction(v))
     cap = 8 + max((abs(c) for label in (*support, *v) for c in label), default=0)
@@ -456,12 +464,12 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     return {"series": len(series)}
 
 
-def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[FormalSum]:
+def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[dict]:
     """Deterministic pseudo-random formal sums of the rows of norm <= norm_cap.
 
     The pool is ``Window.rows_within(norm_cap)``; an empty pool yields an
-    empty list.  Each draw maps distinct rows to multiplicities 1 to 3,
-    so its sum is built without revalidation.
+    empty list.  Each draw is a dict from distinct rows to multiplicities
+    1 to 3.
     """
     pool = window.rows_within(norm_cap)
     if not pool:
@@ -471,7 +479,7 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[F
     for _ in range(count):
         size = rng.randint(1, min(3, len(pool)))
         labels = rng.sample(pool, size)
-        sums.append(FormalSum._unchecked({tau: rng.randint(1, 3) for tau in labels}))
+        sums.append({tau: rng.randint(1, 3) for tau in labels})
     return sums
 
 

@@ -20,7 +20,7 @@ from .tempered import (
     partner_minimum,
     tempiric_window,
 )
-from .weights import CYCLIC2, labels_in_box, scaled_norm, _label_axes, _Record
+from .weights import CYCLIC2, scaled_norm, _label_axes, _Record
 
 CIRCLE = "circle"
 SQUARE = "square"
@@ -59,13 +59,13 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
         raise ValueError("grid bound must be nonnegative")
     if CYCLIC2 in datum.k.atoms:
         raise ValueError("diagram grids are not defined for parity atoms")
-    nodes = list(labels_in_box(datum.k, grid_bound))
+    dim = datum.k.lattice_dim
+    axes = _label_axes(datum.k, [grid_bound] * dim, [0] * dim, grid_bound)
+    nodes = list(itertools.product(*axes))
     on_grid = set(nodes)
     # The largest Vogan norm on the grid, divided by D once.  The catalog
     # refuses a Gram matrix that is not positive-definite, so the norm is
-    # convex and takes its maximum at a corner of the box labels_in_box scans.
-    dim = datum.k.lattice_dim
-    axes = _label_axes(datum.k, [grid_bound] * dim, [0] * dim, grid_bound)
+    # convex and takes its maximum at a corner of the grid's box.
     corners = itertools.product(*[(axis[0], axis[-1]) for axis in axes])
     bound = Fraction(max(scaled_norm(datum, c) for c in corners), datum.gram_scale)
     window = tempiric_window(datum, bound)

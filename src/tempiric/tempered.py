@@ -652,22 +652,30 @@ class Window(_Value):
         return dict(holders)
 
     def restriction(self, v) -> dict:
-        """The restriction to M of a sum of rows, as ``{(c,): multiplicity}``.
+        """The restriction to M of a formal sum v, as ``{(c,): multiplicity}``.
 
-        The multiplicity-weighted sum of its rows' ``restrictions``.
-        Raises ``WindowError`` at a K-type that is not a row, an invalid
-        label included: a key equal to a row must also pass
-        ``is_label_entry`` at every entry, so ``(1.0,)`` and ``(True,)``
-        are refused although they hash like the row ``(1,)``.
+        v is a ``{K-type: nonzero int}`` dict, and its restriction is the
+        multiplicity-weighted sum of its rows' ``restrictions``; a zero
+        multiplicity counts for nothing.  Every sum a check reads enters
+        here, so this is where it is refused:
+
+        - ``TypeError`` at a multiplicity that is not an ``int``, or is a
+          ``bool``;
+        - ``WindowError`` at a K-type that is not a row.  A key that is
+          not a tuple is named by its ``repr``.  A key equal to a row must
+          also pass ``is_label_entry`` at every entry, so ``(1.0,)`` and
+          ``(True,)`` are refused although they hash like the row ``(1,)``.
         """
         index, restrictions = self.row_index, self.restrictions
         restricted: dict = {}
         for tau, mult in v.items():
+            if not is_label_entry(mult):
+                raise TypeError(f"multiplicity {mult!r} is not an integer")
             i = index.get(tau)
             if i is None or not all(map(is_label_entry, tau)):
+                shown = format_label(tau) if isinstance(tau, tuple) else repr(tau)
                 raise WindowError(
-                    f"K-type {format_label(tau)} is not in the window of bound "
-                    f"{_decimal(self.bound)}"
+                    f"K-type {shown} is not in the window of bound {_decimal(self.bound)}"
                 )
             for c in restrictions[i]:
                 restricted[(c,)] = restricted.get((c,), 0) + mult

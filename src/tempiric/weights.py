@@ -5,7 +5,8 @@ Groups are finite products of four atom kinds: the circle group
 An irreducible representation is labeled by one integer per atom: a
 character exponent for ``Torus1``, a bit for ``Cyclic2``, and a
 nonnegative highest weight for ``SU2`` (dimension a+1) or ``SO3``
-(dimension 2j+1).
+(dimension 2j+1).  A formal sum of labels is a plain dict from label to
+nonzero ``int`` multiplicity.
 
 Everything is a pure function of immutable data, computed in exact
 arithmetic.  Vogan norms and Gram pairings are integers on the group's
@@ -88,13 +89,24 @@ class CompactGroup(_Value):
 
 
 def is_label_entry(v) -> bool:
-    """``validate_label``'s entry rule: an ``int`` that is not a ``bool``."""
+    """An ``int`` that is not a ``bool``: a label entry or a multiplicity.
+
+    ``validate_label`` holds each label entry to it, and
+    ``Window.restriction`` each multiplicity of a formal sum.
+    """
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def validate_label(group: CompactGroup, label) -> tuple[int, ...]:
-    """Check that ``label`` is a valid irreducible label for ``group``."""
-    label = tuple(label)
+    """Check that ``label`` is a valid irreducible label for ``group``.
+
+    Raises ``ValueError`` for a label that is not a sequence of valid
+    entries, one per atom.
+    """
+    try:
+        label = tuple(label)
+    except TypeError:
+        raise ValueError(f"label {label!r} is not a sequence") from None
     if len(label) != len(group.atoms):
         raise ValueError(
             f"label {label!r} has {len(label)} entries, group has {len(group.atoms)} atoms"
@@ -115,65 +127,6 @@ def _atom_dim(kind: str, v: int) -> int:
     if kind == SO3:
         return 2 * v + 1
     return 1
-
-
-class FormalSum:
-    """A finite integer combination of labels.
-
-    Keys are arbitrary hashable labels (tuples, tempered-representation
-    records, ...); values are nonzero integers.  Lookup of an absent key
-    yields 0.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        data = terms.items() if isinstance(terms, (dict, FormalSum)) else terms
-        acc: dict = {}
-        for key, mult in data:
-            if not isinstance(mult, int) or isinstance(mult, bool):
-                raise TypeError(f"multiplicity {mult!r} is not an integer")
-            acc[key] = acc.get(key, 0) + mult
-        self._terms = {k: v for k, v in acc.items() if v != 0}
-
-    @classmethod
-    def _unchecked(cls, terms: dict) -> FormalSum:
-        # The sum of a dict already known to map each key to a nonzero int.
-        total = cls.__new__(cls)
-        total._terms = terms
-        return total
-
-    def items(self):
-        return self._terms.items()
-
-    def __getitem__(self, key) -> int:
-        return self._terms.get(key, 0)
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __contains__(self, key) -> bool:
-        return key in self._terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FormalSum):
-            return self._terms == other._terms
-        if isinstance(other, dict):
-            return self._terms == {k: v for k, v in other.items() if v != 0}
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        try:
-            body = ", ".join(f"{k!r}: {v}" for k, v in sorted(self._terms.items()))
-        except TypeError:
-            body = ", ".join(f"{k!r}: {v}" for k, v in self._terms.items())
-        return f"FormalSum({{{body}}})"
 
 
 def weyl_dim(group: CompactGroup, tau) -> int:

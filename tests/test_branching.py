@@ -6,7 +6,7 @@ import pytest
 from tempiric.branching import restricted_range, restricted_support
 from tempiric.catalog import GroupDatum, builtin, load, serialize
 from tempiric.tempered import tempiric_window
-from tempiric.weights import FormalSum, enumerate_ktypes, vogan_norm, weyl_dim
+from tempiric.weights import enumerate_ktypes, vogan_norm, weyl_dim
 
 import oracles
 
@@ -60,12 +60,12 @@ def _support(datum, v):
 
 
 def test_mult_space_dim_examples(sl2r, so31, sp11):
-    assert _mult_space_dim(sl2r, (1,), FormalSum({(1,): 1})) == 1
-    assert _mult_space_dim(sp11, (1,), FormalSum({(1, 0): 1})) == 1
-    assert _mult_space_dim(so31, (2,), FormalSum({(1,): 1})) == 0
+    assert _mult_space_dim(sl2r, (1,), {(1,): 1}) == 1
+    assert _mult_space_dim(sp11, (1,), {(1, 0): 1}) == 1
+    assert _mult_space_dim(so31, (2,), {(1,): 1}) == 0
     # circle duality is observable: sigma must match the dual weight
-    assert _mult_space_dim(so31, (2,), FormalSum({(3,): 1})) == 1
-    assert _mult_space_dim(so31, (-2,), FormalSum({(3,): 1})) == 1
+    assert _mult_space_dim(so31, (2,), {(3,): 1}) == 1
+    assert _mult_space_dim(so31, (-2,), {(3,): 1}) == 1
 
 
 def test_frobenius_consistency(sl2r, so31, sp11):
@@ -74,9 +74,9 @@ def test_frobenius_consistency(sl2r, so31, sp11):
     # multiplicity in the principal series of sigma, as the oracle counts it.
     for datum in (sl2r, so31, sp11):
         window = tempiric_window(datum, 100)
-        sigmas = _support(datum, FormalSum({tau: 1 for tau in window.rows}))
+        sigmas = _support(datum, {tau: 1 for tau in window.rows})
         for tau in window.rows:
-            restricted = window.restriction(FormalSum({tau: 1}))
+            restricted = window.restriction({tau: 1})
             labels = restricted_range(datum, tau)
             for sigma in sigmas:
                 dual = window.duals[sigma]
@@ -85,9 +85,9 @@ def test_frobenius_consistency(sl2r, so31, sp11):
 
 
 def test_support_examples(sl2r, so31, sp11):
-    assert _support(sl2r, FormalSum({(0,): 1})) == ((0,),)
-    assert _support(sp11, FormalSum({(2, 0): 1})) == ((2,),)
-    assert _support(so31, FormalSum({(1,): 1, (0,): 2})) == (
+    assert _support(sl2r, {(0,): 1}) == ((0,),)
+    assert _support(sp11, {(2, 0): 1}) == ((2,),)
+    assert _support(so31, {(1,): 1, (0,): 2}) == (
         (-1,),
         (0,),
         (1,),
@@ -97,11 +97,11 @@ def test_support_examples(sl2r, so31, sp11):
 def test_support_is_union_over_constituents(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         window = enumerate_ktypes(datum, 60)
-        v = FormalSum({tau: 1 + i % 3 for i, tau in enumerate(window)})
+        v = {tau: 1 + i % 3 for i, tau in enumerate(window)}
         combined = set(_support(datum, v))
         union = set()
         for tau in window:
-            union |= set(_support(datum, FormalSum({tau: 1})))
+            union |= set(_support(datum, {tau: 1}))
         assert combined == union
 
 

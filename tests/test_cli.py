@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tempiric
-from tempiric import FormalSum, branching, cktheory, tempered, weights
+from tempiric import branching, cktheory, tempered, weights
 from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 from tempiric.tempered import tempiric_window
@@ -651,8 +651,8 @@ def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, s
         return [*rest, (block, d + 1)]
 
     monkeypatch.setattr(cktheory, "_boundary_blocks", off_by_one)
-    v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
-    v2 = FormalSum({(1,): 2})
+    v1 = {(0,): 2, (2,): 3, (3,): 1}
+    v2 = {(1,): 2}
     report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)
     assert not report.passed
     assert report.counterexample == {
@@ -676,8 +676,8 @@ def test_hom_pairing_mismatch_fails_the_identity_check(capsys, monkeypatch, so31
     # right side, which is computed by its own route.
     pairing = cktheory.isotypic_pairing
     monkeypatch.setattr(cktheory, "isotypic_pairing", lambda *args: pairing(*args) + 1)
-    v1 = FormalSum({(0,): 2, (2,): 3, (3,): 1})
-    v2 = FormalSum({(1,): 2})
+    v1 = {(0,): 2, (2,): 3, (3,): 1}
+    v2 = {(1,): 2}
     report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)
     assert not report.passed
     assert report.counterexample == {

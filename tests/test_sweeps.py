@@ -17,7 +17,7 @@ from tempiric.branching import restricted_support
 from tempiric.catalog import builtin, load, serialize, weyl_image
 from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
 from tempiric.tempered import WindowError, tempiric_window
-from tempiric.weights import FormalSum, enumerate_ktypes
+from tempiric.weights import enumerate_ktypes
 
 import oracles
 
@@ -55,13 +55,9 @@ def _recorded(monkeypatch, check, run):
     return final, calls
 
 
-def restrict_sum(datum, v):
-    # The restriction of a formal sum of K-types, recomputed by the oracle.
-    return FormalSum(oracles.restriction_sum_oracle(datum, v))
-
-
 def _restricts_like_the_branching_rule(window, v):
-    return FormalSum(window.restriction(v)) == restrict_sum(window.datum, v)
+    # The restriction of a formal sum of K-types, recomputed by the oracle.
+    return window.restriction(v) == oracles.restriction_sum_oracle(window.datum, v)
 
 
 @pytest.mark.parametrize("bound", BOUNDS, ids=str)
@@ -106,24 +102,24 @@ def test_admissibility_sweep_equals_the_public_check(monkeypatch, name, bound):
 def test_window_restriction_equals_restrict_sum(name, bound):
     window = tempiric_window(DATA[name](), bound)
     for i, tau in enumerate(window.rows):
-        assert _restricts_like_the_branching_rule(window, FormalSum({tau: i + 1}))
-    everything = FormalSum({tau: 1 + i % 3 for i, tau in enumerate(window.rows)})
+        assert _restricts_like_the_branching_rule(window, {tau: i + 1})
+    everything = {tau: 1 + i % 3 for i, tau in enumerate(window.rows)}
     assert _restricts_like_the_branching_rule(window, everything)
 
 
 def test_a_ktype_outside_the_window_is_refused(sl2r, sp11):
     window = tempiric_window(sl2r, 9)
     for tau in ((4,), (1, 0), (0.5,), ("0",)):
-        v = FormalSum({(0,): 1, tau: 1})
+        v = {(0,): 1, tau: 1}
         with pytest.raises(WindowError, match="is not in the window of bound 9"):
             window.restriction(v)
         with pytest.raises(WindowError):
-            cktheory.dimension_identity_check(window, FormalSum({(0,): 1}), v)
+            cktheory.dimension_identity_check(window, {(0,): 1}, v)
         with pytest.raises(WindowError):
             cktheory.admissibility_check(window, v)
     with pytest.raises(WindowError):
         cktheory.dimension_identity_check(
-            tempiric_window(sp11, 10), FormalSum({(-1, 0): 1}), FormalSum()
+            tempiric_window(sp11, 10), {(-1, 0): 1}, {}
         )
 
 
@@ -139,7 +135,7 @@ def test_an_invalid_label_equal_to_a_row_is_refused(group, tau):
     # int (or is a bool), so every check reading Window.restriction refuses it.
     window = tempiric_window(builtin(group), 10)
     assert tau in window.row_index
-    v, valid = FormalSum({tau: 1}), FormalSum({window.rows[0]: 1})
+    v, valid = {tau: 1}, {window.rows[0]: 1}
     for check in (
         lambda: cktheory.dimension_identity_check(window, valid, v),
         lambda: cktheory.dimension_identity_check(window, v, valid),
@@ -148,6 +144,40 @@ def test_an_invalid_label_equal_to_a_row_is_refused(group, tau):
         with pytest.raises(WindowError, match="is not in the window of bound 10"):
             check()
     assert cktheory.admissibility_check(window, valid).passed
+
+
+@pytest.mark.parametrize("key", [5, None, "ab", ""])
+def test_a_key_that_is_not_a_tuple_is_named_by_its_repr(sl2r, key):
+    window = tempiric_window(sl2r, 9)
+    with pytest.raises(WindowError) as refusal:
+        window.restriction({(0,): 1, key: 1})
+    assert str(refusal.value) == f"K-type {key!r} is not in the window of bound 9"
+
+
+@pytest.mark.parametrize("mult", [1.5, True, False, Fraction(1), None])
+def test_a_multiplicity_that_is_not_an_int_is_refused(sp11, mult):
+    # Window.restriction is where every sum a check reads enters.
+    window = tempiric_window(sp11, 20)
+    v, valid = {(0, 0): 1, (1, 1): mult}, {(1, 1): 1}
+    for check in (
+        lambda: window.restriction(v),
+        lambda: cktheory.dimension_identity_check(window, v, valid),
+        lambda: cktheory.dimension_identity_check(window, valid, v),
+        lambda: cktheory.admissibility_check(window, v),
+    ):
+        with pytest.raises(TypeError) as refusal:
+            check()
+        assert str(refusal.value) == f"multiplicity {mult!r} is not an integer"
+
+
+def test_a_zero_multiplicity_moves_no_verdict(sp11):
+    window = tempiric_window(sp11, 100)
+    v, padded = {(1, 1): 1}, {(1, 1): 1, (5, 4): 0}
+    identity = cktheory.dimension_identity_check
+    assert identity(window, padded, padded) == identity(window, v, v)
+    plain, zero = (cktheory.admissibility_check(window, s) for s in (v, padded))
+    assert plain.passed and zero.passed
+    assert plain.data["support"] == zero.data["support"]
 
 
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
@@ -201,7 +231,7 @@ def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
     assert (1,) not in window.class_of
     report = cktheory.verify(window, DEFAULT_SEED)[3]
     assert report.name == "dimension_identity" and report.passed
-    v = FormalSum({(0,): 1})
+    v = {(0,): 1}
     r = window.restriction(v)
     blocks = cktheory._boundary_blocks(window, r, r, set(restricted_support(window.duals, r)))
     assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
@@ -223,7 +253,7 @@ def _huge_window():
 
 def test_restriction_refusal_names_a_huge_bound():
     with pytest.raises(WindowError) as refusal:
-        _huge_window().restriction(FormalSum({(7,): 1}))
+        _huge_window().restriction({(7,): 1})
     assert str(refusal.value) == "K-type (7) is not in the window of bound ~10^5001"
 
 
@@ -243,7 +273,7 @@ def test_restriction_refusal_names_a_tiny_bound():
     # 1/10^5000 has a denominator past the digit limit and lies below 1.
     window = tempiric_window(builtin("SL2R"), Fraction(1, 10**5000))
     with pytest.raises(WindowError) as refusal:
-        window.restriction(FormalSum({(3,): 1}))
+        window.restriction({(3,): 1})
     assert str(refusal.value) == "K-type (3) is not in the window of bound ~10^-5000"
 
 
@@ -292,6 +322,6 @@ def test_admissibility_names_the_first_stray_label(monkeypatch, group, v, sigma,
         return restricted
 
     monkeypatch.setattr(tempered.Window, "restriction", wrong)
-    report = cktheory.admissibility_check(tempiric_window(builtin(group), 50), FormalSum(v))
+    report = cktheory.admissibility_check(tempiric_window(builtin(group), 50), v)
     assert not report.passed and report.data == {}
     assert list(report.counterexample.items()) == [("sigma", sigma), ("support", support)]

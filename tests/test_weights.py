@@ -15,7 +15,6 @@ from tempiric.weights import (
     TORUS1,
     CYCLIC2,
     CompactGroup,
-    FormalSum,
     WindowTooLargeError,
     enumerate_ktypes,
     isotypic_pairing,
@@ -103,16 +102,6 @@ def test_hom_dim_agrees_with_dual_tensor_route():
         assert direct == product.get((0, 0), 0)
 
 
-def test_formal_sum_algebra():
-    a = FormalSum([((1,), 2), ((2,), 1), ((1,), -2), ((3,), 0)])
-    assert a == {(2,): 1, (3,): 0}
-    assert a != {(1,): 0, (2,): 2}
-    assert list(a.items()) == [((2,), 1)]
-    assert a[(1,)] == a[(9,)] == 0
-    assert not FormalSum({(1,): 0})
-    assert FormalSum() == {}
-
-
 def test_vogan_norm_catalog(sl2r, so31, sp11):
     assert vogan_norm(sl2r, (3,)) == 9
     assert vogan_norm(sp11, (0, 0)) == 8
@@ -159,6 +148,13 @@ def test_label_validation(sp11):
         weyl_dim(sp11.k, (-1, 0))
     with pytest.raises(ValueError):
         weyl_dim(C2, (2,))
+
+
+@pytest.mark.parametrize("label", [5, None, 1.5])
+def test_a_label_that_is_not_a_sequence_is_refused(label):
+    with pytest.raises(ValueError) as refusal:
+        weights.validate_label(T1, label)
+    assert str(refusal.value) == f"label {label!r} is not a sequence"
 
 
 def test_oversize_windows_refused_before_enumeration(sl2r, sp11):
