@@ -192,12 +192,8 @@ def _validate_ds(datum: GroupDatum, dim: int):
             if tuple(s * alpha[p] for p, s in zip(perm, signs)) not in compact_set:
                 raise CatalogError("ds.wk_elements: element does not permute the compact roots")
         for v in ds.weyl_k:
-            prod = tuple(
-                tuple(
-                    sum(w[i][t] * v[t][j] for t in range(dim)) for j in range(dim)
-                )
-                for i in range(dim)
-            )
+            # Row r of w.v is row perm[r] of v, times signs[r].
+            prod = tuple(tuple(s * x for x in v[p]) for p, s in zip(perm, signs))
             if prod not in elements:
                 raise CatalogError("ds.wk_elements: set is not closed under composition")
 

@@ -8,7 +8,9 @@ dimension identities behind the rank-one Fourier decomposition.
 On a window, the paper's K-theoretic form of Vogan's theorem is what
 ``verify`` and ``ck-matrix`` report from these routines: the
 minimal-K-type bijection, unit lower-triangularity and the exact integer
-inverse.  Nothing here computes a K-group.
+inverse.  Nothing here computes a K-group.  The inverse is one exact
+Gauss-Jordan elimination that scans the rows for each pivot and the rows
+it clears, at most 1,000 by ``mult_matrix``'s entry limit.
 
 Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
@@ -234,14 +236,15 @@ def invert_window(matrix: MultMatrix):
     Refuses when any column is aggregate-only, naming the culprits.  The
     inverse comes from one exact Gauss-Jordan elimination on sparse rows
     of [A | I] (a dict per row, column -> nonzero value).  The pivot of
-    column col is the first row at or after col that holds it, and only
-    the rows that hold the pivot column are eliminated: ``holders[k]`` is
-    the set of rows with a nonzero in column k < n, updated as fill-in
-    appears and disappears and as rows swap.  Rows ordered by (norm,
-    label) make A block lower-triangular with blocks of equal norm, so
-    fill-in stays at the sparsity of the inverse; nothing relies on that
-    order.  Entries stay ``int`` until a non-unit pivot divides them into
-    ``Fraction``.  A missing pivot or a non-integral inverse entry would
+    column col is the first row at or after col that holds it, swapped
+    into place, and only the other rows that hold the pivot column are
+    eliminated.  Each column finds both by scanning the rows; no
+    per-column row sets are kept, since ``mult_matrix`` refuses rows x
+    rows above ``MAX_WINDOW_ENTRIES``, so n is at most 1,000.  Rows
+    ordered by (norm, label) make A block lower-triangular with blocks of
+    equal norm, so fill-in stays at the sparsity of the inverse; nothing
+    relies on that order.  Entries stay ``int`` until a non-unit pivot
+    divides them into ``Fraction``.  A missing pivot or a non-integral inverse entry would
     contradict the certified triangularity and raises as an internal
     error.  The product A^-1.A is then computed exactly over its
     nonzeros, and every row is compared with the identity row; A is
@@ -261,24 +264,18 @@ def invert_window(matrix: MultMatrix):
             f"window is not square: {n} K-types, {len(matrix.cols)} representatives"
         )
     forward: list[dict] = [{} for _ in range(n)]
-    holders: list[set] = [set() for _ in range(n)]
     for (i, j), v in matrix.entries.items():
         if v:
             forward[i][j] = v
-            holders[j].add(i)
     # Columns n.. of each augmented row hold the identity block.
     aug = [{**row, n + i: 1} for i, row in enumerate(forward)]
     for col in range(n):
-        pivot = min((r for r in holders[col] if r >= col), default=None)
+        pivot = next((r for r in range(col, n) if col in aug[r]), None)
         if pivot is None:
             raise InternalInconsistencyError(
                 "window matrix is singular despite certified triangularity"
             )
-        if pivot != col:
-            for k in aug[col].keys() ^ aug[pivot].keys():
-                if k < n:
-                    holders[k] ^= {col, pivot}
-            aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
         pivot_row = aug[col]
         scale = pivot_row[col]
         if scale != 1:
@@ -286,20 +283,14 @@ def invert_window(matrix: MultMatrix):
             pivot_row = aug[col] = {k: v * inv_scale for k, v in pivot_row.items()}
         # The pivot entry is now 1, so each row it clears loses column col.
         rest = [(k, v) for k, v in pivot_row.items() if k != col]
-        for r in holders[col] - {col}:
-            row = aug[r]
+        for row in [row for row in aug if col in row and row is not pivot_row]:
             factor = row.pop(col)
             for k, v in rest:
                 value = row.get(k, 0) - factor * v
                 if value:
-                    if k < n and k not in row:
-                        holders[k].add(r)
                     row[k] = value
                 else:
                     del row[k]
-                    if k < n:
-                        holders[k].discard(r)
-        holders[col] = {col}
     inverse: list[dict] = []
     for row in aug:
         int_row = {}
@@ -392,9 +383,9 @@ def admissibility_check(window: Window, v: dict) -> VerificationReport:
     """The computed support is finite and exhaustive under a brute sweep.
 
     Sweeps every M-label within a coordinate box extending well past the
-    support and confirms that a multiplicity space survives exactly at
-    the support.  The support is read off one ``Window.restriction`` of
-    v; each label's dimension is read off v's rows' ranges
+    support and the K-types of nonzero multiplicity, and confirms that a
+    multiplicity space survives exactly at the support.  The support is
+    read off one ``Window.restriction`` of v; each label's dimension is read off v's rows' ranges
     (``Window.restrictions``) at its dual, with the box's labels and
     duals from ``Window.boxes``.  The sum v is a ``{K-type: nonzero
     int}`` dict, and ``Window.restriction`` refuses it first:
@@ -402,7 +393,8 @@ def admissibility_check(window: Window, v: dict) -> VerificationReport:
     multiplicity that is not an ``int``.
     """
     support = restricted_support(window.duals, window.restriction(v))
-    cap = 8 + max((abs(c) for label in (*support, *v) for c in label), default=0)
+    nonzero = [tau for tau, mult in v.items() if mult]
+    cap = 8 + max((abs(c) for label in (*support, *nonzero) for c in label), default=0)
     members = set(support)
     box = window.boxes[cap]
     dims = _mult_space_dims(window, v, [dual for _, dual in box])

@@ -160,31 +160,27 @@ def _principal_class_of(datum: GroupDatum, sigma) -> PrincipalClass:
 
 
 def _constituents(cls: PrincipalClass, minima) -> list[TempiricRep]:
-    # One constituent per minimal K-type, after the rank-one checks.
+    # One constituent per minimal K-type, after the rank-one check; each
+    # minimum occurs once, which vogan_bijection_check asserts on the matrix.
     if len(minima) > 2:
         raise InternalInconsistencyError(
             f"class {cls.describe()} has {len(minima)} minimal K-types; "
             "rank one allows at most two"
         )
-    for tau, mult in minima:
-        if mult != 1:
-            raise InternalInconsistencyError(
-                f"minimal K-type {format_label(tau)} of class {cls.describe()} "
-                f"has multiplicity {mult}, expected 1"
-            )
     split = len(minima) == 2
     return [
         TempiricRep(kind="ps", min_ktype=tau, ps_class=cls, split=split)
-        for tau, _ in minima
+        for tau in minima
     ]
 
 
 def partner_minimum(window: Window, rep: TempiricRep) -> tuple[int, ...]:
     """Minimal K-type of the other constituent of a split class of the window.
 
-    The other of the two minima that ``Window.classes`` holds for the class.
+    The other of the two minimal K-types that ``Window.classes`` holds for
+    the class.
     """
-    (first, _), (second, _) = window.classes[rep.ps_class]
+    first, second = window.classes[rep.ps_class]
     return second if first == rep.min_ktype else first
 
 
@@ -655,9 +651,10 @@ class Window(_Value):
         """The restriction to M of a formal sum v, as ``{(c,): multiplicity}``.
 
         v is a ``{K-type: nonzero int}`` dict, and its restriction is the
-        multiplicity-weighted sum of its rows' ``restrictions``; a zero
-        multiplicity counts for nothing.  Every sum a check reads enters
-        here, so this is where it is refused:
+        multiplicity-weighted sum of its rows' ``restrictions``.  A key of
+        zero multiplicity is checked like any other but writes nothing.
+        Every sum a check reads enters here, so this is where it is
+        refused:
 
         - ``TypeError`` at a multiplicity that is not an ``int``, or is a
           ``bool``;
@@ -677,8 +674,9 @@ class Window(_Value):
                 raise WindowError(
                     f"K-type {shown} is not in the window of bound {_decimal(self.bound)}"
                 )
-            for c in restrictions[i]:
-                restricted[(c,)] = restricted.get((c,), 0) + mult
+            if mult:
+                for c in restrictions[i]:
+                    restricted[(c,)] = restricted.get((c,), 0) + mult
         return restricted
 
     @cached_property
@@ -700,22 +698,22 @@ class Window(_Value):
 
     @cached_property
     def classes(self) -> dict[PrincipalClass, tuple]:
-        """``{class: ((minimal K-type, multiplicity), ...)}`` per class met.
+        """``{class: (minimal K-type, ...)}`` per class met.
 
         One sweep over the rows, one norm level at a time.  A row meets
-        the classes of the duals of its M-labels, and occurs in a class
-        (with its multiplicity in the class's principal series, read off
-        its range) exactly when the representative is one of them; the
-        minima are the rows at the first norm where it does, which on a
-        complete window are global.  So each row reads only the part of
-        its range that no row of a lower norm covered: the covered labels
-        are kept as disjoint intervals per step and residue
-        (``_uncovered``, ``_cover``), and a level is covered after all its
-        rows are read, so two rows of one norm can share a new label (a
-        split class).  Each label met is looked up once, and once more per
-        further row of its first level.  The classes met are collected
-        here, not read off ``class_of``, which other readers also fill.
-        Representative order.
+        the classes of the duals of its M-labels, and occurs in a class's
+        principal series exactly when the representative is one of them,
+        and then once, as its range holds each label once.  The minima are
+        the rows at the first norm where it does, which on a complete
+        window are global.  So each row reads only the part of its range
+        that no row of a lower norm covered: the covered labels are kept
+        as disjoint intervals per step and residue (``_uncovered``,
+        ``_cover``), and a level is covered after all its rows are read,
+        so two rows of one norm can share a new label (a split class).
+        Each label met is looked up once, and once more per further row
+        of its first level.  The classes met are collected here, not read
+        off ``class_of``, which other readers also fill.  Representative
+        order.
         """
         duals, class_of = self.duals, self.class_of
         rows, norms, restrictions = self.rows, self.norms, self.restrictions
@@ -732,7 +730,7 @@ class Window(_Value):
                         sigma = duals[(c,)]
                         cls = met[sigma] = class_of[sigma]
                         if sigma == cls.representative:
-                            minima.setdefault(sigma, []).append((rows[i], labels.count(c)))
+                            minima.setdefault(sigma, []).append(rows[i])
             for i in level:
                 _cover(covered.setdefault(_lattice(restrictions[i]), []), restrictions[i])
             start = level.stop

@@ -127,5 +127,5 @@ def test_negative_representative_reaches_its_minimum():
     window = tempiric_window(datum, 36)    # (5) has norm 6^2
     cls = window.class_of[(-5,)]
     assert cls.representative == (-5,)
-    assert window.classes[cls] == (((5,), 1),)
+    assert window.classes[cls] == ((5,),)
     assert oracles.minimal_ktypes_by_sweep(datum, (-5,)) == ((5,),)

@@ -54,7 +54,7 @@ def test_window_minima_match_the_sweeps(name, bound):
     assert sorted(by_class, key=lambda c: c.representative) == list(window.classes)
     for cls, minima in by_class.items():
         assert tuple(minima) == _swept(name, cls.representative), cls.describe()
-        assert tuple(minima) == tuple(tau for tau, _ in window.classes[cls]), cls.describe()
+        assert tuple(minima) == window.classes[cls], cls.describe()
 
 
 def test_window_certifies_minima_above_the_sweep_ceiling():
@@ -64,7 +64,7 @@ def test_window_certifies_minima_above_the_sweep_ceiling():
     (rep,) = [rep for rep in window.reps if rep.ps_class == window.class_of[(181,)]]
     assert rep.ps_class.orbit == ((-181,), (181,))
     assert rep.min_ktype == (181,) and not rep.split
-    assert window.classes[rep.ps_class] == (((181,), 1),)
+    assert window.classes[rep.ps_class] == ((181,),)
 
 
 def _count_calls(monkeypatch, name, modules):

@@ -159,7 +159,7 @@ def test_random_unimodular_matches_dense_oracle(dense):
 
 # SO31 with two_rho_c set to [-1] is a group file that verify rejects, yet
 # ck-matrix prints an inverse for it: its elimination clears entries of the
-# matrix part (the holders discard in invert_window), which no command of
+# matrix part (a cancellation in invert_window), which no command of
 # tools/cli_digest.py reaches.  Hashes recorded from the tree before the
 # branching rules became table rows; a change to what invert_window owes
 # such a file shows here as changed bytes.

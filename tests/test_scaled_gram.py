@@ -160,7 +160,7 @@ def test_standalone_minimal_ktypes_on_rational_grams(sp11, a, d, t, c):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tempered, "enumerate_ktypes", counted)
-        minima = tuple(tau for tau, _ in window.classes[window.class_of[(c,)]])
+        minima = window.classes[window.class_of[(c,)]]
     assert minima == oracles.minimal_ktypes_by_sweep(datum, (c,))
     assert len(calls) == 1
 
@@ -185,8 +185,11 @@ def test_window_classes_match_the_sweep_on_drawn_grams(name, a, d, equal, t, bou
     datum = _with_gram(datum, gram)
     for cls, minima in tempiric_window(datum, bound).classes.items():
         expected = oracles.minimal_ktypes_by_sweep(datum, cls.representative)
-        assert tuple(tau for tau, _ in minima) == expected, cls.describe()
-        assert all(mult == 1 for _, mult in minima)
+        assert minima == expected, cls.describe()
+        assert all(
+            oracles.mult_in_induced_oracle(datum, cls.representative, tau) == 1
+            for tau in minima
+        )
 
 
 def _skew_gram(datum):
