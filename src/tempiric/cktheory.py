@@ -10,7 +10,9 @@ On a window, the paper's K-theoretic form of Vogan's theorem is what
 minimal-K-type bijection, unit lower-triangularity and the exact integer
 inverse.  Nothing here computes a K-group.  The inverse is one exact
 Gauss-Jordan elimination that scans the rows for each pivot and the rows
-it clears, at most 1,000 by ``mult_matrix``'s entry limit.
+it clears, at most 1,000 by ``mult_matrix``'s entry limit, and it stays
+sparse: one ``{column: int}`` dict per row, which ``ck-matrix`` writes
+as it comes for CSV and expands to dense rows only for JSON.
 
 Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
@@ -41,7 +43,6 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from itertools import repeat
 
 from .branching import restricted_support
 from .tempered import (
@@ -249,7 +250,9 @@ def invert_window(matrix: MultMatrix):
     error.  The product A^-1.A is then computed exactly over its
     nonzeros, and every row is compared with the identity row; A is
     square and the arithmetic exact, so A^-1.A = I certifies A.A^-1 = I
-    too.  Returns the inverse as a dense list of integer rows.
+    too.  Returns the certified rows of the inverse: row i is a dict
+    mapping each column j with a nonzero entry to that entry, an ``int``,
+    with the keys ascending.
     """
     aggregate = [
         matrix.cols[j].describe()
@@ -291,21 +294,16 @@ def invert_window(matrix: MultMatrix):
                     row[k] = value
                 else:
                     del row[k]
-    inverse: list[dict] = []
-    for row in aug:
-        int_row = {}
-        for k, v in row.items():
-            if k < n:
-                continue
-            if v.denominator != 1:
-                raise InternalInconsistencyError(
-                    "window inverse is not integral despite unit diagonal"
-                )
-            int_row[k - n] = int(v)
-        inverse.append(int_row)
+    # Elimination leaves each row's keys out of column order.
+    inverse = [dict(sorted((k - n, v) for k, v in row.items() if k >= n)) for row in aug]
+    if any(v.denominator != 1 for row in inverse for v in row.values()):
+        raise InternalInconsistencyError(
+            "window inverse is not integral despite unit diagonal"
+        )
+    inverse = [{j: int(v) for j, v in row.items()} for row in inverse]
     if not _sparse_product_is_identity(inverse, forward):
         raise InternalInconsistencyError("inverse verification failed")
-    return [list(map(row.get, range(n), repeat(0))) for row in inverse]
+    return inverse
 
 
 @_search
@@ -386,9 +384,9 @@ def admissibility_check(window: Window, v: dict) -> VerificationReport:
     support and the K-types of nonzero multiplicity, and confirms that a
     multiplicity space survives exactly at the support.  The support is
     read off one ``Window.restriction`` of v; each label's dimension is read off v's rows' ranges
-    (``Window.restrictions``) at its dual, with the box's labels and
-    duals from ``Window.boxes``.  The sum v is a ``{K-type: nonzero
-    int}`` dict, and ``Window.restriction`` refuses it first:
+    (``Window.restrictions``) at its dual, with the box's labels from
+    ``labels_in_box`` and their duals from ``Window.duals``.  The sum v
+    is a ``{K-type: nonzero int}`` dict, and ``Window.restriction`` refuses it first:
     ``WindowError`` at a K-type outside the window, ``TypeError`` at a
     multiplicity that is not an ``int``.
     """
@@ -396,7 +394,7 @@ def admissibility_check(window: Window, v: dict) -> VerificationReport:
     nonzero = [tau for tau, mult in v.items() if mult]
     cap = 8 + max((abs(c) for label in (*support, *nonzero) for c in label), default=0)
     members = set(support)
-    box = window.boxes[cap]
+    box = [(sigma, window.duals[sigma]) for sigma in labels_in_box(window.datum.m, cap)]
     dims = _mult_space_dims(window, v, [dual for _, dual in box])
     shown = [format_label(s) for s in support]
     strays = (sigma for sigma, dual in box if (dims[dual[0]] > 0) != (sigma in members))

@@ -23,7 +23,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import cktheory, figures, weights
@@ -241,12 +241,10 @@ def _column_descriptor(rep) -> dict:
 def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
     matrix = tempiric_window(datum, args.bound).matrix
-    inverse = None
-    refusal = None
     try:
-        inverse = cktheory.invert_window(matrix)
+        inverse, refused = cktheory.invert_window(matrix), None
     except UnresolvedColumnsError as exc:
-        refusal = {"reason": "aggregate-only columns", "columns": list(exc.columns)}
+        inverse, refused = None, list(exc.columns)
     entries = sorted((i, j, v) for (i, j), v in matrix.entries.items())
     if fmt == "json":
         payload = {
@@ -258,9 +256,9 @@ def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
             "resolution": matrix.resolution,
         }
         if inverse is not None:
-            payload["inverse"] = inverse
+            payload["inverse"] = [list(map(row.get, range(len(inverse)), repeat(0))) for row in inverse]
         else:
-            payload["refusal"] = refusal
+            payload["refusal"] = {"reason": "aggregate-only columns", "columns": refused}
         return 0, _json_text(payload)
     # Each row label and column description is formatted once.
     labels = [format_label(tau) for tau in matrix.rows]
@@ -269,9 +267,9 @@ def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
     rows += [("resolution", "", name, flag) for name, flag in zip(names, matrix.resolution)]
     if inverse is not None:
         for name, row in zip(names, inverse):
-            rows += [("inverse", name, labels[j], v) for j, v in enumerate(row) if v]
+            rows += [("inverse", name, labels[j], v) for j, v in row.items()]
     else:
-        rows += [("refusal", "", column, "aggregate-only") for column in refusal["columns"]]
+        rows += [("refusal", "", column, "aggregate-only") for column in refused]
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 

@@ -61,7 +61,6 @@ from .weights import (
     is_label_entry,
     ktype_axes,
     label_lattice_coords,
-    labels_in_box,
     require_box_within_limit,
     require_entries_within_limit,
     scaled_bound,
@@ -683,12 +682,6 @@ class Window(_Value):
     def duals(self) -> _Memo:
         """``{M-label: its dual}`` (``dual_rule``), each computed once, on first read."""
         return _Memo(dual_rule(self.datum.m))
-
-    @cached_property
-    def boxes(self) -> _Memo:
-        """``{cap: ((M-label, its dual), ...)}`` in ``labels_in_box`` order, each built once."""
-        m, duals = self.datum.m, self.duals
-        return _Memo(lambda cap: tuple((sigma, duals[sigma]) for sigma in labels_in_box(m, cap)))
 
     @cached_property
     def class_of(self) -> _Memo:

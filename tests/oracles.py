@@ -346,3 +346,8 @@ def dense(matrix):
         [matrix.entries.get((i, j), 0) for j in range(len(matrix.cols))]
         for i in range(len(matrix.rows))
     ]
+
+
+def expand(rows, n):
+    """Sparse ``{column: value}`` rows as n-column dense rows, zeros included."""
+    return [[row.get(j, 0) for j in range(n)] for row in rows]

@@ -67,9 +67,9 @@ def test_criterion_2_triangularity_and_inverse():
         datum = builtin(name)
         for bound in GRID_BOUNDS:
             matrix = mult_matrix(tempiric_window(datum, bound))
-            inverse = invert_window(matrix)
             dense = oracles.dense(matrix)
             n = len(dense)
+            inverse = oracles.expand(invert_window(matrix), n)
             for i in range(n):
                 for j in range(n):
                     left = sum(dense[i][t] * inverse[t][j] for t in range(n))
