@@ -386,9 +386,9 @@ def admissibility_check(window: Window, v: dict) -> VerificationReport:
     read off one ``Window.restriction`` of v; each label's dimension is read off v's rows' ranges
     (``Window.restrictions``) at its dual, with the box's labels from
     ``labels_in_box`` and their duals from ``Window.duals``.  The sum v
-    is a ``{K-type: nonzero int}`` dict, and ``Window.restriction`` refuses it first:
-    ``WindowError`` at a K-type outside the window, ``TypeError`` at a
-    multiplicity that is not an ``int``.
+    is a ``{K-type: nonzero int}`` dict, and ``Window.restriction``
+    refuses it first: ``WindowError`` at a K-type outside the window,
+    ``TypeError`` at a multiplicity that is not an ``int``.
     """
     support = restricted_support(window.duals, window.restriction(v))
     nonzero = [tau for tau, mult in v.items() if mult]
