@@ -30,7 +30,7 @@ from . import cktheory, figures, weights
 from .catalog import BUILTIN_NAMES, CatalogError, builtin, load, serialize
 from .cktheory import DEFAULT_SEED, UnresolvedColumnsError
 from .tempered import InternalInconsistencyError, WindowError, format_label, tempiric_window
-from .weights import WindowTooLargeError, vogan_norm, weyl_dim
+from .weights import WindowTooLargeError, weyl_dim
 
 
 class _UsageError(ValueError):
@@ -208,15 +208,21 @@ def _cmd_branch(args, fmt) -> tuple[int, str]:
 
 def _cmd_tempiric_table(args, fmt) -> tuple[int, str]:
     datum = _resolve_datum(args)
+    window = tempiric_window(datum, args.bound)
+    reps = window.reps
+    norms = [window.norms[window.row_index[rep.min_ktype]] for rep in reps]
+    # Only the reps and their norms outlive the window, so the table is
+    # built in the memory its other parts held.
+    del window
     rows = [
         (
             "discrete-series" if rep.kind == "ds" else "principal-series",
             format_label(rep.hc_param) if rep.kind == "ds" else rep.ps_class.describe(),
             rep.min_ktype,
             rep.split,
-            _number(vogan_norm(datum, rep.min_ktype)),
+            _number(Fraction(norm, datum.gram_scale)),
         )
-        for rep in tempiric_window(datum, args.bound).reps
+        for rep, norm in zip(reps, norms)
     ]
     header = ("kind", "parameters", "minimal_ktype", "split", "vogan_norm")
     return 0, _table(fmt, datum, args.bound, "records", header, rows)

@@ -61,14 +61,16 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
         raise ValueError("diagram grids are not defined for parity atoms")
     dim = datum.k.lattice_dim
     axes = _label_axes(datum.k, [grid_bound] * dim, [0] * dim, grid_bound)
-    nodes = list(itertools.product(*axes))
-    on_grid = set(nodes)
     # The largest Vogan norm on the grid, divided by D once.  The catalog
     # refuses a Gram matrix that is not positive-definite, so the norm is
     # convex and takes its maximum at a corner of the grid's box.
     corners = itertools.product(*[(axis[0], axis[-1]) for axis in axes])
     bound = Fraction(max(scaled_norm(datum, c) for c in corners), datum.gram_scale)
     window = tempiric_window(datum, bound)
+    # An oversize window is refused before the grid's nodes are listed.
+    window.refuse_oversize_boxes()
+    nodes = list(itertools.product(*axes))
+    on_grid = set(nodes)
     by_min = {rep.min_ktype: rep for rep in window.reps}
     markers = {}
     partners = {}

@@ -20,7 +20,7 @@ the doubled lowest K-type, which ``_lowest_ktype`` checks and halves.
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
-(one ``range`` of M-coordinates per row, from ``restricted_range``), the
+(one ``range`` of M-coordinates per row, from the branching rule), the
 classes (one sweep over the rows by norm level), the series, each
 representative's matrix column and the multiplicity matrix.  Each
 M-type's dual and principal class are computed once per window, on
@@ -37,6 +37,15 @@ lowest K-type.  Its discrete-series columns are one ``blattner_scatter``
 walk each over the window's rows, and its principal-series columns are
 supported on the rows ``Window.holders`` lists for the class's dual.
 
+Labels are validated where a caller passes them in: by
+``restricted_range``, ``label_lattice_coords``, ``scaled_norm``,
+``vogan_norm`` and ``weyl_dim`` below this module, and by
+``blattner_mult``, ``cktheory.composite_map``, ``Window.restriction`` and
+``Window.rows_below``.  The window's rows are labels that
+``enumerate_ktypes`` generated, each valid, so the Window's parts
+(``shifted``, ``restrictions``, ``reps``) compute on them and validate
+none again.
+
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
 
@@ -49,7 +58,7 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .branching import restricted_range
+from .branching import _rule
 from .catalog import GroupDatum, weyl_image
 from .weights import (
     CYCLIC2,
@@ -143,9 +152,12 @@ class TempiricRep(_Value):
         )
 
     def sort_key(self):
-        if self.kind == "ds":
-            return (self.min_ktype, 0, self.hc_param)
-        return (self.min_ktype, 1, self.ps_class.orbit)
+        """The order of representatives that share a minimal K-type.
+
+        Discrete series first, by parameter, then principal series, by
+        orbit; ``Window.reps`` puts the minimal K-type's row first.
+        """
+        return (0, self.hc_param) if self.kind == "ds" else (1, self.ps_class.orbit)
 
 
 def format_label(label) -> str:
@@ -588,14 +600,13 @@ class Window(_Value):
     def shifted(self) -> dict[tuple[int, ...], int]:
         """``{a row's _doubled_shifted coordinates: its position}``, in row order.
 
-        Read by ``blattner_scatter``.  Coordinates determine the row when
-        K has no Cyclic2 atom, as for every datum with discrete series.
+        Read by ``blattner_scatter``, for discrete-series columns only.
+        Each row is read as its own lattice coordinates, unvalidated: the
+        rows are the window's own labels, and the loader refuses a K with
+        a Cyclic2 atom (whose labels are not their coordinates) when there
+        are discrete series.
         """
-        datum = self.datum
-        return {
-            _doubled_shifted(datum, label_lattice_coords(datum.k, tau)): i
-            for i, tau in enumerate(self.rows)
-        }
+        return {_doubled_shifted(self.datum, tau): i for i, tau in enumerate(self.rows)}
 
     @cached_property
     def reach(self) -> int:
@@ -630,8 +641,12 @@ class Window(_Value):
 
     @cached_property
     def restrictions(self) -> list[range]:
-        """Each row's ``restricted_range``: the c whose M-label ``(c,)`` it meets."""
-        return [restricted_range(self.datum, tau) for tau in self.rows]
+        """Each row's ``restricted_range``: the c whose M-label ``(c,)`` it meets.
+
+        The branching rule is looked up once and applied to each row as it
+        is; the rows are the window's own labels, so none is validated.
+        """
+        return list(itertools.starmap(_rule(self.datum)[2], self.rows))
 
     @cached_property
     def holders(self) -> dict[int, list[int]]:
@@ -758,9 +773,13 @@ class Window(_Value):
         reps: list[TempiricRep] = []
         for cls, minima in self.classes.items():
             reps.extend(_constituents(cls, minima))
+        # Built between the class pass and the series: of the places tried,
+        # the one with the lowest measured peak memory on large windows.
+        index = self.row_index
         reps.extend(self.series)
-        norm_of = dict(zip(self.rows, self.norms))
-        reps.sort(key=lambda r: (norm_of[r.min_ktype],) + r.sort_key())
+        # Rows are sorted by (norm, label), so a minimal K-type's row orders
+        # the reps as (norm, minimal K-type) would.
+        reps.sort(key=lambda r: (index[r.min_ktype],) + r.sort_key())
         return reps
 
     @cached_property

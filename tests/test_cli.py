@@ -738,23 +738,58 @@ def test_verify_enumerates_the_discrete_series_once(capsys, monkeypatch, group):
     assert len(calls) == (1 if builtin(group).equal_rank else 0)
 
 
+def _count_rule_calls(monkeypatch, group):
+    # Counts the calls of the group's branching rule, each with the entries
+    # of the K-label it restricts, whether through restricted_range or not.
+    rule = builtin(group).branching_rule
+    k, m, restrict = branching.BRANCHING_RULES[rule]
+    calls = []
+
+    def counted(*entries):
+        calls.append(entries)
+        return restrict(*entries)
+
+    monkeypatch.setitem(branching.BRANCHING_RULES, rule, (k, m, counted))
+    return calls
+
+
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
 def test_ck_matrix_restricts_each_row_once(capsys, monkeypatch, group):
-    calls = _count_calls(monkeypatch, branching, "restricted_range")
+    calls = _count_rule_calls(monkeypatch, group)
     code, out, _ = run(capsys, "ck-matrix", "--group", group, "--bound", "41")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [args[1] for args in calls] == [tuple(tau) for tau in rows]
+    assert calls == [tuple(tau) for tau in rows]
 
 
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
 def test_verify_restricts_each_row_once(capsys, monkeypatch, group):
     # The sweeps read their pool and restrictions off the window: verify
     # enumerates the K-types once and restricts each row once.
-    restricted = _count_calls(monkeypatch, branching, "restricted_range")
+    restricted = _count_rule_calls(monkeypatch, group)
     enumerated = _count_calls(monkeypatch, weights, "enumerate_ktypes")
     code, _, _ = run(capsys, "verify", "--group", group, "--bound", "41")
     assert code == 0
     assert [args[1] for args in enumerated] == [Fraction(41)]
     rows = tempiric_window(builtin(group), 41).rows
-    assert [args[1] for args in restricted] == rows
+    assert restricted == rows
+
+
+@pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
+@pytest.mark.parametrize("command", ["ck-matrix", "tempiric-table"])
+def test_window_commands_validate_no_row(capsys, monkeypatch, command, group):
+    # Labels are validated where a caller passes them in.  These commands
+    # pass none: every label they read is a row the window enumerated.
+    calls = _count_calls(monkeypatch, weights, "validate_label")
+    code, _, _ = run(capsys, command, "--group", group, "--bound", "41")
+    assert code == 0
+    assert calls == []
+
+
+def test_figure_validates_only_its_grid_corners(capsys, monkeypatch):
+    # The window bound is the largest norm at the grid's corners, each a
+    # label that build_diagram makes; the window's rows are not validated.
+    calls = _count_calls(monkeypatch, weights, "validate_label")
+    code, _, _ = run(capsys, "figure", "--group", "Sp11", "--grid-bound", "8")
+    assert code == 0
+    assert sorted(args[1] for args in calls) == [(0, 0), (0, 8), (8, 0), (8, 8)]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from tempiric.figures import (
     render_text,
 )
 from tempiric.tempered import ds_enumerate
-from tempiric.weights import labels_in_box, scaled_norm
+from tempiric.weights import WindowTooLargeError, labels_in_box, scaled_norm
 
 
 def test_sp11_grid_partition(sp11):
@@ -107,6 +108,19 @@ def test_grid_requires_low_dimension(sl2r):
     with pytest.raises(ValueError):
         build_diagram(sl2r, -1)
 
+
+def test_oversize_window_is_refused_before_the_grid_is_listed(sp11):
+    # Sp11's grid at 999 is 10^6 nodes, within the label-box limit, but its
+    # window's label box is not.  The window is refused before any node is
+    # listed, so the refusal stays far below the grid's own size.
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowTooLargeError, match="needs a box of 1999396 labels"):
+            build_diagram(sp11, 999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _with_gram(name, gram):

@@ -89,3 +89,24 @@ def test_ck_matrix_keeps_its_pinned_output(capsys, tmp_path, group, bound, fmt):
         source = ["--group-file", str(half_gram)]
     out = _stdout(capsys, ["ck-matrix", *source, "--bound", bound, "--format", fmt])
     assert hashlib.sha256(out.encode()).hexdigest() == CK_MATRIX_PINS[group, bound, fmt]
+
+
+# tempiric-table windows far larger than the benchmark's: thousands of
+# representatives, each sorted by its minimal K-type's row and printed with
+# the norm it reads off its window.  Hashes recorded from the tree before
+# the window's parts stopped validating its rows.
+TEMPIRIC_TABLE_PINS = {
+    ("SL2R", "1000000", "csv"): "2b8330e688997550ae0426b1d31b0378093df2c75cada8758bcef40523e7a0d8",
+    ("SL2R", "1000000", "json"): "d6f79ae119088f20ff915a6db32f0f8731ce5f5c7ce05273ecf1ae61e722077c",
+    ("SO31", "1000000", "csv"): "f50e263cad566e85010f0034c18aa198e59fa254e436d3f49e1eeea8d13d5491",
+    ("SO31", "1000000", "json"): "4cf92562adc3c6ab0d203b77246c9fb65802f59585ec2c70830dc2551b1456c5",
+    ("Sp11", "10000", "csv"): "614f040b6172d8222f58a88d967f920a51a98ffb9a91d5be47eaae215533c6d2",
+    ("Sp11", "10000", "json"): "8ae60f34891c87368fe73af7d8be3e4d497eb2752171e996b4f7b8ca0445bccf",
+}
+
+
+@pytest.mark.parametrize("group, bound, fmt", sorted(TEMPIRIC_TABLE_PINS))
+def test_tempiric_table_keeps_its_pinned_output(capsys, group, bound, fmt):
+    argv = ["tempiric-table", "--group", group, "--bound", bound, "--format", fmt]
+    out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == TEMPIRIC_TABLE_PINS[group, bound, fmt]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempiric import tempered, weights
+from tempiric import branching, tempered, weights
 from tempiric.catalog import DiscreteSeriesDatum, GroupDatum
 from tempiric.tempered import (
     blattner_mult,
@@ -221,10 +221,11 @@ def test_oversize_label_boxes_are_refused_before_the_class_pass(sp11, monkeypatc
     params = math.prod(len(axis) for axis in tempered._parameter_box(sp11, bound))
     assert labels < params
 
-    def no_restriction(*args):
+    def no_restriction(*entries):
         raise AssertionError("a row was restricted")
 
-    monkeypatch.setattr(tempered, "restricted_range", no_restriction)
+    k, m, _ = branching.BRANCHING_RULES[sp11.branching_rule]
+    monkeypatch.setitem(branching.BRANCHING_RULES, sp11.branching_rule, (k, m, no_restriction))
     for limit, size in ((params - 1, params), (labels - 1, labels)):
         monkeypatch.setattr(weights, "MAX_BOX_LABELS", limit)
         with pytest.raises(WindowTooLargeError, match=f"needs a box of {size} labels"):
