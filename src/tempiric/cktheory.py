@@ -10,9 +10,11 @@ On a window, the paper's K-theoretic form of Vogan's theorem is what
 minimal-K-type bijection, unit lower-triangularity and the exact integer
 inverse.  Nothing here computes a K-group.  The inverse is one exact
 Gauss-Jordan elimination that scans the rows for each pivot and the rows
-it clears, at most 1,000 by ``mult_matrix``'s entry limit, and it stays
-sparse: one ``{column: int}`` dict per row, which ``ck-matrix`` writes
-as it comes for CSV and expands to dense rows only for JSON.
+it clears, at most 1,000 by ``mult_matrix``'s entry limit.  The matrix
+and its inverse share one sparse form: one ``{column: nonzero int}``
+dict per row, with the keys ascending.  The elimination starts from
+copies of the matrix's rows, and ``ck-matrix`` writes both as they come,
+expanding only the inverse's rows to dense rows, and only for JSON.
 
 Every check reads a ``Window``: the matrix checks its ``matrix`` (built
 by ``tempered.mult_matrix``, re-exported here with ``MultMatrix``,
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from .branching import restricted_support
@@ -169,10 +172,11 @@ def triangularity_check(window: Window) -> VerificationReport:
     """Unit entries at minima and vanishing strictly below them in norm.
 
     Reads every entry of ``Window.matrix`` it asserts, zeros included:
-    each column's pivot and the rows below its minimum in norm, a prefix
-    of the rows (``Window.rows_below``).  Aggregate entries of unresolved
-    split columns are held to the same vanishing requirement, which is
-    stronger than resolving them would demand.
+    each column's pivot and the rows below its minimum in norm, the
+    prefix of the rows whose ``Window.norms`` fall below the pivot's.
+    Aggregate entries of unresolved split columns are held to the same
+    vanishing requirement, which is stronger than resolving them would
+    demand.
     """
     matrix, row_index = window.matrix, window.row_index
     for j, rep in enumerate(matrix.cols):
@@ -188,7 +192,7 @@ def triangularity_check(window: Window) -> VerificationReport:
                 "entry": matrix.entry(pivot, j),
                 "reason": "diagonal entry differs from 1",
             }
-        for i in range(window.rows_below(rep.min_ktype)):
+        for i in range(bisect_left(window.norms, window.norms[pivot])):
             if matrix.entry(i, j) != 0:
                 yield {
                     "representative": rep.describe(),
@@ -236,7 +240,9 @@ def invert_window(matrix: MultMatrix):
 
     Refuses when any column is aggregate-only, naming the culprits.  The
     inverse comes from one exact Gauss-Jordan elimination on sparse rows
-    of [A | I] (a dict per row, column -> nonzero value).  The pivot of
+    of [A | I] (a dict per row, column -> nonzero value), each a copy of
+    a row of ``matrix.nonzeros`` with its identity entry added, so the
+    matrix is left as it was.  The pivot of
     column col is the first row at or after col that holds it, swapped
     into place, and only the other rows that hold the pivot column are
     eliminated.  Each column finds both by scanning the rows; no
@@ -252,7 +258,7 @@ def invert_window(matrix: MultMatrix):
     square and the arithmetic exact, so A^-1.A = I certifies A.A^-1 = I
     too.  Returns the certified rows of the inverse: row i is a dict
     mapping each column j with a nonzero entry to that entry, an ``int``,
-    with the keys ascending.
+    with the keys ascending: the form of ``matrix.nonzeros``.
     """
     aggregate = [
         matrix.cols[j].describe()
@@ -266,12 +272,8 @@ def invert_window(matrix: MultMatrix):
         raise InternalInconsistencyError(
             f"window is not square: {n} K-types, {len(matrix.cols)} representatives"
         )
-    forward: list[dict] = [{} for _ in range(n)]
-    for (i, j), v in matrix.entries.items():
-        if v:
-            forward[i][j] = v
     # Columns n.. of each augmented row hold the identity block.
-    aug = [{**row, n + i: 1} for i, row in enumerate(forward)]
+    aug = [{**row, n + i: 1} for i, row in enumerate(matrix.nonzeros)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if col in aug[r]), None)
         if pivot is None:
@@ -301,7 +303,7 @@ def invert_window(matrix: MultMatrix):
             "window inverse is not integral despite unit diagonal"
         )
     inverse = [{j: int(v) for j, v in row.items()} for row in inverse]
-    if not _sparse_product_is_identity(inverse, forward):
+    if not _sparse_product_is_identity(inverse, matrix.nonzeros):
         raise InternalInconsistencyError("inverse verification failed")
     return inverse
 
@@ -409,7 +411,8 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
     Recomputes two_rho_c from the positive compact roots, then checks
     that every series of the window has multiplicity one at its lowest
     K-type and zero at every window K-type of strictly smaller norm.
-    Those rows are a prefix of the window's rows.  The check reads them
+    Those rows are a prefix of the window's rows, counted off
+    ``Window.norms`` at the lowest K-type's row.  The check reads them
     in row order from the series' ``Window.columns`` column, the one the
     matrix reads, and stops at the first nonzero.  It reads only the
     window's rows, with their coordinates and norms, and its series,
@@ -444,7 +447,8 @@ def blattner_consistency_check(window: Window) -> VerificationReport:
                 "reason": "lowest K-type multiplicity differs from 1",
             }
         entry = window.columns[rep][1]
-        for i in range(window.rows_below(rep.min_ktype)):
+        below = bisect_left(window.norms, window.norms[window.row_index[rep.min_ktype]])
+        for i in range(below):
             if entry(i) != 0:
                 yield {
                     "representative": rep.describe(),

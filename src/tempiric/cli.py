@@ -251,7 +251,7 @@ def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
         inverse, refused = cktheory.invert_window(matrix), None
     except UnresolvedColumnsError as exc:
         inverse, refused = None, list(exc.columns)
-    entries = sorted((i, j, v) for (i, j), v in matrix.entries.items())
+    entries = [(i, j, v) for i, row in enumerate(matrix.nonzeros) for j, v in row.items()]
     if fmt == "json":
         payload = {
             "group": datum.name,

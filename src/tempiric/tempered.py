@@ -22,7 +22,9 @@ read, in the ``Window`` that every consumer reads: the rows with their
 doubled, rho_c-shifted coordinates and scaled norms, their restrictions
 (one ``range`` of M-coordinates per row, from the branching rule), the
 classes (one sweep over the rows by norm level), the series, each
-representative's matrix column and the multiplicity matrix.  Each
+representative's matrix column and the multiplicity matrix, stored as
+one ``{column: nonzero int}`` dict per row, the sparse-row form in which
+``cktheory.invert_window`` returns its inverse.  Each
 M-type's dual and principal class are computed once per window, on
 first lookup.  One function,
 ``blattner_scatter``, computes every Blattner multiplicity: it walks a
@@ -40,11 +42,10 @@ supported on the rows ``Window.holders`` lists for the class's dual.
 Labels are validated where a caller passes them in: by
 ``restricted_range``, ``label_lattice_coords``, ``scaled_norm``,
 ``vogan_norm`` and ``weyl_dim`` below this module, and by
-``blattner_mult``, ``cktheory.composite_map``, ``Window.restriction`` and
-``Window.rows_below``.  The window's rows are labels that
-``enumerate_ktypes`` generated, each valid, so the Window's parts
-(``shifted``, ``restrictions``, ``reps``) compute on them and validate
-none again.
+``blattner_mult``, ``cktheory.composite_map`` and ``Window.restriction``.
+The window's rows are labels that ``enumerate_ktypes`` generated, each
+valid, so the Window's parts (``shifted``, ``restrictions``, ``reps``)
+compute on them and validate none again.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
 """
@@ -73,7 +74,6 @@ from .weights import (
     require_box_within_limit,
     require_entries_within_limit,
     scaled_bound,
-    scaled_norm,
     _coordinate_caps,
     _decimal,
     _scaled_pairing,
@@ -441,20 +441,33 @@ class MultMatrix(_Record):
     """Sparse integer matrix over (K-type window) x (tempered window).
 
     Rows are ordered by (norm, label); columns align with rows through
-    the minimal-K-type bijection.  Aggregate-only columns belong to
+    the minimal-K-type bijection.  ``nonzeros[i]`` is row i as a
+    ``{column: nonzero int}`` dict with the keys ascending, the form in
+    which ``cktheory.invert_window`` returns the inverse; every reader in
+    ``src`` reads these rows.  Aggregate-only columns belong to
     unresolved split pairs: away from the two minimal K-types they carry
     the full induced multiplicity shared by the pair, and at the minima
     they are exact (1 at the column's own minimum, 0 at the partner's).
     """
 
-    def __init__(self, rows: tuple, cols: tuple, entries: dict, resolution: tuple):
-        self.rows, self.cols, self.entries, self.resolution = rows, cols, entries, resolution
+    def __init__(self, rows: tuple, cols: tuple, nonzeros: list, resolution: tuple):
+        self.rows, self.cols, self.nonzeros, self.resolution = rows, cols, nonzeros, resolution
 
     def _key(self) -> tuple:
-        return (self.rows, self.cols, self.entries, self.resolution)
+        return (self.rows, self.cols, self.nonzeros, self.resolution)
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+        return self.nonzeros[i].get(j, 0)
+
+    @property
+    def entries(self) -> dict:
+        """A read-only ``{(i, j): v}`` view of ``nonzeros``, built on each read.
+
+        Its one reader is ``perfbench/child.py``, which counts
+        ``len(entries)`` as the benchmark's ``cktheory.mult_matrix.nnz``;
+        it goes when that count reads the rows.  No ``src`` path reads it.
+        """
+        return {(i, j): v for i, row in enumerate(self.nonzeros) for j, v in row.items()}
 
 
 def _column(window: Window, rep: TempiricRep):
@@ -497,7 +510,9 @@ def mult_matrix(window: Window) -> MultMatrix:
     Read one ``Window.columns`` column at a time, at the rows of its
     support in row order, so a discrete-series column raises at its
     first negative entry and the work follows the nonzeros: a series'
-    rows its walk reached, a class's rows that hold its dual.  Raises
+    rows its walk reached, a class's rows that hold its dual.  Each
+    nonzero goes into its row's dict, and the columns are read in order,
+    so each row's keys ascend with no sort.  Raises
     ``WindowTooLargeError`` before evaluating any entry when rows x
     columns exceeds ``MAX_WINDOW_ENTRIES``: first rows x rows, before the
     class pass, then rows x columns.
@@ -509,7 +524,7 @@ def mult_matrix(window: Window) -> MultMatrix:
     require_entries_within_limit(len(rows), len(rows), window.bound)
     reps = window.reps
     require_entries_within_limit(len(rows), len(reps), window.bound)
-    entries: dict = {}
+    nonzeros: list[dict] = [{} for _ in rows]
     resolution = []
     for j, rep in enumerate(reps):
         flag, entry, support = window.columns[rep]
@@ -517,11 +532,11 @@ def mult_matrix(window: Window) -> MultMatrix:
         for i in support:
             v = entry(i)
             if v:
-                entries[(i, j)] = v
+                nonzeros[i][j] = v
     return MultMatrix(
         rows=tuple(rows),
         cols=tuple(reps),
-        entries=entries,
+        nonzeros=nonzeros,
         resolution=tuple(resolution),
     )
 
@@ -622,10 +637,6 @@ class Window(_Value):
     def row_index(self) -> dict[tuple[int, ...], int]:
         """``{K-type: its position in rows}``."""
         return {tau: i for i, tau in enumerate(self.rows)}
-
-    def rows_below(self, tau) -> int:
-        """How many rows have norm strictly below that of the K-type tau."""
-        return bisect_left(self.norms, scaled_norm(self.datum, tau))
 
     def rows_within(self, bound) -> list[tuple[int, ...]]:
         """The rows of norm <= bound: ``enumerate_ktypes(datum, bound)``.

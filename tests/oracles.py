@@ -343,7 +343,7 @@ def invert_rational_matrix(rows):
 def dense(matrix):
     """The ``MultMatrix`` as a list of rows, zeros included."""
     return [
-        [matrix.entries.get((i, j), 0) for j in range(len(matrix.cols))]
+        [matrix.entry(i, j) for j in range(len(matrix.cols))]
         for i in range(len(matrix.rows))
     ]
 

@@ -1,4 +1,5 @@
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -127,7 +128,7 @@ def test_window_matrix_is_unit_lower_triangular(name):
     for bound in range(101):
         matrix = tempiric_window(datum, bound).matrix
         assert len(matrix.rows) == len(matrix.cols), bound
-        assert all(i >= j for i, j in matrix.entries), bound
+        assert all(i >= j for i, row in enumerate(matrix.nonzeros) for j in row), bound
         assert all(matrix.entry(j, j) == 1 for j in range(len(matrix.cols))), bound
 
 
@@ -139,10 +140,10 @@ def test_triangularity_reports_a_nonzero_below_the_minimum(sp11, position):
     matrix = window.matrix
     j = len(matrix.cols) - 1
     rep = matrix.cols[j]
-    below = window.rows_below(rep.min_ktype)
+    below = bisect_left(window.norms, window.norms[window.row_index[rep.min_ktype]])
     assert below > 1
     i = 0 if position == "first" else below - 1
-    matrix.entries[(i, j)] = 5
+    matrix.nonzeros[i][j] = 5
     report = triangularity_check(window)
     assert not report.passed
     assert report.counterexample == {
@@ -198,7 +199,9 @@ def test_composite_map_reads_one_row(monkeypatch, sp11):
     def whole_matrix(*args):
         raise AssertionError("composite_map built the whole matrix")
 
-    monkeypatch.setattr(cktheory, "mult_matrix", whole_matrix)
+    # Window.matrix resolves mult_matrix in tempered; cktheory re-exports it.
+    for module in (tempered, cktheory):
+        monkeypatch.setattr(module, "mult_matrix", whole_matrix)
     window = tempiric_window(sp11, 400)
     image = composite_map(window, (0, 0))
     assert {rep.describe(): v for rep, v in image.items()} == {
@@ -364,8 +367,8 @@ def test_random_ktype_sums_keep_their_draws(so31, sp11):
 # ``matrix`` and ``row_index`` the two matrix checks read) or a real window
 # whose columns are monkeypatched.
 
-def _hand_built(rows, cols, entries):
-    matrix = MultMatrix(tuple(rows), tuple(cols), entries, (EXACT,) * len(cols))
+def _hand_built(rows, cols, nonzeros):
+    matrix = MultMatrix(tuple(rows), tuple(cols), nonzeros, (EXACT,) * len(cols))
     return SimpleNamespace(matrix=matrix, row_index={tau: i for i, tau in enumerate(rows)})
 
 
@@ -373,7 +376,7 @@ ZERO, FIVE = TempiricRep("ds", (0,), hc_param=(1,)), TempiricRep("ds", (5,), hc_
 
 
 def test_vogan_bijection_fails_when_a_minimum_escapes_the_window():
-    report = vogan_bijection_check(_hand_built([(0,)], [ZERO, FIVE], {(0, 0): 1}))
+    report = vogan_bijection_check(_hand_built([(0,)], [ZERO, FIVE], [{0: 1}]))
     assert not report.passed
     assert report.counterexample == {
         "representative": FIVE.describe(),
@@ -382,7 +385,7 @@ def test_vogan_bijection_fails_when_a_minimum_escapes_the_window():
 
 
 def test_triangularity_fails_when_a_minimum_is_not_in_the_window():
-    report = triangularity_check(_hand_built([(0,)], [FIVE], {}))
+    report = triangularity_check(_hand_built([(0,)], [FIVE], [{}]))
     assert not report.passed
     assert report.counterexample == {
         "representative": FIVE.describe(),

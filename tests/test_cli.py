@@ -776,14 +776,20 @@ def test_verify_restricts_each_row_once(capsys, monkeypatch, group):
 
 
 @pytest.mark.parametrize("group", ["SL2R", "SO31", "Sp11"])
-@pytest.mark.parametrize("command", ["ck-matrix", "tempiric-table"])
+@pytest.mark.parametrize("command", ["ck-matrix", "tempiric-table", "verify"])
 def test_window_commands_validate_no_row(capsys, monkeypatch, command, group):
     # Labels are validated where a caller passes them in.  These commands
-    # pass none: every label they read is a row the window enumerated.
+    # pass none: every label they read is a row the window enumerated.  The
+    # one exception is the extra blattner_mult walk at each series' lowest
+    # K-type in verify's blattner_consistency, which
+    # perfbench/test_perfbench.py pins.
+    expected = []
+    if command == "verify":
+        expected = [rep.min_ktype for rep in tempiric_window(builtin(group), 41).series]
     calls = _count_calls(monkeypatch, weights, "validate_label")
     code, _, _ = run(capsys, command, "--group", group, "--bound", "41")
     assert code == 0
-    assert calls == []
+    assert [args[1] for args in calls] == expected
 
 
 def test_figure_validates_only_its_grid_corners(capsys, monkeypatch):

@@ -8,6 +8,7 @@ characters or weights for principal-series columns.
 
 import itertools
 import json
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -99,7 +100,7 @@ def test_every_matrix_entry_matches_the_oracles(name):
             assert matrix.entry(i, j) == _expected_entry(window, matrix, j, tau), (
                 name, tau, matrix.cols[j].describe()
             )
-    assert all(v != 0 for v in matrix.entries.values())
+    assert all(v != 0 for row in matrix.nonzeros for v in row.values())
 
 
 def _listed(group, roots):
@@ -428,7 +429,8 @@ def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(
     # later entry.
     window = tempiric_window(sp11, 60)
     first = window.series[0]
-    lower = window.rows[: window.rows_below(first.min_ktype)]
+    below = bisect_left(window.norms, window.norms[window.row_index[first.min_ktype]])
+    lower = window.rows[:below]
     assert len(lower) >= 2
     planted, raising = lower[0], lower[-1]
     _plant(monkeypatch, first, planted, 1)

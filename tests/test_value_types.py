@@ -31,7 +31,7 @@ def _ds():
 
 
 def _matrix():
-    return MultMatrix(((0,), (1,)), ("a", "b"), {(0, 0): 1, (1, 1): 2}, ("exact", "exact"))
+    return MultMatrix(((0,), (1,)), ("a", "b"), [{0: 1}, {1: 2}], ("exact", "exact"))
 
 
 def _spec():
@@ -49,7 +49,7 @@ FIELDS = {
     PrincipalClass: ("orbit", "w_sigma_order"),
     TempiricRep: ("kind", "min_ktype", "hc_param", "ps_class", "split"),
     VerificationReport: ("name", "passed", "counterexample", "data"),
-    MultMatrix: ("rows", "cols", "entries", "resolution"),
+    MultMatrix: ("rows", "cols", "nonzeros", "resolution"),
     Window: ("datum", "bound"),
     DiagramSpec: ("group", "grid_bound", "nodes", "markers", "partners"),
 }
@@ -74,7 +74,7 @@ CASES = {
         lambda: VerificationReport("check", True),
         "frozen",
     ),
-    "MultMatrix": (_matrix, lambda: MultMatrix((), (), {}, ()), "mutable"),
+    "MultMatrix": (_matrix, lambda: MultMatrix((), (), [], ()), "mutable"),
     "Window": (
         lambda: Window(builtin("SL2R"), Fraction(4)),
         lambda: Window(builtin("SL2R"), Fraction(5)),
