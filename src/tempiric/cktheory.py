@@ -347,22 +347,18 @@ def dimension_identity_check(window: Window, v1: dict, v2: dict) -> Verification
 def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
     # Boundary morphism-space dimension per tempered block, read off the two
     # restrictions and the union of their supports: one discrete-series
-    # block of 0 for equal rank, then per orbit (from Window.class_of) the
-    # products of its members' multiplicity-space dimensions, summed.  A
-    # finite M-dual lists every orbit.
+    # block of 0 for equal rank, then per class (Window.class_of) of the
+    # supports' M-types the products of its orbit's multiplicity-space
+    # dimensions, summed.  A finite M-dual lists every class.
     datum, duals, class_of = window.datum, window.duals, window.class_of
-    blocks = []
+    blocks: list[tuple[PrincipalClass | str, int]] = []
     if datum.equal_rank:
         blocks.append(("discrete-series", 0))
     if all(kind == CYCLIC2 for kind in datum.m.atoms):
         sigmas = sigmas | set(labels_in_box(datum.m, 0))
-    orbits: dict[tuple, PrincipalClass] = {}
-    for sigma in sigmas:
-        cls = class_of[sigma]
-        orbits[cls.orbit] = cls
-    for orbit in sorted(orbits, key=lambda o: o[-1]):
-        d = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in orbit)
-        blocks.append((orbits[orbit], d))
+    for cls in sorted({class_of[s] for s in sigmas}, key=lambda c: c.representative):
+        d = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in cls.orbit)
+        blocks.append((cls, d))
     return blocks
 
 

@@ -5,10 +5,12 @@ Each command formats what the library computes: ``ktypes``, ``branch``,
 ``tempiric-table``, ``ck-matrix`` and ``verify`` read the ``Window`` of
 their group and bound, and ``verify`` prints ``cktheory.verify``'s reports.
 ``_COMMANDS`` declares each command once: its handler, help text, numeric
-flag and formats, default first.  The parser is built from it, and
-``main`` refuses a format the command lacks before the handler loads a
-group.  ``ktypes``, ``branch`` and ``tempiric-table`` only build rows;
-``_table`` writes every row table, as JSON records or CSV lines.
+flag and formats, default first.  ``figure`` takes its formats from
+``_FIGURE_WRITERS``, which declares each figure format once with its
+writer.  The parser is built from ``_COMMANDS``, and ``main`` refuses a
+format the command lacks before the handler loads a group.  ``ktypes``,
+``branch`` and ``tempiric-table`` only build rows; ``_table`` writes
+every row table, as JSON records or CSV lines.
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error.  All output is deterministic given the arguments
@@ -315,12 +317,11 @@ def _cmd_figure(args, fmt) -> tuple[int, str]:
         spec = figures.build_diagram(datum, args.grid_bound)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    renderer = {
-        "txt": figures.render_text,
-        "dot": figures.render_dot,
-        "svg": figures.render_svg,
-    }[fmt]
-    return 0, renderer(spec)
+    return 0, _FIGURE_WRITERS[fmt](spec)
+
+
+# The figure formats, the default first, and the writer of each.
+_FIGURE_WRITERS = {"txt": figures.render_text, "dot": figures.render_dot, "svg": figures.render_svg}
 
 
 # The numeric flag each command may require: (type, help).
@@ -340,7 +341,7 @@ _COMMANDS = {
     "ck-matrix": (_cmd_ck_matrix, "multiplicity matrix and inverse", "--bound", ("json", "csv")),
     "verify": (_cmd_verify, "run all machine checks", "--bound", ("txt", "json")),
     "figure": (
-        _cmd_figure, "marker diagram of the label grid", "--grid-bound", ("txt", "dot", "svg"),
+        _cmd_figure, "marker diagram of the label grid", "--grid-bound", tuple(_FIGURE_WRITERS),
     ),
 }
 

@@ -6,11 +6,17 @@ split principal-series component, and triangles mark unique minimal
 K-types of unsplit components.  The node placement is derived from the
 assembled window, not transcribed from any picture, and the emitted
 headers say so.
+
+Each marker kind is declared once, in ``_MARKERS``: its text letter,
+legend meaning, DOT shape and SVG element, which every writer and the
+legend read.  ``_pairs`` lists each partner pair once for the DOT and SVG
+writers.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import GroupDatum
@@ -26,7 +32,17 @@ CIRCLE = "circle"
 SQUARE = "square"
 TRIANGLE = "triangle"
 
-_TEXT_MARKS = {CIRCLE: "o", SQUARE: "s", TRIANGLE: "t"}
+_Marker = namedtuple("_Marker", "letter meaning shape svg")
+
+# The SVG element is drawn about the node's centre (x, y); render_svg
+# closes it with the fill and stroke that every marker shares.
+_MARKERS = {
+    CIRCLE: _Marker("o", "discrete series", "circle", lambda x, y: f'<circle cx="{x}" cy="{y}" r="8"'),
+    SQUARE: _Marker("s", "split principal-series pair", "box",
+                    lambda x, y: f'<rect x="{x - 8}" y="{y - 8}" width="16" height="16"'),
+    TRIANGLE: _Marker("t", "unique minimal K-type", "triangle",
+                      lambda x, y: f'<polygon points="{x},{y - 9} {x - 8},{y + 7} {x + 8},{y + 7}"'),
+}
 
 
 class DiagramSpec(_Record):
@@ -38,7 +54,7 @@ class DiagramSpec(_Record):
         return (self.group, self.grid_bound, self.nodes, self.markers, self.partners)
 
     def counts(self) -> dict:
-        out = {CIRCLE: 0, SQUARE: 0, TRIANGLE: 0}
+        out = dict.fromkeys(_MARKERS, 0)
         for marker in self.markers.values():
             out[marker] += 1
         return out
@@ -101,13 +117,17 @@ def build_diagram(datum: GroupDatum, grid_bound: int) -> DiagramSpec:
     )
 
 
+def _pairs(spec: DiagramSpec) -> list[tuple]:
+    # Each partner pair once, its smaller node first, in node order.
+    return [(node, partner) for node, partner in sorted(spec.partners.items()) if node < partner]
+
+
 def _header_lines(spec: DiagramSpec) -> list[str]:
     counts = spec.counts()
     return [
         f"tempered-dual marker diagram (derived pattern), group={spec.group}, "
         f"grid={spec.grid_bound}",
-        "legend: o=discrete series, s=split principal-series pair, "
-        "t=unique minimal K-type",
+        "legend: " + ", ".join(f"{m.letter}={m.meaning}" for m in _MARKERS.values()),
         f"counts: circles={counts[CIRCLE]} squares={counts[SQUARE]} "
         f"(pairs={len(spec.partners) // 2}) triangles={counts[TRIANGLE]}",
     ]
@@ -118,13 +138,13 @@ def render_text(spec: DiagramSpec) -> str:
     dim = len(spec.nodes[0])
     if dim == 1:
         xs = sorted(node[0] for node in spec.nodes)
-        lines.append(" ".join(_TEXT_MARKS[spec.markers[(x,)]] for x in xs))
+        lines.append(" ".join(_MARKERS[spec.markers[(x,)]].letter for x in xs))
         lines.append(" ".join(str(x) for x in xs))
     else:
         xs = sorted({node[0] for node in spec.nodes})
         ys = sorted({node[1] for node in spec.nodes})
         for y in reversed(ys):
-            row = " ".join(_TEXT_MARKS[spec.markers[(x, y)]] for x in xs)
+            row = " ".join(_MARKERS[spec.markers[(x, y)]].letter for x in xs)
             lines.append(f"b={y:>2} | {row}")
         lines.append("       " + " ".join(str(x) for x in xs))
     return "\n".join(lines) + "\n"
@@ -134,15 +154,11 @@ def render_dot(spec: DiagramSpec) -> str:
     lines = ["graph tempered_markers {"]
     for line in _header_lines(spec):
         lines.append(f"  // {line}")
-    shapes = {CIRCLE: "circle", SQUARE: "box", TRIANGLE: "triangle"}
     for node in spec.nodes:
-        lines.append(
-            f'  "{format_label(node)}" [shape={shapes[spec.markers[node]]}];'
-        )
-    for node in sorted(spec.partners):
-        partner = spec.partners[node]
-        if node < partner:
-            lines.append(f'  "{format_label(node)}" -- "{format_label(partner)}";')
+        shape = _MARKERS[spec.markers[node]].shape
+        lines.append(f'  "{format_label(node)}" [shape={shape}];')
+    for node, partner in _pairs(spec):
+        lines.append(f'  "{format_label(node)}" -- "{format_label(partner)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -168,31 +184,15 @@ def render_svg(spec: DiagramSpec) -> str:
     ]
     for line in _header_lines(spec):
         lines.append(f"  <!-- {line} -->")
-    for node in sorted(spec.partners):
-        partner = spec.partners[node]
-        if node < partner:
-            x1, y1 = place(node)
-            x2, y2 = place(partner)
-            lines.append(
-                f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                'stroke="black"/>'
-            )
+    for node, partner in _pairs(spec):
+        x1, y1 = place(node)
+        x2, y2 = place(partner)
+        lines.append(
+            f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            'stroke="black"/>'
+        )
     for node in spec.nodes:
-        x, y = place(node)
-        marker = spec.markers[node]
-        if marker == CIRCLE:
-            lines.append(
-                f'  <circle cx="{x}" cy="{y}" r="8" fill="white" stroke="black"/>'
-            )
-        elif marker == SQUARE:
-            lines.append(
-                f'  <rect x="{x - 8}" y="{y - 8}" width="16" height="16" '
-                'fill="white" stroke="black"/>'
-            )
-        else:
-            points = f"{x},{y - 9} {x - 8},{y + 7} {x + 8},{y + 7}"
-            lines.append(
-                f'  <polygon points="{points}" fill="white" stroke="black"/>'
-            )
+        svg = _MARKERS[spec.markers[node]].svg
+        lines.append(f'  {svg(*place(node))} fill="white" stroke="black"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,10 @@
-import json
 from bisect import bisect_left
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from tempiric import builtin, cktheory, tempered
 from tempiric.branching import restricted_support
-from tempiric.catalog import load, serialize
 from tempiric.cktheory import (
     AGGREGATE_ONLY,
     EXACT,
@@ -33,6 +30,7 @@ from tempiric.tempered import (
 )
 
 import oracles
+from conftest import half_gram_sp11
 
 
 def test_mult_matrix_so31_all_ones_triangle(so31):
@@ -113,18 +111,12 @@ def test_triangularity_examples(sl2r, so31, sp11):
     assert triangularity_check(tempiric_window(sp11, 20)).passed
 
 
-def _half_gram_sp11():
-    doc = serialize(builtin("Sp11"))
-    doc["gram"] = [str(Fraction(v) / 2) for v in doc["gram"]]
-    return load(json.dumps(doc))
-
-
 @pytest.mark.parametrize("name", ["SL2R", "SO31", "Sp11", "Sp11-half-gram"])
 def test_window_matrix_is_unit_lower_triangular(name):
     # Stricter than triangularity_check, which leaves the entries above the
     # diagonal within a block of equal norm unchecked: in row order, every
     # entry lies on or below the diagonal and every diagonal entry is 1.
-    datum = _half_gram_sp11() if name == "Sp11-half-gram" else builtin(name)
+    datum = half_gram_sp11() if name == "Sp11-half-gram" else builtin(name)
     for bound in range(101):
         matrix = tempiric_window(datum, bound).matrix
         assert len(matrix.rows) == len(matrix.cols), bound

@@ -8,31 +8,25 @@ K-types once.
 """
 
 import functools
-import json
 
 import pytest
 
 from tempiric import tempered, weights
-from tempiric.catalog import builtin, load, serialize
+from tempiric.catalog import builtin
 from tempiric.cli import main
 from tempiric.tempered import tempiric_window
 
 import oracles
+from conftest import half_gram_sp11
 
 BOUNDS = (0, 9, 41, 100)
-
-
-def _half_gram_sp11():
-    doc = serialize(builtin("Sp11"))
-    doc["gram"] = ["1/2", "0", "0", "1/2"]
-    return load(json.dumps(doc))
 
 
 DATA = {
     "SL2R": builtin("SL2R"),
     "SO31": builtin("SO31"),
     "Sp11": builtin("Sp11"),
-    "Sp11-half-gram": _half_gram_sp11(),
+    "Sp11-half-gram": half_gram_sp11(),
 }
 
 

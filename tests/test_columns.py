@@ -10,7 +10,6 @@ import itertools
 import json
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,14 +34,9 @@ from tempiric.weights import (
 )
 
 import oracles
+from conftest import half_gram_sp11
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _half_gram_sp11():
-    doc = serialize(builtin("Sp11"))
-    doc["gram"] = [str(Fraction(v) / 2) for v in doc["gram"]]
-    return load(json.dumps(doc))
 
 
 def _doubled_noncompact_sp11():
@@ -66,7 +60,7 @@ DATA = {
     "SL2R-shifted-rho": _shifted_rho_sl2r,
     "SO31": lambda: builtin("SO31"),
     "Sp11": lambda: builtin("Sp11"),
-    "Sp11-half-gram": _half_gram_sp11,
+    "Sp11-half-gram": half_gram_sp11,
 }
 
 
@@ -133,7 +127,7 @@ def test_windows_never_share_a_column(sp11, monkeypatch):
 SERIES_DATA = {
     "SL2R": lambda: builtin("SL2R"),
     "Sp11": lambda: builtin("Sp11"),
-    "Sp11-half-gram": _half_gram_sp11,
+    "Sp11-half-gram": half_gram_sp11,
     # A repeated root in the chamber: tuples are counted, not points.
     "SL2R-every-root-twice": lambda: _listed("SL2R", _every_root_twice),
     "Sp11-every-root-twice": lambda: _listed("Sp11", _every_root_twice),

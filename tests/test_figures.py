@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tempiric import figures
-from tempiric.catalog import builtin, load, serialize
+from tempiric.catalog import GroupDatum, builtin, load, serialize
 from tempiric.figures import (
     CIRCLE,
     SQUARE,
@@ -16,7 +16,14 @@ from tempiric.figures import (
     render_text,
 )
 from tempiric.tempered import ds_enumerate
-from tempiric.weights import WindowTooLargeError, labels_in_box, scaled_norm
+from tempiric.weights import (
+    CYCLIC2,
+    TORUS1,
+    CompactGroup,
+    WindowTooLargeError,
+    labels_in_box,
+    scaled_norm,
+)
 
 
 def test_sp11_grid_partition(sp11):
@@ -107,6 +114,27 @@ def test_render_svg_shapes(sl2r):
 def test_grid_requires_low_dimension(sl2r):
     with pytest.raises(ValueError):
         build_diagram(sl2r, -1)
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        (
+            (TORUS1, TORUS1, TORUS1),
+            "group SL2R has a 3-dimensional label grid; only strips and planes are drawable",
+        ),
+        ((TORUS1, CYCLIC2), "diagram grids are not defined for parity atoms"),
+    ],
+    ids=["three-dimensional", "parity-atom"],
+)
+def test_undrawable_k_is_refused(sl2r, atoms, message):
+    # SL2R with K replaced by the given atoms.  No branching rule of the
+    # loader admits such a K, so the GroupDatum is built directly.
+    fields = ("name", "m", "branching_rule", "gram", "two_rho_c", "weyl_on_mhat", "equal_rank", "ds")
+    datum = GroupDatum(k=CompactGroup(atoms), **{f: getattr(sl2r, f) for f in fields})
+    with pytest.raises(ValueError) as caught:
+        build_diagram(datum, 3)
+    assert str(caught.value) == message
 
 
 def test_oversize_window_is_refused_before_the_grid_is_listed(sp11):

@@ -24,21 +24,19 @@ from tempiric.cktheory import (
     invert_window,
     mult_matrix,
 )
-from tempiric.catalog import builtin, load, serialize
+from tempiric.catalog import builtin, serialize
 from tempiric.cli import main
 from tempiric.tempered import InternalInconsistencyError, tempiric_window
 
 import oracles
+from conftest import half_gram_sp11
 
 GRID_BOUNDS = (10, 50, 100, 200)
 
 
 @pytest.fixture(scope="module")
 def sp11_half_gram():
-    # Sp11 with every Gram entry halved: a rational Gram, gram_scale 2.
-    doc = serialize(builtin("Sp11"))
-    doc["gram"] = [str(Fraction(v) / 2) for v in doc["gram"]]
-    return load(json.dumps(doc))
+    return half_gram_sp11()
 
 
 def _matrix(dense, cols=None):

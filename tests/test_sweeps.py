@@ -20,19 +20,14 @@ from tempiric.tempered import WindowError, tempiric_window
 from tempiric.weights import enumerate_ktypes
 
 import oracles
-
-
-def _half_gram_sp11():
-    doc = serialize(builtin("Sp11"))
-    doc["gram"] = [str(Fraction(v) / 2) for v in doc["gram"]]
-    return load(json.dumps(doc))
+from conftest import half_gram_sp11
 
 
 DATA = {
     "SL2R": lambda: builtin("SL2R"),
     "SO31": lambda: builtin("SO31"),
     "Sp11": lambda: builtin("Sp11"),
-    "Sp11-half-gram": _half_gram_sp11,
+    "Sp11-half-gram": half_gram_sp11,
 }
 BOUNDS = (Fraction(0), Fraction(1, 3), Fraction(10), Fraction(41), Fraction(100))
 # verify's draws: pairs and samples from the rows of norm <= min(bound, NORM_CAP).
