@@ -7,6 +7,16 @@ is stored as the document ``catalog --group NAME --format json`` prints
 as a ``--group-file``, which checks every field and invariant eagerly.
 Everything in the format is exact (integers and "p/q" rational strings;
 floats are refused).
+
+The loader raises ``CatalogError`` at the first defect it meets, so the
+check order decides which of several defects a document reports.
+``_from_document`` reads, in order: ``name``, ``k_atoms``, ``m_atoms``,
+``gram``, ``two_rho_c``, ``equal_rank``, ``ds`` (its compact roots,
+noncompact roots and W_K matrices, then each matrix's shape),
+``branching_rule`` and ``weyl_on_mhat``.  ``_validate`` then checks, in
+order: the branching rule against the atoms; ``gram`` symmetric, then
+positive-definite; the length of ``two_rho_c``; the Weyl rule;
+``equal_rank`` against ``ds``; the ``ds`` invariants.
 """
 
 from __future__ import annotations
@@ -297,6 +307,10 @@ def _int_vector(value, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _int_rows(value, key: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_int_vector(row, key) for row in _list_field(value, key))
+
+
 def _gram_entry(value) -> Fraction:
     if isinstance(value, float):
         raise CatalogError(
@@ -340,23 +354,10 @@ def _from_document(doc) -> GroupDatum:
     if ds_doc is not None:
         if not isinstance(ds_doc, dict):
             raise CatalogError("ds: expected an object or null")
-        compact = tuple(
-            _int_vector(r, "ds.compact_roots")
-            for r in _list_field(_require(ds_doc, "compact_roots"), "ds.compact_roots")
-        )
-        noncompact = tuple(
-            _int_vector(r, "ds.noncompact_roots")
-            for r in _list_field(
-                _require(ds_doc, "noncompact_roots"), "ds.noncompact_roots"
-            )
-        )
-        wk = tuple(
-            tuple(
-                _int_vector(row, "ds.wk_elements")
-                for row in _list_field(w, "ds.wk_elements")
-            )
-            for w in _list_field(_require(ds_doc, "wk_elements"), "ds.wk_elements")
-        )
+        compact = _int_rows(_require(ds_doc, "compact_roots"), "ds.compact_roots")
+        noncompact = _int_rows(_require(ds_doc, "noncompact_roots"), "ds.noncompact_roots")
+        wk_elements = _list_field(_require(ds_doc, "wk_elements"), "ds.wk_elements")
+        wk = tuple(_int_rows(w, "ds.wk_elements") for w in wk_elements)
         for w in wk:
             if len(w) != dim or any(len(row) != dim for row in w):
                 raise CatalogError(f"ds.wk_elements: expected {dim}x{dim} matrices")

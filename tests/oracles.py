@@ -224,6 +224,45 @@ def chamber_by_pairing(datum, lam):
     return pos
 
 
+def half_spin_weights(datum, lam):
+    """The weights of S+ minus those of S-, as ``{weight: +-count}``.
+
+    S+ and S- are the half-spin modules of p over the chamber of lam:
+    their weights are the signed half-sums of the chamber's positive
+    noncompact roots, in S+ when the number of minus signs is even and in
+    S- when it is odd.
+    """
+    pos = chamber_by_pairing(datum, lam)
+    weights = Counter()
+    for signs in itertools.product((1, -1), repeat=len(pos)):
+        doubled = [sum(s * beta[i] for s, beta in zip(signs, pos)) for i in range(len(lam))]
+        assert all(c % 2 == 0 for c in doubled), f"half-sum {doubled} / 2 is not integral"
+        weights[tuple(c // 2 for c in doubled)] += -1 if signs.count(-1) % 2 else 1
+    return weights
+
+
+def spin_tensor(atoms, module, weights):
+    """``module`` tensored with a virtual module of the given weights.
+
+    ``module`` is ``{K-type: multiplicity}`` and ``weights`` is
+    ``{weight: multiplicity}``.  Each weight acts on its own: a Torus1
+    atom shifts the character, and an SU2 atom takes
+    V_a (x) V_1 = V_{a+1} + V_{a-1} (V_{-1} = 0) one weight of V_1 at a
+    time, so every SU2 coordinate of a weight must lie in {-1, 0, 1}.
+    Returns the nonzero multiplicities.
+    """
+    for weight in weights:
+        for kind, c in zip(atoms, weight):
+            assert kind == TORUS1 or (kind == SU2 and abs(c) <= 1), (kind, weight)
+    out = Counter()
+    for tau, mult in module.items():
+        for weight, count in weights.items():
+            sigma = tuple(a + b for a, b in zip(tau, weight))
+            if all(kind == TORUS1 or c >= 0 for kind, c in zip(atoms, sigma)):
+                out[sigma] += mult * count
+    return {sigma: v for sigma, v in out.items() if v}
+
+
 def _parameter_radii(datum, bound):
     # max x_i^2 subject to <x, x> <= bound is bound * (gram^-1)_ii, for
     # x = Lambda + 2 rho_c.  For lambda = Lambda - rho_n + rho_c the radius

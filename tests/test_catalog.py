@@ -142,6 +142,50 @@ def test_load_type_checks_fields():
         load(json.dumps(base))
 
 
+def _put(doc, path, value):
+    *steps, key = path
+    for step in steps:
+        doc = doc[step]
+    doc[key] = value
+
+
+# Each Sp11 document carries two defects, as {path: value}; the loader
+# reports the one its check order (stated in the catalog module
+# docstring) reaches first.
+CHECK_ORDER_CASES = [
+    (
+        {("ds", "compact_roots", 0, 0): True, ("ds", "wk_elements", 1): 5},
+        "ds.compact_roots: True is not an integer",
+    ),
+    (
+        {("ds", "noncompact_roots"): {"roots": []}, ("branching_rule",): 7},
+        "ds.noncompact_roots: expected a list, got dict",
+    ),
+    (
+        {("ds", "wk_elements", 3, 1, 0): "x", ("ds", "wk_elements", 0): [[1, 0]]},
+        "ds.wk_elements: 'x' is not an integer",
+    ),
+    (
+        {("ds", "compact_roots", 0): [2, 0, 0], ("weyl_on_mhat",): "flip"},
+        "weyl_on_mhat: unknown rule 'flip'; expected one of ('identity', 'negate-torus')",
+    ),
+    (
+        {("k_atoms",): ["U1"], ("gram",): "1"},
+        "k_atoms: unknown atom kind 'U1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("defects, message", CHECK_ORDER_CASES)
+def test_loader_reports_the_first_defect_in_check_order(defects, message):
+    doc = serialize(builtin("Sp11"))
+    for path, value in defects.items():
+        _put(doc, path, value)
+    with pytest.raises(CatalogError) as exc:
+        load(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_load_accepts_integer_and_fraction_gram_entries(sl2r, sp11):
     assert load(_doc(gram=[1])) == sl2r
     doc = serialize(sp11)
