@@ -7,10 +7,12 @@ their group and bound, and ``verify`` prints ``cktheory.verify``'s reports.
 ``_COMMANDS`` declares each command once: its handler, help text, numeric
 flag and formats, default first.  ``figure`` takes its formats from
 ``_FIGURE_WRITERS``, which declares each figure format once with its
-writer.  The parser is built from ``_COMMANDS``, and ``main`` refuses a
-format the command lacks before the handler loads a group.  ``ktypes``,
-``branch`` and ``tempiric-table`` only build rows; ``_table`` writes
-every row table, as JSON records or CSV lines.
+writer.  The parser is built from ``_COMMANDS``.  ``main`` refuses a
+format the command lacks before it resolves the group; it resolves the
+group once, before the handler runs, and passes it in, so handlers only
+compute and format.  ``ktypes``, ``branch`` and ``tempiric-table`` only
+build rows; ``_table`` writes every row table, as JSON records or CSV
+lines.
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error.  All output is deterministic given the arguments
@@ -91,6 +93,8 @@ def _resolve_datum(args):
         return load(args.group_file)
     if args.group:
         return builtin(args.group)
+    if args.command == "catalog":
+        return None
     raise _UsageError("one of --group or --group-file is required")
 
 
@@ -162,12 +166,11 @@ def _table(fmt: str, datum, bound, key: str, header: tuple, rows) -> str:
     return _csv_text(header, ([cell.get(type(v), str)(v) for v in row] for row in rows))
 
 
-def _cmd_catalog(args, fmt) -> tuple[int, str]:
-    if not (args.group or args.group_file):
+def _cmd_catalog(args, fmt, datum) -> tuple[int, str]:
+    if datum is None:
         if fmt == "json":
             return 0, _json_text({"groups": list(BUILTIN_NAMES)})
         return 0, "\n".join(BUILTIN_NAMES) + "\n"
-    datum = _resolve_datum(args)
     if fmt == "json":
         return 0, _json_text(serialize(datum))
     lines = [
@@ -184,8 +187,7 @@ def _cmd_catalog(args, fmt) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_ktypes(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_ktypes(args, fmt, datum) -> tuple[int, str]:
     rows = [
         (tau, _number(Fraction(norm, datum.gram_scale)), weyl_dim(datum.k, tau))
         for norm, tau in tempiric_window(datum, args.bound).ranked
@@ -193,8 +195,7 @@ def _cmd_ktypes(args, fmt) -> tuple[int, str]:
     return 0, _table(fmt, datum, args.bound, "ktypes", ("label", "norm", "dim"), rows)
 
 
-def _cmd_branch(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_branch(args, fmt, datum) -> tuple[int, str]:
     window = tempiric_window(datum, args.bound)
     ranges = window.restrictions
     count, limit = sum(map(len, ranges)), weights.MAX_WINDOW_ENTRIES
@@ -208,8 +209,7 @@ def _cmd_branch(args, fmt) -> tuple[int, str]:
     return 0, _table(fmt, datum, args.bound, "branchings", header, rows)
 
 
-def _cmd_tempiric_table(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_tempiric_table(args, fmt, datum) -> tuple[int, str]:
     window = tempiric_window(datum, args.bound)
     reps = window.reps
     norms = [window.norms[window.row_index[rep.min_ktype]] for rep in reps]
@@ -246,8 +246,7 @@ def _column_descriptor(rep) -> dict:
     }
 
 
-def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_ck_matrix(args, fmt, datum) -> tuple[int, str]:
     matrix = tempiric_window(datum, args.bound).matrix
     try:
         inverse, refused = cktheory.invert_window(matrix), None
@@ -281,8 +280,7 @@ def _cmd_ck_matrix(args, fmt) -> tuple[int, str]:
     return 0, _csv_text(("section", "row", "col", "value"), rows)
 
 
-def _cmd_verify(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_verify(args, fmt, datum) -> tuple[int, str]:
     reports = cktheory.verify(tempiric_window(datum, args.bound), args.seed)
     ok = all(r.passed for r in reports)
     if fmt == "json":
@@ -311,8 +309,7 @@ def _cmd_verify(args, fmt) -> tuple[int, str]:
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_figure(args, fmt) -> tuple[int, str]:
-    datum = _resolve_datum(args)
+def _cmd_figure(args, fmt, datum) -> tuple[int, str]:
     try:
         spec = figures.build_diagram(datum, args.grid_bound)
     except ValueError as exc:
@@ -355,7 +352,7 @@ def main(argv=None) -> int:
             raise _UsageError(
                 f"format {fmt!r} not supported here; choose from {', '.join(formats)}"
             )
-        code, text = handler(args, fmt)
+        code, text = handler(args, fmt, _resolve_datum(args))
     except (_UsageError, CatalogError, WindowError, WindowTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

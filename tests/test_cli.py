@@ -75,6 +75,20 @@ def test_a_negative_bound_exits_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    *(((command, "--bound", "5"), "one of --group or --group-file is required")
+      for command in ("ktypes", "branch", "tempiric-table", "ck-matrix", "verify")),
+    (("figure", "--grid-bound", "3"), "one of --group or --group-file is required"),
+    # The format, then the bound, is refused before the missing group.
+    (("ktypes", "--bound", "-1"), "bound must be nonnegative"),
+    (("figure", "--grid-bound", "-1"), "grid bound must be nonnegative"),
+    (("ktypes", "--bound", "5", "--format", "xml"),
+     "format 'xml' not supported here; choose from csv, json"),
+])
+def test_a_command_without_a_group_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_ktypes_json(capsys):
     code, out, err = run(capsys, "ktypes", "--group", "SL2R", "--bound", "4", "--format", "json")
     ktypes = [

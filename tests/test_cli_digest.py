@@ -10,6 +10,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from tempiric import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SMALL_BOUND = 5
@@ -57,6 +59,14 @@ def test_matrix_covers_every_command_format_group_and_bound():
     assert len(matrix) == catalog + groups * (catalog + figures + bounded)
     assert {argv[0] for argv in matrix} == set(tool.FORMATS)
     assert (tool.BOUNDS[0], tool.BOUNDS[-1]) == (-1, 100)
+
+
+def test_matrix_tables_match_the_cli_commands():
+    # A command or format the CLI gains cannot drop out of the digest unseen.
+    tool = _tool()
+    commands = list(cli._COMMANDS.items())
+    assert list(tool.FORMATS.items()) == [(name, formats) for name, (*_, formats) in commands]
+    assert tool.BOUNDED == tuple(name for name, (_, _, flag, _) in commands if flag == "--bound")
 
 
 def small_matrix(tool) -> list[tuple[str, ...]]:
