@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 from .branching import BRANCHING_RULES
 from .weights import CYCLIC2, TORUS1, CompactGroup, integer_det, _Value
@@ -379,14 +379,16 @@ def _from_document(doc) -> GroupDatum:
 def load(source) -> GroupDatum:
     """Load a group definition from a JSON document.
 
-    ``source`` may be a path, or the JSON text itself (detected by a
-    leading brace).  All structural invariants are checked eagerly.
+    ``source`` may be a path (``str`` or ``os.PathLike``), or the JSON
+    text itself (detected by a leading brace).  All structural
+    invariants are checked eagerly.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
-    elif isinstance(source, (str, Path)):
+    elif isinstance(source, (str, os.PathLike)):
         try:
-            text = Path(source).read_text()
+            with open(source) as file:
+                text = file.read()
         except FileNotFoundError:
             raise CatalogError(f"group file {str(source)!r} does not exist") from None
         except OSError as exc:

@@ -43,7 +43,6 @@ tolerance anywhere.
 from __future__ import annotations
 
 import functools
-import random
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -53,7 +52,6 @@ from .tempered import (
     EXACT,
     InternalInconsistencyError,
     MultMatrix,
-    PrincipalClass,
     TempiricRep,
     Window,
     WindowError,
@@ -62,7 +60,6 @@ from .tempered import (
     mult_matrix,
 )
 from .weights import (
-    CYCLIC2,
     isotypic_pairing,
     labels_in_box,
     require_entries_within_limit,
@@ -317,9 +314,11 @@ def dimension_identity_check(window: Window, v1: dict, v2: dict) -> Verification
     M-types of their supports (``branching.restricted_support``) of the
     product of multiplicity-space dimensions, each read off the sums'
     rows' ranges (``Window.restrictions``) at the dual M-type, not off
-    the restrictions.  The two must agree exactly; the total of the
-    boundary blocks (``_boundary_blocks``), read off the same two
-    restrictions and their supports, must then equal the left side too.
+    the restrictions.  The two must agree exactly; the boundary total
+    (``_boundary_total``), summed per class of the supports' M-types over
+    its orbit and read off the same two restrictions, must then equal the
+    left side too.  The discrete series and the classes the supports miss
+    add 0 to it, so it reads neither.
     Each sum is a ``{K-type: nonzero int}`` dict, and
     ``Window.restriction`` refuses it first: ``WindowError`` at a K-type
     outside the window, ``TypeError`` at a multiplicity that is not an
@@ -332,7 +331,7 @@ def dimension_identity_check(window: Window, v1: dict, v2: dict) -> Verification
     labels = [duals[s] for s in sigmas]
     dims1, dims2 = _mult_space_dims(window, v1, labels), _mult_space_dims(window, v2, labels)
     rhs = sum(dims1[c] * dims2[c] for c, in labels)
-    total = sum(d for _, d in _boundary_blocks(window, r1, r2, sigmas))
+    total = _boundary_total(window, r1, r2, sigmas)
     if lhs != rhs or total != lhs:
         yield {
             "v1": sorted(v1.items()), "v2": sorted(v2.items()), "lhs": lhs,
@@ -344,22 +343,16 @@ def dimension_identity_check(window: Window, v1: dict, v2: dict) -> Verification
     return {"lhs": lhs, "rhs": rhs}
 
 
-def _boundary_blocks(window: Window, r1: dict, r2: dict, sigmas):
-    # Boundary morphism-space dimension per tempered block, read off the two
-    # restrictions and the union of their supports: one discrete-series
-    # block of 0 for equal rank, then per class (Window.class_of) of the
-    # supports' M-types the products of its orbit's multiplicity-space
-    # dimensions, summed.  A finite M-dual lists every class.
-    datum, duals, class_of = window.datum, window.duals, window.class_of
-    blocks: list[tuple[PrincipalClass | str, int]] = []
-    if datum.equal_rank:
-        blocks.append(("discrete-series", 0))
-    if all(kind == CYCLIC2 for kind in datum.m.atoms):
-        sigmas = sigmas | set(labels_in_box(datum.m, 0))
-    for cls in sorted({class_of[s] for s in sigmas}, key=lambda c: c.representative):
-        d = sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for s in cls.orbit)
-        blocks.append((cls, d))
-    return blocks
+def _boundary_total(window: Window, r1: dict, r2: dict, sigmas) -> int:
+    # Boundary morphism-space dimension, read off the two restrictions and
+    # the union of their supports: per class (Window.class_of) of the
+    # supports' M-types, the products of its orbit's multiplicity-space
+    # dimensions, summed.  The discrete series would add 0, and so would a
+    # class the supports miss, since a nonzero product lies in both
+    # supports; neither is summed.
+    duals = window.duals
+    classes = {window.class_of[s] for s in sigmas}
+    return sum(r1.get(duals[s], 0) * r2.get(duals[s], 0) for cls in classes for s in cls.orbit)
 
 
 def _mult_space_dims(window: Window, v: dict, labels) -> dict:
@@ -464,6 +457,8 @@ def random_ktype_sums(window: Window, count: int, norm_cap, seed: int) -> list[d
     pool = window.rows_within(norm_cap)
     if not pool:
         return []
+    import random
+
     rng = random.Random(seed)
     sums = []
     for _ in range(count):

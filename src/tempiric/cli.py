@@ -22,7 +22,6 @@ and seed; the seed is recorded in report headers.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -99,6 +98,8 @@ def _resolve_datum(args):
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import pytest
 
 from tempiric import builtin, cktheory, tempered
-from tempiric.branching import restricted_support
 from tempiric.cktheory import (
     AGGREGATE_ONLY,
     EXACT,
@@ -24,6 +23,7 @@ from tempiric.cktheory import (
 )
 from tempiric.tempered import (
     InternalInconsistencyError,
+    PrincipalClass,
     TempiricRep,
     format_label,
     tempiric_window,
@@ -261,34 +261,6 @@ def test_dimension_identity_examples(sl2r, sp11):
     assert report.passed and report.data == {"lhs": 1, "rhs": 1}
 
 
-def _self_blocks(window, v):
-    # The boundary blocks of v against itself, read off its restriction
-    # and support as dimension_identity_check reads them.
-    r = window.restriction(v)
-    return cktheory._boundary_blocks(window, r, r, set(restricted_support(window.duals, r)))
-
-
-def test_boundary_blocks_so31(so31):
-    v = {(1,): 1}
-    blocks = _self_blocks(tempiric_window(so31, 16), v)
-    rendered = {
-        (block if isinstance(block, str) else block.orbit): d
-        for block, d in blocks
-    }
-    assert rendered == {((0,),): 1, ((-1,), (1,)): 2}
-    assert sum(rendered.values()) == 3
-
-
-def test_boundary_blocks_sl2r(sl2r):
-    v = {(1,): 1}
-    blocks = _self_blocks(tempiric_window(sl2r, 9), v)
-    rendered = {
-        (block if isinstance(block, str) else block.orbit): d
-        for block, d in blocks
-    }
-    assert rendered == {"discrete-series": 0, ((0,),): 0, ((1,),): 1}
-
-
 def test_boundary_total_matches_identity(sl2r, so31, sp11):
     for datum in (sl2r, so31, sp11):
         window = tempiric_window(datum, 40)
@@ -297,6 +269,30 @@ def test_boundary_total_matches_identity(sl2r, so31, sp11):
             random_ktype_sums(window, 20, 40, DEFAULT_SEED + 7),
         ):
             assert dimension_identity_check(window, v1, v2).passed
+
+
+def test_an_overlapping_orbit_fails_the_identity_check(so31):
+    # A class memo whose orbits overlap counts (0) twice in the boundary
+    # total, while the Hom dimension and the dimension count stay right.
+    window = tempiric_window(so31, 25)
+    window.matrix  # the class pass and the matrix, built from the true memo
+    window.class_of[(1,)] = PrincipalClass(orbit=((0,), (1,)), w_sigma_order=1)
+    report = dimension_identity_check(window, {(0,): 2, (2,): 3, (3,): 1}, {(1,): 2})
+    assert not report.passed
+    assert report.counterexample == {
+        "v1": [((0,), 2), ((2,), 3), ((3,), 1)],
+        "v2": [((1,), 2)],
+        "lhs": 28,
+        "boundary_total": 48,
+        "reason": "boundary block total differs from the Hom dimension",
+    }
+    reports = cktheory.verify(window, DEFAULT_SEED)
+    assert [(r.name, r.passed) for r in reports] == [
+        ("blattner_consistency", True),
+        ("vogan_bijection", True),
+        ("triangularity", True),
+        ("dimension_identity", False),
+    ]
 
 
 def test_admissibility_examples(sl2r, so31, sp11):

@@ -656,15 +656,10 @@ def test_skew_gram_window_runs_the_class_pass_first(capsys, tmp_path, argv):
 
 
 def test_boundary_total_mismatch_fails_the_identity_check(capsys, monkeypatch, so31):
-    # One block total off by one must fail dimension_identity with the
+    # A boundary total off by one must fail dimension_identity with the
     # boundary counterexample, in the check and in verify.
-    blocks = cktheory._boundary_blocks
-
-    def off_by_one(*args):
-        *rest, (block, d) = blocks(*args)
-        return [*rest, (block, d + 1)]
-
-    monkeypatch.setattr(cktheory, "_boundary_blocks", off_by_one)
+    total = cktheory._boundary_total
+    monkeypatch.setattr(cktheory, "_boundary_total", lambda *args: total(*args) + 1)
     v1 = {(0,): 2, (2,): 3, (3,): 1}
     v2 = {(1,): 2}
     report = cktheory.dimension_identity_check(tempiric_window(so31, 25), v1, v2)

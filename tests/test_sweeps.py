@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from tempiric import cli, cktheory, tempered
-from tempiric.branching import restricted_support
 from tempiric.catalog import builtin, load, serialize, weyl_image
 from tempiric.cktheory import DEFAULT_SEED, random_ktype_sums
 from tempiric.tempered import WindowError, tempiric_window
@@ -219,20 +218,16 @@ def test_class_of_maps_each_met_mtype_to_its_class(name):
     assert set(classes) == set(window.class_of.values())
 
 
-def test_sl2r_at_bound_zero_builds_the_orbit_its_rows_never_meet(sl2r):
-    # The rows of SL2R at bound 0 meet only (0); labels_in_box adds (1),
-    # whose orbit the boundary blocks build themselves.
+def test_sl2r_at_bound_zero_verifies_without_the_orbit_its_rows_never_meet(sl2r):
+    # The rows of SL2R at bound 0 meet only (0); the class route of the
+    # dimension identity reads only the classes the rows meet, so verify
+    # never builds the orbit of (1).
     window = tempiric_window(sl2r, 0)
     assert [cls.orbit for cls in window.classes] == [((0,),)]
     assert (1,) not in window.class_of
     report = cktheory.verify(window, DEFAULT_SEED)[3]
     assert report.name == "dimension_identity" and report.passed
-    v = {(0,): 1}
-    r = window.restriction(v)
-    blocks = cktheory._boundary_blocks(window, r, r, set(restricted_support(window.duals, r)))
-    assert [b if isinstance(b, str) else b.orbit for b, _ in blocks] == [
-        "discrete-series", ((0,),), ((1,),),
-    ]
+    assert (1,) not in window.class_of
     # An orbit another reader looked up first is still not a class met.
     early = tempiric_window(sl2r, 0)
     assert early.class_of[(1,)].orbit == ((1,),)
