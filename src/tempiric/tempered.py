@@ -19,7 +19,8 @@ the doubled lowest K-type, which ``_lowest_ktype`` checks and halves.
 
 Everything derived from one (datum, bound) is computed once, on first
 read, in the ``Window`` that every consumer reads: the rows with their
-doubled, rho_c-shifted coordinates and scaled norms, their restrictions
+scaled norms and the W_K images of their doubled, rho_c-shifted
+coordinates (``_images``, one map for all series), their restrictions
 (one ``range`` of M-coordinates per row, from the branching rule), the
 classes (one sweep over the rows by norm level), the series, each
 representative's matrix column and the multiplicity matrix, stored as
@@ -28,8 +29,9 @@ one ``{column: nonzero int}`` dict per row, the sparse-row form in which
 M-type's dual and principal class are computed once per window, on
 first lookup.  One function,
 ``blattner_scatter``, computes every Blattner multiplicity: it walks a
-series' cone once and adds each point's alternating contributions at the
-rows it lands on.  ``blattner_mult`` is that walk over one K-type.
+series' cone once and, at each point, adds det(w) at every row that an
+element w of W_K maps there, one lookup in the images map per point.
+``blattner_mult`` is that walk over one K-type's images.
 
 Every matrix entry comes from one per-column code path, ``_column``,
 built once per representative as ``Window.columns`` and read by
@@ -44,7 +46,7 @@ Labels are validated where a caller passes them in: by
 ``vogan_norm`` and ``weyl_dim`` below this module, and by
 ``blattner_mult``, ``cktheory.composite_map`` and ``Window.restriction``.
 The window's rows are labels that ``enumerate_ktypes`` generated, each
-valid, so the Window's parts (``shifted``, ``restrictions``, ``reps``)
+valid, so the Window's parts (``images``, ``restrictions``, ``reps``)
 compute on them and validate none again.
 
 All enumeration is deterministic and exhaustive below explicit bounds.
@@ -347,17 +349,39 @@ def ds_enumerate(datum: GroupDatum, bound) -> list[TempiricRep]:
     return [found[lowest] for _, lowest, _ in order]
 
 
-def _doubled_shifted(datum: GroupDatum, mu) -> tuple[int, ...]:
-    """2 mu + 2 rho_c: lattice coordinates mu, doubled and rho_c-shifted."""
-    return tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
+def _images(datum: GroupDatum, coords) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """``{w s: [(i, det w), ...]}`` over the lattice coordinates of coords and W_K.
+
+    s = 2 mu + 2 rho_c is the i-th coordinates mu of coords, doubled and
+    rho_c-shifted, and w runs over ``DiscreteSeriesDatum.signed_weyl_k``
+    in order, acting forwards as ``catalog._signed_permutation`` does:
+    w s = (signs[r] * s[perm[r]])_r.  So each i occurs in |W_K| pairs,
+    one per element, and a point that two elements map one s to holds
+    the pair of each.  A signed permutation keeps the absolute values of
+    s, so every key has those of its s, up to order.  Without discrete
+    series data there is no W_K, and the map is empty: ``blattner_scatter``
+    refuses such a datum before it reads the map.
+    """
+    weyl = datum.ds.signed_weyl_k if datum.ds else ()
+    images: dict = {}
+    for i, mu in enumerate(coords):
+        s = [2 * m + r for m, r in zip(mu, datum.two_rho_c)]
+        for perm, signs, det in weyl:
+            images.setdefault(tuple([g * s[c] for c, g in zip(perm, signs)]), []).append((i, det))
+    return images
 
 
-def blattner_scatter(datum: GroupDatum, ds_rep: TempiricRep, rows, reach) -> dict:
+def _reach(images) -> int:
+    # The largest absolute coordinate of the images' keys; 0 without keys.
+    return max((abs(c) for p in images for c in p), default=0)
+
+
+def blattner_scatter(datum: GroupDatum, ds_rep: TempiricRep, images, reach) -> dict:
     """Blattner's alternating partition-count formula, walked once per series.
 
-    ``rows`` maps the ``_doubled_shifted`` coordinates of each K-type
-    wanted to a key, and no coordinate of them exceeds ``reach`` in
-    absolute value.  Returns ``{key: total}`` for the keys the walk
+    ``images`` is the ``_images`` map of the K-types wanted, keyed as the
+    caller numbered them, and no coordinate of its keys exceeds ``reach``
+    in absolute value.  Returns ``{key: total}`` for the keys the walk
     reaches; a key it misses has multiplicity 0.  A negative total is
     returned as it is, and signals inconsistent catalog data to the
     reader.
@@ -366,32 +390,24 @@ def blattner_scatter(datum: GroupDatum, ds_rep: TempiricRep, rows, reach) -> dic
     det(w) P(w s - base), where P counts the tuples (n_beta) with
     sum n_beta 2 beta = x over the chamber's positive noncompact roots
     beta and base is ``_base``.  So each tuple is walked once: at its
-    cone point p = base + sum n_beta 2 beta, every w adds det(w) at the
-    row with coordinates w^-1 p.  Tuples are counted, not points, so a
-    root listed twice counts twice.  The loader certifies every W_K
-    element a signed permutation (``DiscreteSeriesDatum.signed_weyl_k``),
-    so w^-1 p has the coordinates of p up to order and sign, and only a
-    point with every coordinate within ``reach`` can land on a row.  The
-    functional f = int_gram . lambda is positive on every chamber root,
-    and f . p <= reach * sum |f_i| on such a point: that bounds the
+    cone point p = base + sum n_beta 2 beta, each pair (key, det w) of
+    ``images[p]``, one per w and s with w s = p, adds det(w) at its key.
+    Tuples are counted, not points, so a root listed twice counts twice.
+    Only a point with every coordinate within ``reach`` can be a key.
+    The functional f = int_gram . lambda is positive on every chamber
+    root, and f . p <= reach * sum |f_i| on such a point: that bounds the
     multiples of all roots but the last, whose multiple runs over the
     range that keeps the point in the box.
     """
     if ds_rep.kind != "ds":
         raise ValueError("Blattner's formula needs a discrete-series representative")
-    ds = _require_ds(datum)
+    _require_ds(datum)
     lam = ds_rep.hc_param
     functional = _functional(datum, lam)
     pos = _chamber(datum, lam, functional)
     base = _base(lam, pos)
     *outer, last = [tuple(2 * c for c in beta) for beta in pos]
     steps = [sum(map(mul, beta, functional)) for beta in outer]
-    # w^-1 p, for the signed permutation w = (perm, signs), has the
-    # coordinate signs[r] * p[r] at position perm[r].
-    pulls = [
-        (tuple((r, signs[r]) for r in sorted(range(len(perm)), key=perm.__getitem__)), det)
-        for perm, signs, det in ds.signed_weyl_k
-    ]
     totals: dict = {}
 
     def walk(k, point, budget):
@@ -410,11 +426,8 @@ def blattner_scatter(datum: GroupDatum, ds_rep: TempiricRep, rows, reach) -> dic
             elif abs(c) > reach:
                 return
         for t in range(max(lows), min(highs) + 1):
-            p = [c + t * b for c, b in zip(point, last)]
-            for pull, det in pulls:
-                key = rows.get(tuple([s * p[r] for r, s in pull]))
-                if key is not None:
-                    totals[key] = totals.get(key, 0) + det
+            for key, det in images.get(tuple([c + t * b for c, b in zip(point, last)]), ()):
+                totals[key] = totals.get(key, 0) + det
 
     walk(0, base, reach * sum(map(abs, functional)) - sum(map(mul, functional, base)))
     return totals
@@ -432,9 +445,8 @@ def _blattner_entry(totals: dict, key, tau, ds_rep: TempiricRep) -> int:
 
 def blattner_mult(datum: GroupDatum, ds_rep: TempiricRep, tau) -> int:
     """K-type multiplicity in a discrete series: ``blattner_scatter`` over tau alone."""
-    shifted = _doubled_shifted(datum, label_lattice_coords(datum.k, tau))
-    reach = max(map(abs, shifted), default=0)
-    return _blattner_entry(blattner_scatter(datum, ds_rep, {shifted: 0}, reach), 0, tau, ds_rep)
+    images = _images(datum, [label_lattice_coords(datum.k, tau)])
+    return _blattner_entry(blattner_scatter(datum, ds_rep, images, _reach(images)), 0, tau, ds_rep)
 
 
 class MultMatrix(_Record):
@@ -477,7 +489,7 @@ def _column(window: Window, rep: TempiricRep):
     the rows of ``support``, in row order.  Read through
     ``Window.columns``, which builds it once per representative.  A
     discrete-series column is one ``blattner_scatter`` walk over the
-    window's ``shifted`` rows: ``entry(i)`` reads its totals, raising at
+    window's ``images``: ``entry(i)`` reads its totals, raising at
     a negative one, and ``support`` is the sorted rows the walk reached.
     Principal-series columns test whether the dual c of the class
     representative lies in the row's restriction (the row's multiplicity
@@ -487,7 +499,7 @@ def _column(window: Window, rep: TempiricRep):
     """
     datum, rows = window.datum, window.rows
     if rep.kind == "ds":
-        totals = blattner_scatter(datum, rep, window.shifted, window.reach)
+        totals = blattner_scatter(datum, rep, window.images, window.reach)
         return EXACT, lambda i: _blattner_entry(totals, i, rows[i], rep), sorted(totals)
     (c,) = window.duals[rep.ps_class.representative]
     restrictions, held = window.restrictions, window.holders.get(c, [])
@@ -612,21 +624,25 @@ class Window(_Value):
         return [tau for _, tau in self.ranked]
 
     @cached_property
-    def shifted(self) -> dict[tuple[int, ...], int]:
-        """``{a row's _doubled_shifted coordinates: its position}``, in row order.
+    def images(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """``_images`` of the rows, keyed by position: ``{w s: [(row, det w), ...]}``.
 
-        Read by ``blattner_scatter``, for discrete-series columns only.
-        Each row is read as its own lattice coordinates, unvalidated: the
-        rows are the window's own labels, and the loader refuses a K with
-        a Cyclic2 atom (whose labels are not their coordinates) when there
-        are discrete series.
+        Read by ``blattner_scatter``, for discrete-series columns only, so
+        the datum has a W_K.  Each row is read as its own lattice
+        coordinates, unvalidated: the rows are the window's own labels,
+        and the loader refuses a K with a Cyclic2 atom (whose labels are
+        not their coordinates) when there are discrete series.
         """
-        return {_doubled_shifted(self.datum, tau): i for i, tau in enumerate(self.rows)}
+        return _images(self.datum, self.rows)
 
     @cached_property
     def reach(self) -> int:
-        """The largest absolute coordinate in ``shifted``; 0 without rows."""
-        return max((abs(c) for s in self.shifted for c in s), default=0)
+        """The largest absolute coordinate of a key of ``images``; 0 without rows.
+
+        That of the rows' doubled, rho_c-shifted coordinates too, since
+        W_K only reorders coordinates and changes their signs.
+        """
+        return _reach(self.images)
 
     @cached_property
     def norms(self) -> list[int]:

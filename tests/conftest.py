@@ -18,6 +18,19 @@ def half_gram_sp11():
     return load(json.dumps(doc))
 
 
+def swap_sp11():
+    """Sp11 whose W_K is {1, the coordinate swap, -1, minus the swap}.
+
+    The one W_K of the tests whose elements permute coordinates; a plain
+    function, like ``half_gram_sp11``.
+    """
+    doc = serialize(builtin("Sp11"))
+    doc["ds"]["wk_elements"] = [
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, -1]], [[0, -1], [-1, 0]]
+    ]
+    return load(json.dumps(doc))
+
+
 @pytest.fixture(scope="session")
 def sl2r():
     return builtin("SL2R")

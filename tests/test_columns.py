@@ -34,7 +34,7 @@ from tempiric.weights import (
 )
 
 import oracles
-from conftest import half_gram_sp11
+from conftest import half_gram_sp11, swap_sp11
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,11 +116,11 @@ def test_windows_never_share_a_column(sp11, monkeypatch):
     matrix = mult_matrix(first)
     assert len(walks) == len(first.series) > 0
     assert mult_matrix(second) == matrix
-    for (rep, rows, totals), (rep2, rows2, totals2) in zip(
+    for (rep, images, totals), (rep2, images2, totals2) in zip(
         walks[: len(first.series)], walks[len(first.series):], strict=True
     ):
         assert rep == rep2 and totals == totals2 and totals is not totals2
-        assert rows is first.shifted and rows2 is second.shifted
+        assert images is first.images and images2 is second.images
     assert all(first.columns[rep] is not second.columns[rep] for rep in first.reps)
 
 
@@ -141,7 +141,7 @@ def test_column_equals_pointwise_multiplicities(name):
     # with a coordinate at the walk's box edge, Window.reach, are nonzero.
     window = tempiric_window(SERIES_DATA[name](), 60)
     datum, rows = window.datum, window.rows
-    edge = [i for coords, i in window.shifted.items() if window.reach in map(abs, coords)]
+    edge = [i for i, tau in enumerate(rows) if window.reach in map(abs, _coords(datum, tau))]
     edge_nonzero = 0
     for rep in window.series:
         expected = [oracles.blattner_by_enumeration(datum, rep.hc_param, tau) for tau in rows]
@@ -150,6 +150,33 @@ def test_column_equals_pointwise_multiplicities(name):
         assert [blattner_mult(datum, rep, tau) for tau in rows] == expected, rep.describe()
         edge_nonzero += sum(1 for i in edge if expected[i])
     assert window.series and edge_nonzero
+
+
+# The series data, and a W_K whose elements permute coordinates.
+IMAGE_DATA = {**SERIES_DATA, "Sp11-swap": swap_sp11}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+def test_images_hold_each_row_once_per_weyl_element(name):
+    # Window.images against the W_K matrices applied to each row's
+    # doubled, rho_c-shifted coordinates: each row in |W_K| pairs, one per
+    # element with its determinant, at keys within Window.reach.
+    window = tempiric_window(IMAGE_DATA[name](), 60)
+    datum = window.datum
+    expected, per_row = {}, {}
+    for i, tau in enumerate(window.rows):
+        s = _coords(datum, tau)
+        for w in datum.ds.weyl_k:
+            moved = tuple(sum(a * b for a, b in zip(row, s)) for row in w)
+            expected.setdefault(moved, []).append((i, oracles._signed_perm_det(w)))
+    assert window.images == expected
+    for pairs in window.images.values():
+        for i, det in pairs:
+            per_row.setdefault(i, Counter())[det] += 1
+    dets = Counter(oracles._signed_perm_det(w) for w in datum.ds.weyl_k)
+    assert per_row == {i: dets for i in range(len(window.rows))}
+    assert all(abs(c) <= window.reach for p in window.images for c in p)
+    assert window.reach == max(abs(c) for tau in window.rows for c in _coords(datum, tau))
 
 
 def test_column_raises_at_the_same_entry_as_the_pointwise_path():
@@ -261,7 +288,7 @@ def test_skew_gram_walk_matches_the_oracle_and_the_golden():
         except oracles.InconsistentDatum:
             continue
         rep = TempiricRep(kind="ds", min_ktype=lam, hc_param=lam)
-        totals = tempered.blattner_scatter(datum, rep, window.shifted, window.reach)
+        totals = tempered.blattner_scatter(datum, rep, window.images, window.reach)
         assert [totals.get(i, 0) for i in range(len(window.rows))] == [
             oracles.blattner_by_enumeration(datum, lam, tau) for tau in window.rows
         ], lam
@@ -270,14 +297,14 @@ def test_skew_gram_walk_matches_the_oracle_and_the_golden():
 
 
 def _record_walks(monkeypatch):
-    # Records every blattner_scatter walk as (series, rows, totals); every
-    # Blattner multiplicity comes from one, blattner_mult's included.
+    # Records every blattner_scatter walk as (series, images, totals);
+    # every Blattner multiplicity comes from one, blattner_mult's included.
     walks = []
     real = tempered.blattner_scatter
 
-    def recorded(datum, rep, rows, reach):
-        totals = real(datum, rep, rows, reach)
-        walks.append((rep, rows, totals))
+    def recorded(datum, rep, images, reach):
+        totals = real(datum, rep, images, reach)
+        walks.append((rep, images, totals))
         return totals
 
     monkeypatch.setattr(tempered, "blattner_scatter", recorded)
@@ -286,13 +313,16 @@ def _record_walks(monkeypatch):
 
 def _plant(monkeypatch, series, tau, value):
     # blattner_scatter with value added to the total of the series at the
-    # K-type tau, in every walk whose rows hold tau.
+    # K-type tau, in every walk whose images hold tau.  The identity maps
+    # tau's row to tau's coordinates, and in these windows no other
+    # element maps a row there.
     real = tempered.blattner_scatter
 
-    def planted(datum, rep, rows, reach):
-        totals = real(datum, rep, rows, reach)
-        key = rows.get(_coords(datum, tau))
-        if rep == series and key is not None:
+    def planted(datum, rep, images, reach):
+        totals = real(datum, rep, images, reach)
+        pairs = images.get(_coords(datum, tau))
+        if rep == series and pairs:
+            ((key, _),) = pairs
             totals[key] = totals.get(key, 0) + value
         return totals
 
@@ -300,7 +330,13 @@ def _plant(monkeypatch, series, tau, value):
 
 
 def _coords(datum, tau):
-    return tempered._doubled_shifted(datum, label_lattice_coords(datum.k, tau))
+    # 2 mu + 2 rho_c: tau's lattice coordinates, doubled and rho_c-shifted.
+    return tuple(2 * m + r for m, r in zip(label_lattice_coords(datum.k, tau), datum.two_rho_c))
+
+
+def _walked(images):
+    # A walk's images as a hashable value, in the map's order.
+    return tuple((p, tuple(pairs)) for p, pairs in images.items())
 
 
 def _refused_at_limit(monkeypatch, limit, build):
@@ -356,11 +392,15 @@ def test_consistency_check_reads_every_lower_ktype(sp11, monkeypatch, position):
 
 
 def _expected_walks(window, lowest_alone):
-    # One walk over the window's rows per series, and with lowest_alone
-    # one more over its lowest K-type alone (blattner_mult's).
-    walks = Counter((rep, tuple(window.shifted)) for rep in window.series)
+    # One walk over the window's images per series, and with lowest_alone
+    # one more over the images of its lowest K-type alone (blattner_mult's).
+    datum = window.datum
+    walks = Counter((rep, _walked(window.images)) for rep in window.series)
     if lowest_alone:
-        walks.update((rep, (_coords(window.datum, rep.min_ktype),)) for rep in window.series)
+        walks.update(
+            (rep, _walked(tempered._images(datum, [label_lattice_coords(datum.k, rep.min_ktype)])))
+            for rep in window.series
+        )
     return walks
 
 
@@ -378,7 +418,7 @@ def test_verify_walks_each_series_once(monkeypatch, name):
     ]
     window = tempiric_window(datum, 60)
     assert window.series
-    assert Counter((rep, tuple(rows)) for rep, rows, _ in walks) == _expected_walks(window, True)
+    assert Counter((rep, _walked(images)) for rep, images, _ in walks) == _expected_walks(window, True)
 
 
 def test_ck_matrix_evaluates_every_entry_once(capsys, monkeypatch):
@@ -387,7 +427,7 @@ def test_ck_matrix_evaluates_every_entry_once(capsys, monkeypatch):
     capsys.readouterr()
     window = tempiric_window(builtin("Sp11"), 60)
     assert window.series
-    assert Counter((rep, tuple(rows)) for rep, rows, _ in walks) == _expected_walks(window, False)
+    assert Counter((rep, _walked(images)) for rep, images, _ in walks) == _expected_walks(window, False)
 
 
 @pytest.mark.parametrize("name", ["SL2R", "Sp11", "Sp11-half-gram"])
@@ -411,7 +451,7 @@ def test_each_column_is_built_once_per_window(monkeypatch, name):
     for tau in window.rows[::7]:
         cktheory.composite_map(window, tau)
     assert columns == Counter(window.reps)
-    assert Counter((rep, tuple(rows)) for rep, rows, _ in walks) == _expected_walks(window, True)
+    assert Counter((rep, _walked(images)) for rep, images, _ in walks) == _expected_walks(window, True)
 
 
 def test_nonzero_below_the_minimum_is_reported_before_a_later_raise(

@@ -34,6 +34,7 @@ from tempiric.weights import (
 )
 
 import oracles
+from conftest import swap_sp11
 
 SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(3))
 
@@ -205,10 +206,13 @@ _GRAMS = {
 def _assert_window_coordinates(datum, bound):
     window = tempiric_window(datum, bound)
     assert window.rows
-    for tau, shifted, norm in zip(window.rows, window.shifted, window.norms, strict=True):
+    # The identity maps each row to its own doubled, rho_c-shifted
+    # coordinates, and each row has one image per W_K element.
+    for i, (tau, norm) in enumerate(zip(window.rows, window.norms, strict=True)):
         mu = label_lattice_coords(datum.k, tau)
-        assert shifted == tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))
+        assert (i, 1) in window.images[tuple(2 * m + r for m, r in zip(mu, datum.two_rho_c))]
         assert norm == scaled_norm(datum, tau)
+    assert sum(map(len, window.images.values())) == len(window.rows) * len(datum.ds.weyl_k)
 
 
 def _assert_ds_enumerate_matches_the_scan(datum, bound):
@@ -244,7 +248,7 @@ def _sp11_with(field, value):
     return load(json.dumps(doc))
 
 
-_ONE, _SWAP = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
+_ONE = [[1, 0], [0, 1]]
 _SCAN_DATA = {
     "SL2R": lambda: builtin("SL2R"),
     "Sp11": lambda: builtin("Sp11"),
@@ -253,9 +257,7 @@ _SCAN_DATA = {
     # narrows no axis of its box; with SU2 atoms, some kept parameter then
     # has a lowest K-type that is not dominant.
     "Sp11-minus-one": lambda: _sp11_with("wk_elements", [_ONE, [[-1, 0], [0, -1]]]),
-    "Sp11-swap": lambda: _sp11_with(
-        "wk_elements", [_ONE, _SWAP, [[-1, 0], [0, -1]], [[0, -1], [-1, 0]]]
-    ),
+    "Sp11-swap": swap_sp11,
     # Every lowest K-type is half-integral.
     "Sp11-negative-rho": lambda: _sp11_with("two_rho_c", [-1, -1]),
 }

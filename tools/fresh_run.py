@@ -11,8 +11,13 @@ the wall time and the CPU time in seconds, the child's peak RSS in MiB
 (``ru_maxrss`` from ``os.wait4``), the exit code, and the byte count and
 sha256 of stdout.  Then one ``median`` line per SRC: the median times
 and peak RSS, and the exit code, byte count and sha256 that every run
-shares, or ``differs``.  The child's stderr
-goes to this process's stderr.
+shares, or ``differs``.  Then one ``quartiles`` line per SRC: the SRC
+and its first quartile, median and third quartile of wall time, the
+quartiles being the medians of the runs below and above the median run
+(of the lower and upper halves, with an even count).  With exactly two
+SRC, one ``wins`` line per SRC follows: the SRC and the number of the N
+rounds in which its wall time was lower than the other's; a tie counts
+for neither.  The child's stderr goes to this process's stderr.
 
 A child's peak RSS starts at the peak of the process that spawned it, so
 the first line reports this tool's own peak: a floor under every child's
@@ -60,6 +65,12 @@ def _median(values):
     return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
+def _quartiles(values):
+    values = sorted(values)
+    half = len(values) // 2
+    return _median(values[:half] or values), _median(values), _median(values[-half:] or values)
+
+
 def _same(values):
     return values[0] if len(set(values)) == 1 else "differs"
 
@@ -93,6 +104,12 @@ def main(argv: list[str]) -> int:
         wall, cpu, rss, code, size, sha = zip(*rows)
         medians = map(_median, (wall, cpu, rss))
         print("median\t" + _line(src, *medians, *map(_same, (code, size, sha))))
+    walls = {src: [row[0] for row in rows] for src, rows in results.items()}
+    for src, wall in walls.items():
+        print(f"quartiles\t{src}\t" + "\t".join(f"{q:.3f}" for q in _quartiles(wall)))
+    if len(walls) == 2:
+        for src, other in zip(walls, [*walls][::-1]):
+            print(f"wins\t{src}\t{sum(a < b for a, b in zip(walls[src], walls[other]))}")
     return 0
 
 
